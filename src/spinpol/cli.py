@@ -48,9 +48,16 @@ def _parse_reals(value, count, name):
     if len(toks) != count:
         raise ConfigError(f"{name} must have {count} components, got {len(toks)}")
     try:
-        return np.array([float(t) for t in toks])
+        reals = np.array([float(t) for t in toks])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    if not np.all(np.isfinite(reals)):
+        raise ConfigError(f"{name} must be finite, got {reals.tolist()}")
+    return reals
+
+
+def _real(value, name):
+    return float(_parse_reals([value], 1, name)[0])
 
 
 def _unit3(value, name):
@@ -75,8 +82,6 @@ def _jones(value):
 
 
 def _load_config(path):
-    if path is None:
-        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -87,14 +92,6 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, file_cfg, key, default):
-    # flags override file values, file values override defaults
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_cfg.get(key, default)
-    return value
-
-
 def _references(choice):
     if choice == "default":
         return DEFAULT_REFERENCES
@@ -103,22 +100,19 @@ def _references(choice):
     raise ConfigError(f"ref must be 'default' or 'fallback', got {choice!r}")
 
 
-def _spectrum(args, file_cfg):
-    path = _resolve(args, file_cfg, "spectrum", None)
-    if path is not None:
-        return wp.load_spectrum(path)
-    k0 = _parse_reals(_resolve(args, file_cfg, "k0", [0.0, 0.0, 5.0]), 3, "k0")
-    sigma_k = float(_resolve(args, file_cfg, "sigma_k", 0.5))
-    n_k = int(_resolve(args, file_cfg, "n_k", 9))
-    span = float(_resolve(args, file_cfg, "span", 4.0))
-    return wp.gaussian_spectrum(k0, sigma_k, n_k, span)
+def _spectrum(args):
+    if args.spectrum is not None:
+        return wp.load_spectrum(args.spectrum)
+    k0 = _parse_reals(args.k0, 3, "k0")
+    sigma_k = _real(args.sigma_k, "sigma_k")
+    span = _real(args.span, "span")
+    return wp.gaussian_spectrum(k0, sigma_k, int(args.n_k), span)
 
 
-def _packet_config(args, file_cfg):
-    i_vec = _unit3(_resolve(args, file_cfg, "i_vec", [1.0, 0.0, 0.0]), "i_vec")
-    alpha = _jones(_resolve(args, file_cfg, "alpha", [1.0, 0.0, 0.0, 0.0]))
-    ref = _references(_resolve(args, file_cfg, "ref", "default"))
-    return wp.PacketConfig(i_vec=i_vec, alpha=alpha, ref=ref)
+def _packet_config(args):
+    i_vec = _unit3(args.i_vec, "i_vec")
+    alpha = _jones(args.alpha)
+    return wp.PacketConfig(i_vec=i_vec, alpha=alpha, ref=_references(args.ref))
 
 
 def _write_lines(path, lines):
@@ -130,97 +124,93 @@ def _write_lines(path, lines):
             fh.write(text)
 
 
-def _cmd_verify(args, file_cfg):
-    suites = _resolve(args, file_cfg, "suites", None)
-    if suites is None:
+def _cmd_verify(args):
+    if args.suites is None:
         names = list(verify_mod.SUITE_NAMES)
     else:
-        names = [s.strip() for s in suites.split(",") if s.strip()]
+        names = [s.strip() for s in args.suites.split(",") if s.strip()]
         unknown = [s for s in names if s not in verify_mod.SUITE_NAMES]
         if unknown:
             raise ConfigError(
                 f"unknown suites {unknown}; choose from {list(verify_mod.SUITE_NAMES)}"
             )
-    seed = int(_resolve(args, file_cfg, "seed", verify_mod.DEFAULT_SEED))
-    n_cases = int(_resolve(args, file_cfg, "n_cases", verify_mod.DEFAULT_CASES))
+    n_cases = int(args.n_cases)
     if n_cases < 0:
         raise ConfigError("n_cases must be >= 0")
-    tolerance = _resolve(args, file_cfg, "tolerance", None)
     results = verify_mod.run_suites(
-        names, seed=seed, n_cases=n_cases, tolerance=tolerance
+        names, seed=int(args.seed), n_cases=n_cases, tolerance=args.tolerance
     )
-    _write_lines(_resolve(args, file_cfg, "out", None), verify_mod.report_lines(results))
+    _write_lines(args.out, verify_mod.report_lines(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
-def _cmd_spectrum_gen(args, file_cfg):
-    spec = _spectrum(args, file_cfg)
-    out = _resolve(args, file_cfg, "out", "spectrum.csv")
-    wp.save_spectrum(spec, out)
+def _cmd_spectrum_gen(args):
+    spec = _spectrum(args)
+    wp.save_spectrum(spec, args.out)
     total = np.sum(spec.weight * np.abs(spec.amplitude) ** 2)
-    print(f"wrote {out}: {len(spec)} samples, sum weight |A|^2 = {_fmt(total)}")
+    print(f"wrote {args.out}: {len(spec)} samples, sum weight |A|^2 = {_fmt(total)}")
     return EXIT_OK
 
 
-def _cmd_field(args, file_cfg):
-    spec = _spectrum(args, file_cfg)
-    cfg = _packet_config(args, file_cfg)
-    grid_n = int(_resolve(args, file_cfg, "grid_n", 21))
-    grid_span = float(_resolve(args, file_cfg, "grid_span", 6.0))
-    t = float(_resolve(args, file_cfg, "time", 0.0))
-    points, spacing = wp.position_grid(grid_n, grid_span)
-    fld = wp.spin_field(spec, cfg, points, t)
-    out = _resolve(args, file_cfg, "out", "spin_field.csv")
-    wp.save_spin_field(fld, out)
+def _cmd_field(args):
+    spec = _spectrum(args)
+    cfg = _packet_config(args)
+    points, spacing = wp.position_grid(int(args.grid_n), _real(args.grid_span, "grid_span"))
+    fld = wp.spin_field(spec, cfg, points, _real(args.time, "time"))
+    wp.save_spin_field(fld, args.out)
     prob = float(np.sum(fld.rho)) * spacing**3
     ok = ~fld.node
     mean_s = (fld.rho[ok, None] * fld.s[ok]).sum(axis=0) / fld.rho[ok].sum()
-    print(f"wrote {out}: {len(fld.rho)} rows ({int(fld.node.sum())} node points)")
+    print(f"wrote {args.out}: {len(fld.rho)} rows ({int(fld.node.sum())} node points)")
     print(f"total probability on grid: {_fmt(prob)}")
     print(f"mean s: {_fmt(mean_s[0])},{_fmt(mean_s[1])},{_fmt(mean_s[2])}")
     return EXIT_OK
 
 
-def _cmd_total_spin(args, file_cfg):
-    spec = _spectrum(args, file_cfg)
-    cfg = _packet_config(args, file_cfg)
-    axis = _unit3(_resolve(args, file_cfg, "axis", [0.0, 0.0, 1.0]), "axis")
-    steps = int(_resolve(args, file_cfg, "steps", 8))
+def _cmd_total_spin(args):
+    spec = _spectrum(args)
+    cfg = _packet_config(args)
+    axis = _unit3(args.axis, "axis")
+    steps = int(args.steps)
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     phis, spins = wp.total_spin_i_sweep(spec, cfg, axis, steps)
     bound = 0.5 * cfg.hbar + 1e-9
     for i, s in enumerate(spins):
-        if np.linalg.norm(s) > bound:
-            raise RuntimeError(
+        if not np.linalg.norm(s) <= bound:
+            raise ConfigError(
                 f"row {i}: |S| = {np.linalg.norm(s)} exceeds hbar/2; "
                 "spectrum normalization is broken"
             )
     lines = ["phi,Sx,Sy,Sz"]
     for phi, s in zip(phis, spins):
         lines.append(",".join(_fmt(v) for v in (phi, *s)))
-    out = _resolve(args, file_cfg, "out", "total_spin.csv")
-    _write_lines(out, lines)
-    print(f"wrote {out}: {steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
+    _write_lines(args.out, lines)
+    print(f"wrote {args.out}: {steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
     return EXIT_OK
 
 
 def _add_spectrum_flags(sub):
     sub.add_argument("--spectrum", help="spectrum CSV path (overrides generation flags)")
-    sub.add_argument("--k0", help="spectrum center kx,ky,kz (default 0,0,5)")
-    sub.add_argument("--sigma-k", dest="sigma_k", type=float, help="spectral width (default 0.5)")
-    sub.add_argument("--n-k", dest="n_k", type=int, help="odd samples per k axis (default 9)")
-    sub.add_argument("--span", type=float, help="k grid half-width in sigma_k units (default 4)")
+    sub.add_argument("--k0", default="0,0,5", help="spectrum center kx,ky,kz (default 0,0,5)")
+    sub.add_argument("--sigma-k", dest="sigma_k", type=float, default=0.5,
+                     help="spectral width (default 0.5)")
+    sub.add_argument("--n-k", dest="n_k", type=int, default=9,
+                     help="odd samples per k axis (default 9)")
+    sub.add_argument("--span", type=float, default=4.0,
+                     help="k grid half-width in sigma_k units (default 4)")
 
 
 def _add_packet_flags(sub):
-    sub.add_argument("--i-vec", dest="i_vec", help="characterization vector x,y,z (default 1,0,0)")
-    sub.add_argument("--alpha", help="Jones vector re1,im1,re2,im2 (default 1,0,0,0)")
-    sub.add_argument("--ref", choices=["default", "fallback"], default=None,
+    sub.add_argument("--i-vec", dest="i_vec", default="1,0,0",
+                     help="characterization vector x,y,z (default 1,0,0)")
+    sub.add_argument("--alpha", default="1,0,0,0", help="Jones vector re1,im1,re2,im2 (default 1,0,0,0)")
+    sub.add_argument("--ref", choices=["default", "fallback"], default="default",
                      help="reference spinor pair (default: default)")
 
 
-def build_parser():
+def build_parser(config=None):
+    """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults."""
     parser = argparse.ArgumentParser(
         prog="spinpol",
         description="Spin polarization of a free spin-1/2 particle, characterized by a unit vector.",
@@ -230,7 +220,8 @@ def build_parser():
     p_verify = subs.add_parser("verify", help="run randomized property suites")
     p_verify.add_argument("--suites", help="comma-separated subset of "
                           + ",".join(verify_mod.SUITE_NAMES))
-    p_verify.add_argument("--n-cases", dest="n_cases", type=int, help="cases per suite (default 100)")
+    p_verify.add_argument("--n-cases", dest="n_cases", type=int, default=verify_mod.DEFAULT_CASES,
+                          help="cases per suite (default 100)")
     p_verify.add_argument("--tolerance", type=float, help="override every suite tolerance")
 
     p_gen = subs.add_parser("spectrum-gen", help="generate a Gaussian spectrum CSV")
@@ -239,22 +230,39 @@ def build_parser():
     p_field = subs.add_parser("field", help="evaluate the local polarization field on a grid")
     _add_spectrum_flags(p_field)
     _add_packet_flags(p_field)
-    p_field.add_argument("--grid-n", dest="grid_n", type=int, help="points per position axis (default 21)")
-    p_field.add_argument("--grid-span", dest="grid_span", type=float,
+    p_field.add_argument("--grid-n", dest="grid_n", type=int, default=21,
+                         help="points per position axis (default 21)")
+    p_field.add_argument("--grid-span", dest="grid_span", type=float, default=6.0,
                          help="position grid half-width (default 6)")
-    p_field.add_argument("--time", type=float, help="evaluation time (default 0)")
+    p_field.add_argument("--time", type=float, default=0.0, help="evaluation time (default 0)")
 
     p_total = subs.add_parser("total-spin", help="sweep the characterization vector and tabulate total spin")
     _add_spectrum_flags(p_total)
     _add_packet_flags(p_total)
-    p_total.add_argument("--axis", help="sweep axis x,y,z (default 0,0,1)")
-    p_total.add_argument("--steps", type=int, help="sweep points on [0, 2pi) (default 8)")
+    p_total.add_argument("--axis", default="0,0,1", help="sweep axis x,y,z (default 0,0,1)")
+    p_total.add_argument("--steps", type=int, default=8, help="sweep points on [0, 2pi) (default 8)")
 
-    for sub in (p_verify, p_gen, p_field, p_total):
+    outs = {p_verify: None, p_gen: "spectrum.csv", p_field: "spin_field.csv", p_total: "total_spin.csv"}
+    for sub, out in outs.items():
         sub.add_argument("--config", help="flat JSON config; flags override file values")
-        sub.add_argument("--seed", type=int, help="random seed (default 1729)")
-        sub.add_argument("--out", help="output path")
+        sub.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
+                         help="random seed (default 1729)")
+        sub.add_argument("--out", default=out, help="output path")
+        if config:
+            sub.set_defaults(**config)
     return parser
+
+
+def _parse(argv):
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
+    file_cfg = _load_config(args.config)
+    # the keys a config may set are the dests of the subcommand's own flags
+    unknown = sorted(set(file_cfg) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
+    return build_parser(file_cfg).parse_args(argv)
 
 
 _COMMANDS = {
@@ -266,11 +274,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, file_cfg)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args)
     except (DegenerateFrame, SpectrumNearOrigin, ReferenceAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY

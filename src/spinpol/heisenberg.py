@@ -20,9 +20,13 @@ from .frames import (
     DEFAULT_REFERENCES,
     Frame,
     ReferenceSpinors,
+    _eigen,
+    _item,
+    _mapping,
+    _norm,
+    _phase,
     compose_spinor,
     mapping_matrix,
-    phase_factor,
 )
 from .rotations import rotate_characterization, so3_rotation
 
@@ -34,7 +38,11 @@ _INTERNAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HeisenbergSigma:
-    """Component matrices of the conjugated Pauli vector on the frame triad."""
+    """Component matrices of the conjugated Pauli vector on the frame triad.
+
+    For a batch of frames the matrices are (..., 2, 2) arrays and phi0 is an
+    array of the batch shape.
+    """
 
     sigma_u: np.ndarray
     sigma_v: np.ndarray
@@ -43,13 +51,12 @@ class HeisenbergSigma:
     phi0: float
 
     def cartesian(self) -> np.ndarray:
-        """Cartesian components: stack of u_j sigma_u + v_j sigma_v + w_j sigma_w."""
+        """Cartesian components u_j sigma_u + v_j sigma_v + w_j sigma_w, shape (..., 3, 2, 2)."""
         f = self.frame
-        return np.stack(
-            [
-                f.u[j] * self.sigma_u + f.v[j] * self.sigma_v + f.w[j] * self.sigma_w
-                for j in range(3)
-            ]
+        return (
+            f.u[..., :, None, None] * self.sigma_u[..., None, :, :]
+            + f.v[..., :, None, None] * self.sigma_v[..., None, :, :]
+            + f.w[..., :, None, None] * self.sigma_w[..., None, :, :]
         )
 
 
@@ -59,6 +66,17 @@ def _coefficient_rotation(angle: float) -> np.ndarray:
     return np.cos(angle / 2.0) * IDENTITY2 - 1j * np.sin(angle / 2.0) * SIGMA_W_DIAG
 
 
+def _conjugation_deviation(hs: HeisenbergSigma, varpi) -> np.ndarray:
+    """Per frame, the worst Frobenius deviation of the closed forms from varpi^dag (a.sigma) varpi."""
+    f = hs.frame
+    varpi_h = varpi.conj().swapaxes(-1, -2)
+    devs = [
+        _norm(varpi_h @ dot_sigma(axis) @ varpi - closed, axis=(-2, -1))
+        for closed, axis in ((hs.sigma_u, f.u), (hs.sigma_v, f.v), (hs.sigma_w, f.w))
+    ]
+    return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
+
+
 def heisenberg_sigma(
     frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES
 ) -> HeisenbergSigma:
@@ -66,24 +84,30 @@ def heisenberg_sigma(
 
     sigma_u and sigma_v are off-diagonal with phase exp(i phi0); sigma_w is
     exactly diag(1, -1).  The closed forms are cross-checked against the direct
-    conjugation and a disagreement beyond rounding raises RuntimeError.
+    conjugation, frame by frame, and a disagreement beyond rounding raises
+    RuntimeError.
     """
-    phi0 = phase_factor(frame, ref)
+    pair, lowered = _eigen(frame, ref)
+    phi0 = _phase(pair, ref, lowered)
     e = np.exp(1j * phi0)
-    sigma_u = np.array([[0.0, e], [np.conj(e), 0.0]])
-    sigma_v = np.array([[0.0, -1j * e], [1j * np.conj(e), 0.0]])
-    sigma_w = SIGMA_W_DIAG.copy()
-    varpi = mapping_matrix(frame, ref)
-    for closed, axis in ((sigma_u, frame.u), (sigma_v, frame.v), (sigma_w, frame.w)):
-        direct = varpi.conj().T @ dot_sigma(axis) @ varpi
-        if np.linalg.norm(direct - closed) > _INTERNAL_TOL:
-            raise RuntimeError(
-                "closed-form component disagrees with direct conjugation; "
-                "this is an internal error, not a tolerance issue"
-            )
-    return HeisenbergSigma(
-        sigma_u=sigma_u, sigma_v=sigma_v, sigma_w=sigma_w, frame=frame, phi0=phi0
+    shape = np.shape(e) + (2, 2)
+    sigma_u = np.zeros(shape, dtype=complex)
+    sigma_u[..., 0, 1] = e
+    sigma_u[..., 1, 0] = np.conj(e)
+    sigma_v = np.zeros(shape, dtype=complex)
+    sigma_v[..., 0, 1] = -1j * e
+    sigma_v[..., 1, 0] = 1j * np.conj(e)
+    sigma_w = np.broadcast_to(SIGMA_W_DIAG, shape).copy()
+    hs = HeisenbergSigma(
+        sigma_u=sigma_u, sigma_v=sigma_v, sigma_w=sigma_w, frame=frame, phi0=_item(phi0)
     )
+    # written so that NaN fails it
+    if not np.all(_conjugation_deviation(hs, _mapping(pair)) <= _INTERNAL_TOL):
+        raise RuntimeError(
+            "closed-form component disagrees with direct conjugation; "
+            "this is an internal error, not a tolerance issue"
+        )
+    return hs
 
 
 def closed_form_residual(
@@ -91,16 +115,7 @@ def closed_form_residual(
 ) -> float:
     """Worst deviation between the closed-form components and direct conjugation."""
     hs = heisenberg_sigma(frame, ref)
-    varpi = mapping_matrix(frame, ref)
-    devs = [
-        np.linalg.norm(varpi.conj().T @ dot_sigma(axis) @ varpi - closed)
-        for closed, axis in (
-            (hs.sigma_u, frame.u),
-            (hs.sigma_v, frame.v),
-            (hs.sigma_w, frame.w),
-        )
-    ]
-    return float(max(devs))
+    return float(np.max(_conjugation_deviation(hs, mapping_matrix(frame, ref))))
 
 
 def rotation_residual(

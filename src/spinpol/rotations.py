@@ -43,7 +43,7 @@ def dot_generators(a) -> np.ndarray:
 
 def _check_axis(axis):
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > EPS_INPUT:
+    if not abs(np.linalg.norm(axis) - 1.0) <= EPS_INPUT:
         raise ValueError("rotation axis must be a unit vector")
     return axis
 

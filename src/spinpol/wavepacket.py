@@ -75,6 +75,11 @@ class Spectrum:
         n = len(self.weight)
         if self.k.shape != (n, 3) or self.amplitude.shape != (n,):
             raise ValueError("spectrum arrays must have matching lengths, k of shape (n, 3)")
+        for name in ("k", "amplitude", "weight"):
+            bad = ~np.isfinite(getattr(self, name))
+            if bad.any():
+                j = int(np.argwhere(bad)[0][0])
+                raise ValueError(f"spectrum {name} of sample {j} is not finite")
         norms = np.linalg.norm(self.k, axis=1)
         scale = float(norms.max(initial=0.0))
         small = np.flatnonzero(norms < EPS_K * max(scale, 1e-300))
@@ -84,7 +89,7 @@ class Spectrum:
                 "vector has no quantization axis"
             )
         total = float(np.sum(self.weight * np.abs(self.amplitude) ** 2))
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"spectrum is not normalized: sum(weight |A|^2) = {total}"
             )
@@ -165,6 +170,31 @@ def dispersion(k, cfg: PacketConfig) -> float:
     return float(cfg.hbar * np.dot(k, k) / (2.0 * cfg.mu))
 
 
+def _per_sample(spec: Spectrum, cfg: PacketConfig, fn):
+    """fn(frames of all samples, cfg.ref), naming the first offending sample on failure.
+
+    Each sample takes its own direction k_hat as quantization axis and shares
+    the characterization vector cfg.i_vec.
+    """
+    k_hat = spec.k / np.linalg.norm(spec.k, axis=1, keepdims=True)
+    try:
+        return fn(build_frame(k_hat, cfg.i_vec), cfg.ref)
+    except DegenerateFrame as exc:
+        j = exc.index[0]
+        raise DegenerateFrame(
+            f"sample {j} with k = {spec.k[j].tolist()} is parallel to the "
+            f"characterization vector: {exc}",
+            exc.index,
+        ) from exc
+    except ReferenceAnnihilated as exc:
+        j = exc.index[0]
+        raise ReferenceAnnihilated(
+            f"sample {j} with k = {spec.k[j].tolist()}: {exc}; choose references "
+            "valid on the whole spectrum support",
+            exc.index,
+        ) from exc
+
+
 def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.ndarray:
     """Per-sample spinors chi(k_hat): the superposition (branch 0) or one eigenspinor.
 
@@ -173,31 +203,12 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
     sample when some k is parallel to the characterization vector, and
     ReferenceAnnihilated when the references fail on the spectrum's support.
     """
-    out = np.empty((len(spec), 2), dtype=complex)
-    for j in range(len(spec)):
-        k = spec.k[j]
-        what = k / np.linalg.norm(k)
-        try:
-            varpi = mapping_matrix(build_frame(what, cfg.i_vec), cfg.ref)
-        except DegenerateFrame as exc:
-            raise DegenerateFrame(
-                f"sample {j} with k = {k.tolist()} is parallel to the "
-                f"characterization vector: {exc}"
-            ) from exc
-        except ReferenceAnnihilated as exc:
-            raise ReferenceAnnihilated(
-                f"sample {j} with k = {k.tolist()}: {exc}; choose references "
-                "valid on the whole spectrum support"
-            ) from exc
-        if branch == 0:
-            out[j] = compose_spinor(varpi, cfg.alpha)
-        elif branch == +1:
-            out[j] = varpi[:, 0]
-        elif branch == -1:
-            out[j] = varpi[:, 1]
-        else:
-            raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
-    return out
+    if branch not in (0, +1, -1):
+        raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
+    varpi = _per_sample(spec, cfg, mapping_matrix)
+    if branch == 0:
+        return compose_spinor(varpi, cfg.alpha)
+    return varpi[:, :, 0 if branch == +1 else 1]
 
 
 def _plane_wave_sum(spec, cfg, spinors, points, t):
@@ -282,17 +293,11 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     normalization error.
     """
     alpha = np.asarray(cfg.alpha, dtype=complex)
-    acc = np.zeros(3)
-    for j in range(len(spec)):
-        k = spec.k[j]
-        what = k / np.linalg.norm(k)
-        try:
-            hs = heisenberg_sigma(build_frame(what, cfg.i_vec), cfg.ref)
-        except (DegenerateFrame, ReferenceAnnihilated) as exc:
-            raise type(exc)(f"sample {j} with k = {k.tolist()}: {exc}") from exc
-        expect = np.array([np.vdot(alpha, m @ alpha).real for m in hs.cartesian()])
-        acc += spec.weight[j] * np.abs(spec.amplitude[j]) ** 2 * expect
-    return 0.5 * cfg.hbar * acc
+    cartesian = _per_sample(spec, cfg, heisenberg_sigma).cartesian()
+    expect = ((cartesian @ alpha) @ alpha.conj()).real
+    prob = spec.weight * np.abs(spec.amplitude) ** 2
+    # summed over samples in index order, as a running total
+    return 0.5 * cfg.hbar * np.add.reduce(prob[:, None] * expect, axis=0)
 
 
 def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):

@@ -269,3 +269,84 @@ def test_compose_spinor_validates_inputs():
         compose_spinor(varpi, [1.0, 1.0])
     with pytest.raises(ValueError, match="unitary"):
         compose_spinor(np.array([[1.0, 0.0], [0.0, 2.0]]), [1.0, 0.0])
+
+
+def test_non_finite_vectors_are_rejected():
+    with pytest.raises(ValueError, match="unit"):
+        build_frame([0.0, 0.0, np.nan], X)
+    with pytest.raises(ValueError, match="unit"):
+        build_frame(Z, [np.inf, 0.0, 0.0])
+
+
+def _random_units(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_batched_frames_equal_stacked_single_frames():
+    rng = np.random.default_rng(34)
+    w = _random_units(rng, 50)
+    i_vec = _random_units(rng, 50)
+    batch = build_frame(w, i_vec)
+    singles = [build_frame(w[j], i_vec[j]) for j in range(50)]
+    for name in ("u", "v"):
+        stacked = np.array([getattr(f, name) for f in singles])
+        assert np.abs(getattr(batch, name) - stacked).max() <= 1e-15
+    pair = eigen_spinors(batch)
+    pairs = [eigen_spinors(f) for f in singles]
+    for name in ("chi_plus", "chi_minus", "n_plus", "n_minus"):
+        stacked = np.array([getattr(p, name) for p in pairs])
+        assert np.abs(getattr(pair, name) - stacked).max() <= 1e-15
+    assert np.abs(
+        mapping_matrix(batch) - np.array([mapping_matrix(f) for f in singles])
+    ).max() <= 1e-15
+    phases = np.exp(1j * phase_factor(batch))
+    assert np.abs(phases - np.exp(1j * np.array([phase_factor(f) for f in singles]))).max() <= 1e-15
+    c, c_prime = ladder_constants(batch)
+    single_c = np.array([ladder_constants(f) for f in singles])
+    assert np.abs(c - single_c[:, 0]).max() <= 1e-15
+    assert np.abs(c_prime - single_c[:, 1]).max() <= 1e-15
+
+
+def test_single_frame_keeps_scalar_types():
+    f = build_frame(Z, X)
+    pair = eigen_spinors(f)
+    assert type(pair.n_plus) is float and type(pair.n_minus) is float
+    assert type(phase_factor(f)) is float
+    assert all(type(c) is complex for c in ladder_constants(f))
+    assert f.u.shape == (3,) and pair.chi_plus.shape == (2,)
+    assert mapping_matrix(f).shape == (2, 2)
+
+
+def test_batch_errors_name_the_first_offending_frame():
+    rng = np.random.default_rng(35)
+    w = _random_units(rng, 7)
+    i_vec = np.array([1.0, 0.0, 0.0])
+    w[4] = i_vec
+    w[6] = -i_vec
+    with pytest.raises(DegenerateFrame, match=r"\[1.0, 0.0, 0.0\]") as info:
+        build_frame(w, i_vec)
+    assert info.value.index == (4,)
+    w = _random_units(rng, 7)
+    w[4] = -Z
+    with pytest.raises(ReferenceAnnihilated, match="frame 4") as info:
+        eigen_spinors(build_frame(w, i_vec))
+    assert info.value.index == (4,)
+    with pytest.raises(ValueError, match=r"w \(frame 2\) must be a unit vector"):
+        build_frame(np.array([Z, Z, 2.0 * Z]), X)
+
+
+def test_compose_spinor_checks_every_matrix_of_a_batch():
+    varpi = mapping_matrix(build_frame(np.array([Z, Y, -Y]), X))
+    good = compose_spinor(varpi, np.array([1.0, 0.0]))
+    assert_allclose(good, varpi[:, :, 0], atol=1e-15)
+    varpi[1, 0, 0] *= 2.0
+    with pytest.raises(ValueError, match=r"matrix \(frame 1\) must be unitary"):
+        compose_spinor(varpi, np.array([1.0, 0.0]))
+
+
+def test_references_are_checked_on_construction():
+    with pytest.raises(ValueError, match="normalized"):
+        ReferenceSpinors(chi1=np.array([1.0, 1.0]), chi2=DEFAULT_REFERENCES.chi2)
+    with pytest.raises(ValueError, match="normalized"):
+        ReferenceSpinors(chi1=DEFAULT_REFERENCES.chi1, chi2=np.array([np.nan, 0.0]))

@@ -134,3 +134,17 @@ def test_cartesian_components_recompose_the_pauli_vector_expectation():
         for j, mat in enumerate(hs.cartesian()):
             direct = np.vdot(chi, dot_sigma(np.eye(3)[j]) @ chi).real
             assert abs(np.vdot(alpha, mat @ alpha).real - direct) < 1e-12
+
+
+def test_batched_components_equal_stacked_single_frames():
+    rng = np.random.default_rng(70)
+    frames = [random_frame(rng) for _ in range(40)]
+    batch = build_frame(np.array([f.w for f in frames]), np.array([f.i_vec for f in frames]))
+    hs = heisenberg_sigma(batch)
+    singles = [heisenberg_sigma(f) for f in frames]
+    for name in ("sigma_u", "sigma_v", "sigma_w"):
+        stacked = np.array([getattr(h, name) for h in singles])
+        assert np.abs(getattr(hs, name) - stacked).max() <= 1e-15
+    assert np.abs(hs.cartesian() - np.array([h.cartesian() for h in singles])).max() <= 1e-15
+    assert hs.cartesian().shape == (40, 3, 2, 2)
+    assert isinstance(singles[0].phi0, float)

@@ -246,3 +246,45 @@ def test_report_numbers_roundtrip_doubles(tmp_path):
     row = out.read_text().strip().split("\n")[1].split(",")
     # 17 significant digits reproduce the doubles bit for bit
     assert [float(tok) for tok in row[1:]] == expected.tolist()
+
+
+def test_cli_non_finite_vector_is_config_error(tmp_path, capsys):
+    spec_path = tmp_path / "one.csv"
+    spec_path.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0,1\n")
+    out = tmp_path / "spin.csv"
+    code = cli.main(
+        ["total-spin", "--spectrum", str(spec_path), "--i-vec", "nan,0,0", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "i_vec must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_spin_above_hbar_half_is_config_error(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "one.csv"
+    spec_path.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0,1\n")
+    monkeypatch.setattr(
+        cli.wp, "total_spin_i_sweep",
+        lambda spec, cfg, axis, steps: (np.zeros(1), np.array([[0.0, 0.0, 0.6]])),
+    )
+    code = cli.main(
+        ["total-spin", "--spectrum", str(spec_path), "--steps", "1",
+         "--out", str(tmp_path / "spin.csv")]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: row 0: |S| = 0.6")
+
+
+def test_cli_unknown_config_key_is_config_error(tmp_path, capsys):
+    spec_path = tmp_path / "one.csv"
+    spec_path.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0,1\n")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"spectrum": str(spec_path), "grid_nn": 5}))
+    out = tmp_path / "field.csv"
+    code = cli.main(["field", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "grid_nn" in capsys.readouterr().err
+    assert not out.exists()
+    # a flag of another subcommand is unknown here too
+    cfg_path.write_text(json.dumps({"steps": 4}))
+    assert cli.main(["field", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG

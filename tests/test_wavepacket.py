@@ -85,6 +85,10 @@ def test_gaussian_spectrum_rejects_bad_parameters():
 def test_spectrum_validation():
     with pytest.raises(ValueError, match="not normalized"):
         Spectrum(k=[[0, 0, 2.0]], amplitude=[1.0], weight=[2.0])
+    with pytest.raises(ValueError, match="amplitude of sample 0 is not finite"):
+        Spectrum(k=[[0, 0, 2.0]], amplitude=[np.nan], weight=[1.0])
+    with pytest.raises(ValueError, match="k of sample 1 is not finite"):
+        Spectrum(k=[[0, 0, 2.0], [0, np.inf, 1.0]], amplitude=[1.0, 1.0], weight=[0.5, 0.5])
     with pytest.raises(SpectrumNearOrigin, match="sample 0"):
         Spectrum(k=[[0, 0, 0.0], [0, 0, 2.0]], amplitude=[1.0, 1.0], weight=[0.5, 0.5])
 
@@ -387,3 +391,58 @@ def test_position_grid_shape_and_spacing():
     assert_allclose(points[-1], [2.0, 2.0, 2.0])
     with pytest.raises(BadGrid):
         position_grid(1, 2.0)
+
+
+def _random_spectrum(rng, n_per_axis=3):
+    spec = gaussian_spectrum(rng.normal(size=3) + [0.0, 0.0, 5.0], 0.5, n_per_axis, 3.0)
+    phases = np.exp(2j * np.pi * rng.uniform(size=len(spec)))
+    return Spectrum(k=spec.k, amplitude=spec.amplitude * phases, weight=spec.weight)
+
+
+def _random_packet(rng):
+    i_vec = rng.normal(size=3)
+    alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return packet(i_vec=i_vec / np.linalg.norm(i_vec), alpha=alpha / np.linalg.norm(alpha))
+
+
+def test_batched_sample_spinors_equal_single_frame_composition():
+    rng = np.random.default_rng(75)
+    spec, cfg = _random_spectrum(rng), _random_packet(rng)
+    k_hat = [k / np.linalg.norm(k) for k in spec.k]
+    varpis = [mapping_matrix(build_frame(w, cfg.i_vec)) for w in k_hat]
+    expected = {
+        0: np.array([compose_spinor(varpi, cfg.alpha) for varpi in varpis]),
+        +1: np.array([compose_spinor(varpi, [1.0, 0.0]) for varpi in varpis]),
+        -1: np.array([compose_spinor(varpi, [0.0, 1.0]) for varpi in varpis]),
+    }
+    for branch, stacked in expected.items():
+        assert np.abs(sample_spinors(spec, cfg, branch) - stacked).max() <= 1e-15
+
+
+def test_sweep_rows_equal_single_total_spin_calls():
+    rng = np.random.default_rng(76)
+    spec, cfg = _random_spectrum(rng), _random_packet(rng)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    phis, spins = total_spin_i_sweep(spec, cfg, axis, 5)
+    for phi, s in zip(phis, spins):
+        single = total_spin(spec, packet(i_vec=so3_rotation(axis, phi) @ cfg.i_vec, alpha=cfg.alpha))
+        assert np.array_equal(s, single)
+
+
+def _seven_samples(k4):
+    k = np.array([[0.3, 0.1, 2.0], [0.0, 0.4, 2.5], [-0.2, 0.1, 3.0], [0.1, -0.3, 1.5],
+                  k4, [0.2, 0.2, 2.2], [-0.1, -0.1, 2.8]])
+    return Spectrum(k=k, amplitude=np.full(7, 1.0), weight=np.full(7, 1.0 / 7.0))
+
+
+def test_batch_geometry_errors_name_sample_4():
+    cfg = packet()
+    with pytest.raises(DegenerateFrame, match="sample 4 "):
+        sample_spinors(_seven_samples([2.0, 0.0, 0.0]), cfg)
+    with pytest.raises(DegenerateFrame, match="sample 4 "):
+        total_spin(_seven_samples([-2.0, 0.0, 0.0]), cfg)
+    with pytest.raises(ReferenceAnnihilated, match="sample 4 .*support"):
+        sample_spinors(_seven_samples([0.0, 0.0, -2.0]), cfg)
+    with pytest.raises(ReferenceAnnihilated, match="sample 4 .*support"):
+        total_spin(_seven_samples([0.0, 0.0, -2.0]), cfg)
