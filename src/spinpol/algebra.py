@@ -1,4 +1,8 @@
-"""Fixed-size spin-1/2 kernel: Pauli matrices and the spin polarization vector."""
+"""Fixed-size spin-1/2 kernel: Pauli matrices, the spin polarization vector and input checks.
+
+The unit-vector and spinor checks that every module uses live here; they take
+one vector or an (..., n) array of them and fail on NaN.
+"""
 
 import numpy as np
 
@@ -12,6 +16,59 @@ _PAULI_FLAT = PAULI.reshape(3, 4)
 
 # tolerance for caller-supplied data vs internally produced values
 EPS_INPUT = 1e-9
+
+
+def _first(bad):
+    """Index of the first True entry of a boolean mask, in C order."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
+
+
+def _where(index):
+    return f" (frame {index[0] if len(index) == 1 else index})" if index else ""
+
+
+def _item(x):
+    # a single frame keeps returning Python scalars
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _norm(a, axis=-1):
+    # np.add.reduce, not np.sum: a single frame must stay cheap, and np.sum
+    # adds several microseconds of dispatch per call
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+
+
+def _check_unit(name, vec):
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim == 0 or vec.shape[-1] != 3:
+        raise ValueError(f"{name} must be a 3-vector or an array of 3-vectors")
+    norm = _norm(vec)
+    # written so that NaN fails it
+    ok = np.abs(norm - 1.0) <= EPS_INPUT
+    if not ok.all():
+        index = _first(~ok)
+        raise ValueError(f"{name}{_where(index)} must be a unit vector, |{name}| = {norm[index]}")
+    return vec
+
+
+def _check_spinor(name, chi):
+    chi = np.asarray(chi, dtype=complex)
+    if chi.ndim == 0 or chi.shape[-1] != 2:
+        raise ValueError(f"{name} must be a 2-spinor or an array of 2-spinors")
+    norm = _norm(chi)
+    ok = np.abs(norm - 1.0) <= EPS_INPUT
+    if not ok.all():
+        index = _first(~ok)
+        raise ValueError(f"{name}{_where(index)} is not normalized: |{name}| = {norm[index]}")
+    return chi
+
+
+def _single(name, arr):
+    # for functions defined on one vector or spinor: a batch would pass the
+    # checks above and then mix its frames in single-frame arithmetic
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a single vector, got shape {arr.shape}")
+    return arr
 
 
 def dot_sigma(a) -> np.ndarray:
@@ -34,23 +91,16 @@ def spv(chi) -> np.ndarray:
     The result is a real unit vector and chi is the +1 eigenspinor of s.sigma.
     Raises ValueError if the input norm deviates from 1 by more than 1e-9.
     """
-    chi = np.asarray(chi, dtype=complex)
-    n2 = np.vdot(chi, chi).real
-    if not abs(np.sqrt(n2) - 1.0) <= EPS_INPUT:
-        raise ValueError(f"spinor is not normalized: |chi| = {np.sqrt(n2)}")
+    chi = _single("chi", _check_spinor("chi", chi))
     # divide by the exact norm so the output stays unit to rounding even for
     # inputs that are only 1e-9 normalized
-    return ((PAULI @ chi) @ chi.conj()).real / n2
+    return ((PAULI @ chi) @ chi.conj()).real / np.vdot(chi, chi).real
 
 
 def eigen_residual(w, chi, lam) -> float:
     """2-norm of (w.sigma) chi - lam chi; zero iff chi is the lam eigenspinor of w.sigma."""
     if lam not in (+1, -1):
         raise ValueError(f"eigenvalue must be +1 or -1, got {lam!r}")
-    w = np.asarray(w, dtype=float)
-    if not abs(np.linalg.norm(w) - 1.0) <= EPS_INPUT:
-        raise ValueError("quantization axis must be a unit vector")
-    chi = np.asarray(chi, dtype=complex)
-    if not abs(np.linalg.norm(chi) - 1.0) <= EPS_INPUT:
-        raise ValueError("spinor must be normalized")
+    w = _single("w", _check_unit("w", w))
+    chi = _single("chi", _check_spinor("chi", chi))
     return float(np.linalg.norm(dot_sigma(w) @ chi - lam * chi))

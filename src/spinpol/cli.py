@@ -106,7 +106,7 @@ def _spectrum(args):
     k0 = _parse_reals(args.k0, 3, "k0")
     sigma_k = _real(args.sigma_k, "sigma_k")
     span = _real(args.span, "span")
-    return wp.gaussian_spectrum(k0, sigma_k, int(args.n_k), span)
+    return wp.gaussian_spectrum(k0, sigma_k, args.n_k, span)
 
 
 def _packet_config(args):
@@ -134,11 +134,10 @@ def _cmd_verify(args):
             raise ConfigError(
                 f"unknown suites {unknown}; choose from {list(verify_mod.SUITE_NAMES)}"
             )
-    n_cases = int(args.n_cases)
-    if n_cases < 0:
+    if args.n_cases < 0:
         raise ConfigError("n_cases must be >= 0")
     results = verify_mod.run_suites(
-        names, seed=int(args.seed), n_cases=n_cases, tolerance=args.tolerance
+        names, seed=args.seed, n_cases=args.n_cases, tolerance=args.tolerance
     )
     _write_lines(args.out, verify_mod.report_lines(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
@@ -155,7 +154,7 @@ def _cmd_spectrum_gen(args):
 def _cmd_field(args):
     spec = _spectrum(args)
     cfg = _packet_config(args)
-    points, spacing = wp.position_grid(int(args.grid_n), _real(args.grid_span, "grid_span"))
+    points, spacing = wp.position_grid(args.grid_n, _real(args.grid_span, "grid_span"))
     fld = wp.spin_field(spec, cfg, points, _real(args.time, "time"))
     wp.save_spin_field(fld, args.out)
     prob = float(np.sum(fld.rho)) * spacing**3
@@ -171,10 +170,9 @@ def _cmd_total_spin(args):
     spec = _spectrum(args)
     cfg = _packet_config(args)
     axis = _unit3(args.axis, "axis")
-    steps = int(args.steps)
-    if steps < 1:
+    if args.steps < 1:
         raise ConfigError("steps must be >= 1")
-    phis, spins = wp.total_spin_i_sweep(spec, cfg, axis, steps)
+    phis, spins = wp.total_spin_i_sweep(spec, cfg, axis, args.steps)
     bound = 0.5 * cfg.hbar + 1e-9
     for i, s in enumerate(spins):
         if not np.linalg.norm(s) <= bound:
@@ -186,7 +184,7 @@ def _cmd_total_spin(args):
     for phi, s in zip(phis, spins):
         lines.append(",".join(_fmt(v) for v in (phi, *s)))
     _write_lines(args.out, lines)
-    print(f"wrote {args.out}: {steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
+    print(f"wrote {args.out}: {args.steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
     return EXIT_OK
 
 
@@ -249,8 +247,21 @@ def build_parser(config=None):
                          help="random seed (default 1729)")
         sub.add_argument("--out", default=out, help="output path")
         if config:
-            sub.set_defaults(**config)
+            sub.set_defaults(**_typed(sub, config))
     return parser
+
+
+def _typed(sub, config):
+    """config with each value for a typed flag of sub converted as its command-line text would be."""
+    typed = dict(config)
+    for action in sub._actions:
+        if action.type is not None and action.dest in config:
+            value = config[action.dest]
+            try:
+                typed[action.dest] = action.type(str(value))
+            except ValueError as exc:
+                raise ConfigError(f"config value {action.dest} = {value!r}: {exc}") from exc
+    return typed
 
 
 def _parse(argv):

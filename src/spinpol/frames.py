@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
+from .algebra import _check_spinor, _check_unit, _first, _item, _norm, _single, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -48,26 +49,6 @@ class ReferenceAnnihilated(_FrameError):
     """A reference spinor is annihilated by its ladder operator."""
 
 
-def _first(bad):
-    """Index of the first True entry of a boolean mask, in C order."""
-    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
-
-
-def _where(index):
-    return f" (frame {index[0] if len(index) == 1 else index})" if index else ""
-
-
-def _item(x):
-    # a single frame keeps returning Python scalars
-    return x.item() if np.ndim(x) == 0 else x
-
-
-def _norm(a, axis=-1):
-    # np.add.reduce, not np.sum: a single frame must stay cheap, and np.sum
-    # adds several microseconds of dispatch per call
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
-
-
 def _vdot(a, b):
     """Inner product a^dag b over the last axis, broadcast over the rest."""
     return np.add.reduce(a.conj() * b, axis=-1)
@@ -86,29 +67,6 @@ def _cross(a, b):
     return outer.reshape(outer.shape[:-2] + (9,)) @ _EPS3
 
 
-def _check_unit(name, vec):
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim == 0 or vec.shape[-1] != 3:
-        raise ValueError(f"{name} must be a 3-vector or an array of 3-vectors")
-    norm = _norm(vec)
-    # written so that NaN fails it
-    ok = np.abs(norm - 1.0) <= EPS_INPUT
-    if not ok.all():
-        index = _first(~ok)
-        raise ValueError(f"{name}{_where(index)} must be a unit vector, |{name}| = {norm[index]}")
-    return vec
-
-
-def _check_spinor(name, chi):
-    chi = np.asarray(chi, dtype=complex)
-    if chi.ndim == 0 or chi.shape[-1] != 2:
-        raise ValueError(f"{name} must be a 2-spinor or an array of 2-spinors")
-    ok = np.abs(_norm(chi) - 1.0) <= EPS_INPUT
-    if not ok.all():
-        raise ValueError(f"{name}{_where(_first(~ok))} must be normalized")
-    return chi
-
-
 @dataclass(frozen=True)
 class ReferenceSpinors:
     """Fixed spinor pair (chi1, chi2) that sets the phase reference of the eigenspinors.
@@ -121,10 +79,7 @@ class ReferenceSpinors:
 
     def __post_init__(self):
         for name in ("chi1", "chi2"):
-            chi = _check_spinor(name, getattr(self, name))
-            if chi.shape != (2,):
-                raise ValueError(f"{name} must be a single 2-spinor")
-            object.__setattr__(self, name, chi)
+            object.__setattr__(self, name, _single(name, _check_spinor(name, getattr(self, name))))
 
 
 DEFAULT_REFERENCES = ReferenceSpinors(
@@ -156,12 +111,22 @@ class Frame:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Normalized +1/-1 eigenspinors of w.sigma and their normalization constants."""
+    """Normalized +1/-1 eigenspinors of w.sigma, their normalization constants and phase.
+
+    phi0 in (-pi, pi] is the phase of the ladder constant c = sqrt2 exp(i phi0);
+    it moves with the azimuth of the characterization vector about w.
+    """
 
     chi_plus: np.ndarray
     chi_minus: np.ndarray
     n_plus: float
     n_minus: float
+    phi0: float
+
+    @property
+    def mapping(self) -> np.ndarray:
+        """Unitary with columns (chi+, chi-), shape (..., 2, 2)."""
+        return np.stack((self.chi_plus, self.chi_minus), axis=-1)
 
 
 def build_frame(w, i_vec) -> Frame:
@@ -204,16 +169,29 @@ def ladder_operators(frame: Frame):
     return dot_sigma(w_plus), dot_sigma(w_minus)
 
 
-def _eigen(frame, ref):
-    # the eigenpair and the unnormalized image sigma- chi2 that fixes its phase;
+def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> EigenPair:
+    """Normalized eigenspinors chi+ = N+ sigma+ chi1 and chi- = N- sigma- chi2.
+
+    The normalization constants N+ = [chi1^dag (1 - w.sigma) chi1]^(-1/2) and
+    N- = [chi2^dag (1 + w.sigma) chi2]^(-1/2) depend on w and the references
+    only, not on the characterization vector.  They are computed as
+    1/|sigma+ chi1| and 1/|sigma- chi2| (sigma+-^dag sigma+- = 1 -+ w.sigma),
+    which, unlike the bracketed forms, does not cancel as w approaches the
+    axis that annihilates a reference.  phi0 is the angle of chi1^dag chi-:
+    exp(i phi0) = sqrt2 N+ N- chi1^dag sigma- chi2 = sqrt2 N+ chi1^dag chi-.
+
+    Raises ReferenceAnnihilated, with the first offending frame in `index`,
+    when a reference spinor is (numerically) the eigenspinor its ladder
+    operator annihilates; the caller must then supply a different pair, e.g.
+    FALLBACK_REFERENCES.
+    """
     # (a.sigma) chi = a . (sigma chi) with sigma chi computed once per reference
     w_plus, w_minus = complex_basis(frame)
-    sigma_chi1 = PAULI @ ref.chi1
-    sigma_chi2 = PAULI @ ref.chi2
-    raised = w_plus @ sigma_chi1
-    lowered = w_minus @ sigma_chi2
-    for image, name, op, sign in ((raised, "chi1", "sigma+", "+"), (lowered, "chi2", "sigma-", "-")):
-        ok = _norm(image) >= EPS_LADDER
+    raised = w_plus @ (PAULI @ ref.chi1)
+    lowered = w_minus @ (PAULI @ ref.chi2)
+    norm_plus, norm_minus = _norm(raised), _norm(lowered)
+    for norm, name, op, sign in ((norm_plus, "chi1", "sigma+", "+"), (norm_minus, "chi2", "sigma-", "-")):
+        ok = norm >= EPS_LADDER
         if not ok.all():
             index = _first(~ok)
             raise ReferenceAnnihilated(
@@ -222,31 +200,15 @@ def _eigen(frame, ref):
                 "axis, e.g. FALLBACK_REFERENCES",
                 index,
             )
-    # chi^dag (1 -+ w.sigma) chi = |chi|^2 -+ w . (chi^dag sigma chi)
-    n_plus = 1.0 / np.sqrt(_norm(ref.chi1) ** 2 - frame.w @ (sigma_chi1 @ ref.chi1.conj()).real)
-    n_minus = 1.0 / np.sqrt(_norm(ref.chi2) ** 2 + frame.w @ (sigma_chi2 @ ref.chi2.conj()).real)
-    pair = EigenPair(
+    n_plus, n_minus = 1.0 / norm_plus, 1.0 / norm_minus
+    chi_minus = n_minus[..., None] * lowered
+    return EigenPair(
         chi_plus=n_plus[..., None] * raised,
-        chi_minus=n_minus[..., None] * lowered,
+        chi_minus=chi_minus,
         n_plus=_item(n_plus),
         n_minus=_item(n_minus),
+        phi0=_item(np.angle(_vdot(ref.chi1, chi_minus))),
     )
-    return pair, lowered
-
-
-def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> EigenPair:
-    """Normalized eigenspinors chi+ = N+ sigma+ chi1 and chi- = N- sigma- chi2.
-
-    The normalization constants N+ = [chi1^dag (1 - w.sigma) chi1]^(-1/2) and
-    N- = [chi2^dag (1 + w.sigma) chi2]^(-1/2) depend on w and the references
-    only, not on the characterization vector.
-
-    Raises ReferenceAnnihilated, with the first offending frame in `index`,
-    when a reference spinor is (numerically) the eigenspinor its ladder
-    operator annihilates; the caller must then supply a different pair, e.g.
-    FALLBACK_REFERENCES.
-    """
-    return _eigen(frame, ref)[0]
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
@@ -254,16 +216,11 @@ def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
 
     Both have modulus sqrt2 and satisfy c = i conj(c').
     """
-    pair, _ = _eigen(frame, ref)
+    pair = eigen_spinors(frame, ref)
     sig_plus, sig_minus = ladder_operators(frame)
     c = _vdot(pair.chi_plus, _apply(sig_plus, pair.chi_minus))
     c_prime = _vdot(pair.chi_minus, _apply(sig_minus, pair.chi_plus))
     return _item(c), _item(c_prime)
-
-
-def _phase(pair, ref, lowered):
-    # exp(i phi0) = sqrt2 N+ N- chi1^dag sigma- chi2
-    return np.angle(SQRT2 * pair.n_plus * pair.n_minus * _vdot(ref.chi1, lowered))
 
 
 def phase_factor(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> float:
@@ -272,17 +229,12 @@ def phase_factor(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> fl
     c = sqrt2 exp(i phi0) is the raising constant of ladder_constants; rotating
     the characterization vector by an angle about w shifts phi0 by the same angle.
     """
-    pair, lowered = _eigen(frame, ref)
-    return _item(_phase(pair, ref, lowered))
-
-
-def _mapping(pair):
-    return np.stack((pair.chi_plus, pair.chi_minus), axis=-1)
+    return eigen_spinors(frame, ref).phi0
 
 
 def mapping_matrix(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> np.ndarray:
     """Unitary with columns (chi+, chi-), shape (..., 2, 2); maps Jones vectors to state spinors."""
-    return _mapping(eigen_spinors(frame, ref))
+    return eigen_spinors(frame, ref).mapping
 
 
 def compose_spinor(varpi, alpha) -> np.ndarray:

@@ -15,22 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IDENTITY2, dot_sigma, spv
-from .frames import (
-    DEFAULT_REFERENCES,
-    Frame,
-    ReferenceSpinors,
-    _eigen,
-    _item,
-    _mapping,
-    _norm,
-    _phase,
-    compose_spinor,
-    mapping_matrix,
-)
-from .rotations import rotate_characterization, so3_rotation
+from .algebra import SIGMA_Z, _norm, dot_sigma, spv
+from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
+from .frames import mapping_matrix
+from .rotations import rotate_characterization, so3_rotation, su2_rotation
 
-SIGMA_W_DIAG = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# rotations about w, represented on the eigenspinor coefficients where
+# w.sigma = diag(1, -1) = sigma_z, are rotations about z
+_COEFFICIENT_AXIS = np.array([0.0, 0.0, 1.0])
 
 # closed form vs direct conjugation must agree to rounding; anything worse is a bug
 _INTERNAL_TOL = 1e-12
@@ -53,28 +45,57 @@ class HeisenbergSigma:
     def cartesian(self) -> np.ndarray:
         """Cartesian components u_j sigma_u + v_j sigma_v + w_j sigma_w, shape (..., 3, 2, 2)."""
         f = self.frame
-        return (
-            f.u[..., :, None, None] * self.sigma_u[..., None, :, :]
-            + f.v[..., :, None, None] * self.sigma_v[..., None, :, :]
-            + f.w[..., :, None, None] * self.sigma_w[..., None, :, :]
+        return _expand(self, f.u, f.v, f.w)
+
+
+def _expand(hs: HeisenbergSigma, u, v, w) -> np.ndarray:
+    """Components u_j sigma_u + v_j sigma_v + w_j sigma_w of hs's matrices on any triad (u, v, w)."""
+    return (
+        u[..., :, None, None] * hs.sigma_u[..., None, :, :]
+        + v[..., :, None, None] * hs.sigma_v[..., None, :, :]
+        + w[..., :, None, None] * hs.sigma_w[..., None, :, :]
+    )
+
+
+def _mul(a, b) -> np.ndarray:
+    # 2x2 matrix product over the last two axes, broadcast over the rest; on
+    # stacks of 2x2 matrices matmul's per-matrix overhead costs several times this
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def _conjugate(m, unitary) -> np.ndarray:
+    """unitary^dag m unitary over the last two axes, broadcast over the rest."""
+    return _mul(_mul(unitary.conj().swapaxes(-1, -2), m), unitary)
+
+
+def _closed_form(frame: Frame, ref: ReferenceSpinors):
+    """Closed-form components and, per frame, their deviation from direct conjugation.
+
+    The deviation is the worst Frobenius norm of varpi^dag (a.sigma) varpi minus
+    its closed form over a = u, v, w; one beyond rounding raises RuntimeError.
+    """
+    pair = eigen_spinors(frame, ref)
+    e = np.exp(1j * np.asarray(pair.phi0))
+    # sigma_u, sigma_v, sigma_w stacked on axis -3
+    closed = np.zeros(e.shape + (3, 2, 2), dtype=complex)
+    closed[..., 0, 0, 1] = e
+    closed[..., 0, 1, 0] = np.conj(e)
+    closed[..., 1, 0, 1] = -1j * e
+    closed[..., 1, 1, 0] = 1j * np.conj(e)
+    closed[..., 2, :, :] = SIGMA_Z
+    hs = HeisenbergSigma(
+        closed[..., 0, :, :], closed[..., 1, :, :], closed[..., 2, :, :], frame, pair.phi0
+    )
+    triad = np.stack(np.broadcast_arrays(frame.u, frame.v, frame.w), axis=-2)
+    direct = _conjugate(dot_sigma(triad), pair.mapping[..., None, :, :])
+    deviation = np.maximum.reduce(_norm(direct - closed, axis=(-2, -1)), axis=-1)
+    # written so that NaN fails it
+    if not np.all(deviation <= _INTERNAL_TOL):
+        raise RuntimeError(
+            "closed-form component disagrees with direct conjugation; "
+            "this is an internal error, not a tolerance issue"
         )
-
-
-def _coefficient_rotation(angle: float) -> np.ndarray:
-    # spinor rotation about the quantization axis, represented on the
-    # eigenspinor basis where w.sigma = diag(1, -1)
-    return np.cos(angle / 2.0) * IDENTITY2 - 1j * np.sin(angle / 2.0) * SIGMA_W_DIAG
-
-
-def _conjugation_deviation(hs: HeisenbergSigma, varpi) -> np.ndarray:
-    """Per frame, the worst Frobenius deviation of the closed forms from varpi^dag (a.sigma) varpi."""
-    f = hs.frame
-    varpi_h = varpi.conj().swapaxes(-1, -2)
-    devs = [
-        _norm(varpi_h @ dot_sigma(axis) @ varpi - closed, axis=(-2, -1))
-        for closed, axis in ((hs.sigma_u, f.u), (hs.sigma_v, f.v), (hs.sigma_w, f.w))
-    ]
-    return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
+    return hs, deviation
 
 
 def heisenberg_sigma(
@@ -87,35 +108,14 @@ def heisenberg_sigma(
     conjugation, frame by frame, and a disagreement beyond rounding raises
     RuntimeError.
     """
-    pair, lowered = _eigen(frame, ref)
-    phi0 = _phase(pair, ref, lowered)
-    e = np.exp(1j * phi0)
-    shape = np.shape(e) + (2, 2)
-    sigma_u = np.zeros(shape, dtype=complex)
-    sigma_u[..., 0, 1] = e
-    sigma_u[..., 1, 0] = np.conj(e)
-    sigma_v = np.zeros(shape, dtype=complex)
-    sigma_v[..., 0, 1] = -1j * e
-    sigma_v[..., 1, 0] = 1j * np.conj(e)
-    sigma_w = np.broadcast_to(SIGMA_W_DIAG, shape).copy()
-    hs = HeisenbergSigma(
-        sigma_u=sigma_u, sigma_v=sigma_v, sigma_w=sigma_w, frame=frame, phi0=_item(phi0)
-    )
-    # written so that NaN fails it
-    if not np.all(_conjugation_deviation(hs, _mapping(pair)) <= _INTERNAL_TOL):
-        raise RuntimeError(
-            "closed-form component disagrees with direct conjugation; "
-            "this is an internal error, not a tolerance issue"
-        )
-    return hs
+    return _closed_form(frame, ref)[0]
 
 
 def closed_form_residual(
     frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES
 ) -> float:
     """Worst deviation between the closed-form components and direct conjugation."""
-    hs = heisenberg_sigma(frame, ref)
-    return float(np.max(_conjugation_deviation(hs, mapping_matrix(frame, ref))))
+    return float(np.max(_closed_form(frame, ref)[1]))
 
 
 def rotation_residual(
@@ -133,24 +133,19 @@ def rotation_residual(
     hs = heisenberg_sigma(frame, ref)
     hs_rot = heisenberg_sigma(rotate_characterization(frame, phi), ref)
 
-    u1 = _coefficient_rotation(phi)
+    u1 = su2_rotation(_COEFFICIENT_AXIS, phi)
     res_a = max(
-        np.linalg.norm(hs_rot.sigma_u - u1.conj().T @ hs.sigma_u @ u1),
-        np.linalg.norm(hs_rot.sigma_v - u1.conj().T @ hs.sigma_v @ u1),
+        np.linalg.norm(hs_rot.sigma_u - _conjugate(hs.sigma_u, u1)),
+        np.linalg.norm(hs_rot.sigma_v - _conjugate(hs.sigma_v, u1)),
         np.linalg.norm(hs_rot.sigma_w - hs.sigma_w),
     )
 
     lhs = hs_rot.cartesian()
-    u2 = _coefficient_rotation(2.0 * phi)
-    rhs_su = np.stack([u2.conj().T @ m @ u2 for m in hs.cartesian()])
-    res_b = np.linalg.norm(lhs - rhs_su)
+    u2 = su2_rotation(_COEFFICIENT_AXIS, 2.0 * phi)
+    res_b = np.linalg.norm(lhs - _conjugate(hs.cartesian(), u2))
 
     r2 = so3_rotation(frame.w, 2.0 * phi)
-    ru, rv, rw = r2 @ frame.u, r2 @ frame.v, r2 @ frame.w
-    rhs_so = np.stack(
-        [ru[j] * hs.sigma_u + rv[j] * hs.sigma_v + rw[j] * hs.sigma_w for j in range(3)]
-    )
-    res_c = np.linalg.norm(lhs - rhs_so)
+    res_c = np.linalg.norm(lhs - _expand(hs, r2 @ frame.u, r2 @ frame.v, r2 @ frame.w))
 
     return float(max(res_a, res_b, res_c))
 
@@ -165,12 +160,8 @@ def equivalence_residual(
     """
     hs = heisenberg_sigma(frame, ref)
     r = so3_rotation(frame.w, phi)
-    ru, rv, rw = r @ frame.u, r @ frame.v, r @ frame.w
-    lhs = np.stack(
-        [ru[j] * hs.sigma_u + rv[j] * hs.sigma_v + rw[j] * hs.sigma_w for j in range(3)]
-    )
-    u = _coefficient_rotation(phi)
-    rhs = np.stack([u.conj().T @ m @ u for m in hs.cartesian()])
+    lhs = _expand(hs, r @ frame.u, r @ frame.v, r @ frame.w)
+    rhs = _conjugate(hs.cartesian(), su2_rotation(_COEFFICIENT_AXIS, phi))
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -180,6 +171,6 @@ def expectation_spv_residual(
     """Deviation of alpha^dag sigma^H alpha from the polarization of varpi alpha."""
     hs = heisenberg_sigma(frame, ref)
     alpha = np.asarray(alpha, dtype=complex)
-    expect = np.array([np.vdot(alpha, m @ alpha).real for m in hs.cartesian()])
+    expect = ((hs.cartesian() @ alpha) @ alpha.conj()).real
     s = spv(compose_spinor(mapping_matrix(frame, ref), alpha))
     return float(np.linalg.norm(expect - s))

@@ -8,7 +8,7 @@ those laws into machine-checkable numbers.
 
 import numpy as np
 
-from .algebra import EPS_INPUT, IDENTITY2, dot_sigma, spv
+from .algebra import IDENTITY2, _check_unit, _single, dot_sigma, spv
 from .frames import (
     DEFAULT_REFERENCES,
     Frame,
@@ -41,16 +41,9 @@ def dot_generators(a) -> np.ndarray:
     return a[0] * GENERATOR_X + a[1] * GENERATOR_Y + a[2] * GENERATOR_Z
 
 
-def _check_axis(axis):
-    axis = np.asarray(axis, dtype=float)
-    if not abs(np.linalg.norm(axis) - 1.0) <= EPS_INPUT:
-        raise ValueError("rotation axis must be a unit vector")
-    return axis
-
-
 def so3_rotation(axis, angle) -> np.ndarray:
     """Rotation matrix cos(t) - i (n.G) sin(t) + (1 - cos(t)) n n^T about unit axis n."""
-    axis = _check_axis(axis)
+    axis = _single("axis", _check_unit("axis", axis))
     # -i (n.G) is the real cross-product matrix, so the result is exactly real
     k = (-1j * dot_generators(axis)).real
     return (
@@ -62,7 +55,7 @@ def so3_rotation(axis, angle) -> np.ndarray:
 
 def su2_rotation(axis, angle) -> np.ndarray:
     """Spinor rotation cos(t/2) 1 - i (n.sigma) sin(t/2); changes sign under t -> t + 2pi."""
-    axis = _check_axis(axis)
+    axis = _single("axis", _check_unit("axis", axis))
     return np.cos(angle / 2.0) * IDENTITY2 - 1j * np.sin(angle / 2.0) * dot_sigma(axis)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .algebra import PAULI, _item
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -24,6 +24,7 @@ from .frames import (
     mapping_matrix,
 )
 from .heisenberg import heisenberg_sigma
+from .rotations import so3_rotation
 
 # relative floor on |k|: a zero wave vector has no quantization axis
 EPS_K = 1e-6
@@ -166,8 +167,9 @@ def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spect
 
 
 def dispersion(k, cfg: PacketConfig) -> float:
-    """Angular frequency hbar |k|^2 / (2 mu) of one plane wave."""
-    return float(cfg.hbar * np.dot(k, k) / (2.0 * cfg.mu))
+    """Angular frequency hbar |k|^2 / (2 mu) of a plane wave; an (..., 3) array gives one per row."""
+    k = np.asarray(k, dtype=float)
+    return _item(cfg.hbar * np.sum(k**2, axis=-1) / (2.0 * cfg.mu))
 
 
 def _per_sample(spec: Spectrum, cfg: PacketConfig, fn):
@@ -214,7 +216,7 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
 def _plane_wave_sum(spec, cfg, spinors, points, t):
     """Sum the spectrum at each point, in fixed sample order for reproducibility."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    omega = cfg.hbar * np.sum(spec.k**2, axis=1) / (2.0 * cfg.mu)
+    omega = dispersion(spec.k, cfg)
     coeff = (spec.weight * spec.amplitude)[:, None] * spinors
     out = np.empty((len(points), 2), dtype=complex)
     for lo in range(0, len(points), 2048):
@@ -247,9 +249,7 @@ def eigen_component(
 
 def _density_and_spin(psi):
     rho = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-    sdens = np.empty((len(psi), 3))
-    for j, mat in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)):
-        sdens[:, j] = np.einsum("ni,ij,nj->n", psi.conj(), mat, psi).real
+    sdens = np.einsum("ni,jik,nk->nj", psi.conj(), PAULI, psi).real
     return rho, sdens
 
 
@@ -306,8 +306,6 @@ def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
     Returns (phis, spins): n_steps angles uniform on [0, 2 pi) and the total
     spin at each rotated characterization vector.
     """
-    from .rotations import so3_rotation
-
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     axis = np.asarray(axis, dtype=float)
@@ -327,6 +325,9 @@ def position_grid(n_per_axis: int, half_span: float):
     """
     if n_per_axis < 2:
         raise BadGrid(f"position grid needs at least 2 points per axis, got {n_per_axis}")
+    # written so that NaN fails it
+    if not half_span > 0:
+        raise BadGrid(f"position grid half-span must be positive, got {half_span}")
     ax = np.linspace(-half_span, half_span, n_per_axis)
     points = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     return points, float(ax[1] - ax[0])

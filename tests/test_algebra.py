@@ -8,7 +8,9 @@ from spinpol import (
     dot_sigma,
     eigen_residual,
     sigma_product,
+    so3_rotation,
     spv,
+    su2_rotation,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -108,3 +110,20 @@ def test_eigen_residual_rejects_bad_inputs():
         eigen_residual(Z, [1.0, 0.0], 2)
     with pytest.raises(ValueError, match="unit"):
         eigen_residual([0.0, 0.0, 2.0], [1.0, 0.0], +1)
+
+
+def test_single_vector_functions_reject_batches():
+    # a batch of unit vectors passes the shared unit and spinor checks, so the
+    # single-vector functions must refuse it rather than mix its frames
+    spinors = np.eye(2)
+    axes = np.array([Z, X])
+    with pytest.raises(ValueError, match="single"):
+        spv(spinors)
+    with pytest.raises(ValueError, match="single"):
+        eigen_residual(axes, [1.0, 0.0], +1)
+    with pytest.raises(ValueError, match="single"):
+        eigen_residual(Z, spinors, +1)
+    with pytest.raises(ValueError, match="single"):
+        so3_rotation(axes, 0.3)
+    with pytest.raises(ValueError, match="single"):
+        su2_rotation(axes, 0.3)

@@ -294,7 +294,7 @@ def test_batched_frames_equal_stacked_single_frames():
         assert np.abs(getattr(batch, name) - stacked).max() <= 1e-15
     pair = eigen_spinors(batch)
     pairs = [eigen_spinors(f) for f in singles]
-    for name in ("chi_plus", "chi_minus", "n_plus", "n_minus"):
+    for name in ("chi_plus", "chi_minus", "n_plus", "n_minus", "phi0"):
         stacked = np.array([getattr(p, name) for p in pairs])
         assert np.abs(getattr(pair, name) - stacked).max() <= 1e-15
     assert np.abs(
@@ -350,3 +350,38 @@ def test_references_are_checked_on_construction():
         ReferenceSpinors(chi1=np.array([1.0, 1.0]), chi2=DEFAULT_REFERENCES.chi2)
     with pytest.raises(ValueError, match="normalized"):
         ReferenceSpinors(chi1=DEFAULT_REFERENCES.chi1, chi2=np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("ref", [DEFAULT_REFERENCES, FALLBACK_REFERENCES])
+def test_pair_phase_and_mapping_match_the_ladder_definitions(ref):
+    rng = np.random.default_rng(36)
+    frames = build_frame(_random_units(rng, 40), _random_units(rng, 40))
+    pair = eigen_spinors(frames, ref)
+    _, sig_minus = ladder_operators(frames)
+    lowered_chi2 = sig_minus @ ref.chi2
+    ladder = SQRT2 * pair.n_plus * pair.n_minus * (lowered_chi2 @ ref.chi1.conj())
+    assert np.abs(np.exp(1j * pair.phi0) - ladder).max() <= 1e-12
+    stacked = np.stack((pair.chi_plus, pair.chi_minus), axis=-1)
+    assert np.array_equal(pair.mapping, stacked)
+    assert np.array_equal(mapping_matrix(frames, ref), stacked)
+
+
+def test_eigenspinors_stay_normalized_near_the_annihilating_axis():
+    # the default references are annihilated at w = -z; 1e-3 rad from it the
+    # closed-form normalization constants cancel to ~1e-11
+    eps = 1e-3
+    azimuth = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    shell = np.stack(
+        (
+            np.sin(eps) * np.cos(azimuth),
+            np.sin(eps) * np.sin(azimuth),
+            np.full_like(azimuth, -np.cos(eps)),
+        ),
+        axis=-1,
+    )
+    for w in shell:
+        f = build_frame(w, X)
+        pair = eigen_spinors(f)
+        for chi, lam in ((pair.chi_plus, +1), (pair.chi_minus, -1)):
+            assert abs(np.linalg.norm(chi) - 1.0) <= 1e-12
+            assert eigen_residual(f.w, chi, lam) <= 1e-12

@@ -288,3 +288,24 @@ def test_cli_unknown_config_key_is_config_error(tmp_path, capsys):
     # a flag of another subcommand is unknown here too
     cfg_path.write_text(json.dumps({"steps": 4}))
     assert cli.main(["field", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", [[3], None, 5.7, True])
+def test_cli_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"grid_n": value}))
+    out = tmp_path / "field.csv"
+    code = cli.main(["field", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value grid_n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", ["-6", "0"])
+def test_cli_non_positive_grid_span_is_config_error(tmp_path, capsys, span):
+    out = tmp_path / "field.csv"
+    code = cli.main(["field", "--n-k", "3", "--grid-span", span, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "half-span must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -393,6 +393,12 @@ def test_position_grid_shape_and_spacing():
         position_grid(1, 2.0)
 
 
+@pytest.mark.parametrize("half_span", [-6.0, 0.0])
+def test_position_grid_rejects_non_positive_span(half_span):
+    with pytest.raises(BadGrid, match="half-span"):
+        position_grid(5, half_span)
+
+
 def _random_spectrum(rng, n_per_axis=3):
     spec = gaussian_spectrum(rng.normal(size=3) + [0.0, 0.0, 5.0], 0.5, n_per_axis, 3.0)
     phases = np.exp(2j * np.pi * rng.uniform(size=len(spec)))
