@@ -4,6 +4,8 @@ The unit-vector and spinor checks that every module uses live here; they take
 one vector or an (..., n) array of them and fail on NaN.
 """
 
+import math
+
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,16 +40,26 @@ def _norm(a, axis=-1):
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
+def _off_unit(norm):
+    """(where, value) of the first norm off 1 by more than EPS_INPUT, or None if all are unit."""
+    # written so that NaN fails it
+    if isinstance(norm, float):
+        return None if abs(norm - 1.0) <= EPS_INPUT else ("", norm)
+    ok = np.abs(norm - 1.0) <= EPS_INPUT
+    if ok.all():
+        return None
+    index = _first(~ok)
+    return _where(index), norm[index]
+
+
 def _check_unit(name, vec):
     vec = np.asarray(vec, dtype=float)
     if vec.ndim == 0 or vec.shape[-1] != 3:
         raise ValueError(f"{name} must be a 3-vector or an array of 3-vectors")
-    norm = _norm(vec)
-    # written so that NaN fails it
-    ok = np.abs(norm - 1.0) <= EPS_INPUT
-    if not ok.all():
-        index = _first(~ok)
-        raise ValueError(f"{name}{_where(index)} must be a unit vector, |{name}| = {norm[index]}")
+    # one vector: a Python float norm skips the array machinery
+    bad = _off_unit(math.hypot(*vec.tolist()) if vec.ndim == 1 else _norm(vec))
+    if bad:
+        raise ValueError(f"{name}{bad[0]} must be a unit vector, |{name}| = {bad[1]}")
     return vec
 
 
@@ -55,11 +67,14 @@ def _check_spinor(name, chi):
     chi = np.asarray(chi, dtype=complex)
     if chi.ndim == 0 or chi.shape[-1] != 2:
         raise ValueError(f"{name} must be a 2-spinor or an array of 2-spinors")
-    norm = _norm(chi)
-    ok = np.abs(norm - 1.0) <= EPS_INPUT
-    if not ok.all():
-        index = _first(~ok)
-        raise ValueError(f"{name}{_where(index)} is not normalized: |{name}| = {norm[index]}")
+    if chi.ndim == 1:
+        a, b = chi.tolist()
+        norm = math.hypot(a.real, a.imag, b.real, b.imag)
+    else:
+        norm = _norm(chi)
+    bad = _off_unit(norm)
+    if bad:
+        raise ValueError(f"{name}{bad[0]} is not normalized: |{name}| = {bad[1]}")
     return chi
 
 

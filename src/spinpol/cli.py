@@ -28,6 +28,8 @@ EXIT_GEOMETRY = 3
 
 # renormalizing a user vector by more than this triggers a warning
 RENORM_WARN = 1e-6
+# flags whose --config value may be a JSON list of numbers instead of text
+VECTOR_FLAGS = ("k0", "i_vec", "alpha", "axis")
 
 
 class ConfigError(ValueError):
@@ -43,6 +45,9 @@ def _parse_reals(value, count, name):
         toks = value.split(",")
     elif isinstance(value, (list, tuple)):
         toks = value
+        # float(True) is 1.0: a JSON boolean is not a number here
+        if any(isinstance(t, bool) for t in toks):
+            raise ConfigError(f"{name} must hold numbers, got {list(toks)!r}")
     else:
         raise ConfigError(f"{name} must be {count} comma-separated numbers")
     if len(toks) != count:
@@ -252,15 +257,28 @@ def build_parser(config=None):
 
 
 def _typed(sub, config):
-    """config with each value for a typed flag of sub converted as its command-line text would be."""
+    """config with each value for a flag of sub checked as its command-line text would be.
+
+    A value for a flag with a type is converted from its text.  Every other
+    flag takes a string; the vector flags also take a JSON list of numbers.
+    """
     typed = dict(config)
     for action in sub._actions:
-        if action.type is not None and action.dest in config:
-            value = config[action.dest]
+        if action.dest not in config:
+            continue
+        value = config[action.dest]
+        if action.type is not None:
             try:
                 typed[action.dest] = action.type(str(value))
             except ValueError as exc:
                 raise ConfigError(f"config value {action.dest} = {value!r}: {exc}") from exc
+        elif action.dest in VECTOR_FLAGS:
+            if not isinstance(value, (str, list)):
+                raise ConfigError(
+                    f"config value {action.dest} = {value!r}: must be a string or a list"
+                )
+        elif not isinstance(value, str):
+            raise ConfigError(f"config value {action.dest} = {value!r}: must be a string")
     return typed
 
 

@@ -30,6 +30,8 @@ from .rotations import so3_rotation
 EPS_K = 1e-6
 # quadrature sum of weight |A|^2 must match 1 this closely
 NORM_TOL = 1e-9
+# bytes of one block of complex phase factors in the dense plane-wave sum
+DENSE_BLOCK_BYTES = 32 * 2**20
 
 SPECTRUM_HEADER = "kx,ky,kz,re_A,im_A,weight"
 FIELD_HEADER = "x,y,z,t,rho,sx,sy,sz"
@@ -167,7 +169,11 @@ def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spect
 
 
 def dispersion(k, cfg: PacketConfig) -> float:
-    """Angular frequency hbar |k|^2 / (2 mu) of a plane wave; an (..., 3) array gives one per row."""
+    """Angular frequency hbar |k|^2 / (2 mu) of a plane wave; an (..., 3) array gives one per row.
+
+    The sum runs over the last axis, so (..., 1) rows give the one-axis terms
+    hbar k_a^2 / (2 mu) of the separable sum.
+    """
     k = np.asarray(k, dtype=float)
     return _item(cfg.hbar * np.sum(k**2, axis=-1) / (2.0 * cfg.mu))
 
@@ -213,18 +219,74 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
     return varpi[:, :, 0 if branch == +1 else 1]
 
 
-def _plane_wave_sum(spec, cfg, spinors, points, t):
-    """Sum the spectrum at each point, in fixed sample order for reproducibility."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def _tensor_axes(a):
+    """Per-column axes of a lexicographic tensor grid, or None if `a` is not one.
+
+    `a` is a grid when the sorted unique values of its columns rebuild it
+    exactly as their `ij` meshgrid, last column fastest.
+    """
+    axes = [np.unique(a[:, i]) for i in range(a.shape[1])]
+    if np.prod([len(ax) for ax in axes]) != len(a):
+        return None
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(a.shape)
+    return axes if np.array_equal(grid, a) else None
+
+
+def _separable_sum(cfg, coeff, k_axes, x_axes, t):
+    """The plane-wave sum on a tensor grid of points from a tensor-grid spectrum.
+
+    The phase factors per axis, exp(i(k.x - w t)) = prod_a exp(i(k_a x_a -
+    hbar k_a^2 t / 2 mu)), so the sum is three contractions of the
+    (n_kx, n_ky, n_kz, 2) coefficient tensor with (n_x, n_k) tables.
+    """
+    psi = coeff.reshape(*(len(ax) for ax in k_axes), 2)
+    for k_a, x_a in zip(k_axes, x_axes):
+        table = np.exp(1j * (np.multiply.outer(x_a, k_a) - t * dispersion(k_a[:, None], cfg)))
+        # contract the leading k axis; the new point axis goes last, so after
+        # three steps the axes are (x, y, z, spinor) again
+        psi = np.moveaxis(np.tensordot(table, psi, axes=(1, 0)), 0, -2)
+    return psi.reshape(-1, 2)
+
+
+def _dense_rows(n_k):
+    """Rows per block of the dense sum: the (rows, n_k) phase block fits DENSE_BLOCK_BYTES.
+
+    With its temporaries the dense sum peaks at about twice this.
+    """
+    return max(1, DENSE_BLOCK_BYTES // (np.dtype(complex).itemsize * n_k))
+
+
+def _dense_sum(spec, cfg, coeff, points, t):
+    """The plane-wave sum at any points, one bounded block of phase factors at a time."""
     omega = dispersion(spec.k, cfg)
-    coeff = (spec.weight * spec.amplitude)[:, None] * spinors
     out = np.empty((len(points), 2), dtype=complex)
-    for lo in range(0, len(points), 2048):
-        hi = min(lo + 2048, len(points))
-        phases = np.exp(1j * (points[lo:hi] @ spec.k.T - t * omega))
+    rows = _dense_rows(len(spec))
+    for lo in range(0, len(points), rows):
+        hi = min(lo + rows, len(points))
+        phases = 1j * (points[lo:hi] @ spec.k.T - t * omega)
+        np.exp(phases, out=phases)
         # per-point reduction over samples in index order, not a BLAS product
         out[lo:hi, 0] = (phases * coeff[:, 0]).sum(axis=1)
         out[lo:hi, 1] = (phases * coeff[:, 1]).sum(axis=1)
+        # free the block before the next one is built
+        del phases
+    return out
+
+
+def _plane_wave_sum(spec, cfg, spinors, points, t):
+    """Sum the spectrum at each point: per axis on tensor grids, densely otherwise.
+
+    Both paths are deterministic, so repeated calls give identical results.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    coeff = (spec.weight * spec.amplitude)[:, None] * spinors
+    # one point costs less densely than the grid detection would
+    k_axes = _tensor_axes(spec.k) if len(points) > 1 else None
+    x_axes = _tensor_axes(points) if k_axes is not None else None
+    if x_axes is None:
+        out = _dense_sum(spec, cfg, coeff, points, t)
+    else:
+        out = _separable_sum(cfg, coeff, k_axes, x_axes, t)
     return (2.0 * np.pi) ** -1.5 * out
 
 
@@ -333,23 +395,18 @@ def position_grid(n_per_axis: int, half_span: float):
     return points, float(ax[1] - ax[0])
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _write_table(path, header, table) -> None:
+    """Write a header line and one CSV row per table row, each value as %.17g."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [header, *(row % tuple(r) for r in table.tolist())]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_spectrum(spec: Spectrum, path) -> None:
     """Write a spectrum as CSV rows kx,ky,kz,re_A,im_A,weight."""
-    lines = [SPECTRUM_HEADER]
-    for j in range(len(spec)):
-        a = spec.amplitude[j]
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (*spec.k[j], a.real, a.imag, spec.weight[j])
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([spec.k, spec.amplitude.real, spec.amplitude.imag, spec.weight])
+    _write_table(path, SPECTRUM_HEADER, table)
 
 
 def load_spectrum(path) -> Spectrum:
@@ -368,12 +425,5 @@ def load_spectrum(path) -> Spectrum:
 
 def save_spin_field(fld: SpinField, path) -> None:
     """Write a spin field as CSV rows x,y,z,t,rho,sx,sy,sz (NaN s at nodes)."""
-    lines = [FIELD_HEADER]
-    for j in range(len(fld.rho)):
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (*fld.x[j], fld.t, fld.rho[j], *fld.s[j])
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([fld.x, np.full(len(fld.rho), fld.t), fld.rho, fld.s])
+    _write_table(path, FIELD_HEADER, table)

@@ -12,6 +12,7 @@ from spinpol import (
     spv,
     su2_rotation,
 )
+from spinpol.algebra import _check_spinor, _check_unit
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -127,3 +128,22 @@ def test_single_vector_functions_reject_batches():
         so3_rotation(axes, 0.3)
     with pytest.raises(ValueError, match="single"):
         su2_rotation(axes, 0.3)
+
+
+def test_input_checks_keep_their_messages_for_one_vector_and_a_batch():
+    with pytest.raises(ValueError, match=r"^w must be a unit vector, \|w\| = 2\.0$"):
+        _check_unit("w", [0.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match=r"^w \(frame 1\) must be a unit vector, \|w\| = 2\.0$"):
+        _check_unit("w", [Z, [0.0, 2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^chi is not normalized: \|chi\| = 2\.0$"):
+        _check_spinor("chi", [0.0, 2.0j])
+    with pytest.raises(ValueError, match=r"^chi \(frame 1\) is not normalized: \|chi\| = 2\.0$"):
+        _check_spinor("chi", [[1.0, 0.0], [0.0, 2.0j]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit vector"):
+            _check_unit("w", [bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            _check_spinor("chi", [bad, 0.0])
+    # within EPS_INPUT of 1 passes, one vector or a batch
+    assert _check_unit("w", [0.0, 0.0, 1.0 + 5e-10]).shape == (3,)
+    assert _check_spinor("chi", [[1.0 + 5e-10, 0.0]]).shape == (1, 2)

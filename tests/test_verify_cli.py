@@ -309,3 +309,36 @@ def test_cli_non_positive_grid_span_is_config_error(tmp_path, capsys, span):
     assert code == cli.EXIT_CONFIG
     assert "half-span must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("verify", {"suites": 3}), ("field", {"spectrum": 7}), ("verify", {"out": 1})],
+    ids=["suites", "spectrum", "out"],
+)
+def test_cli_non_string_config_value_is_config_error(tmp_path, capsys, command, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(cfg_path)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    key = next(iter(config))
+    assert captured.err == f"error: config value {key} = {config[key]!r}: must be a string\n"
+    assert captured.out == ""
+
+
+def test_cli_vector_flags_take_config_lists(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "spin.csv"
+    cfg_path.write_text(json.dumps(
+        {"k0": [0, 0, 5], "n_k": 3, "i_vec": [1, 0, 0], "alpha": [1, 0, 0, 0],
+         "axis": [0, 0, 1], "steps": 2, "out": str(out)}
+    ))
+    assert cli.main(["total-spin", "--config", str(cfg_path)]) == 0
+    assert out.exists()
+    cfg_path.write_text(json.dumps({"axis": 1}))
+    assert cli.main(["total-spin", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "axis = 1: must be a string or a list" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"axis": [True, False, False]}))
+    assert cli.main(["total-spin", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "axis must hold numbers" in capsys.readouterr().err

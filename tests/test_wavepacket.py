@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinpol import wavepacket
 from spinpol import (
     FALLBACK_REFERENCES,
     BadGrid,
@@ -452,3 +453,142 @@ def test_batch_geometry_errors_name_sample_4():
         sample_spinors(_seven_samples([0.0, 0.0, -2.0]), cfg)
     with pytest.raises(ReferenceAnnihilated, match="sample 4 .*support"):
         total_spin(_seven_samples([0.0, 0.0, -2.0]), cfg)
+
+
+def _both_sums(monkeypatch, spec, cfg, points, t):
+    """(_plane_wave_sum result, dense result, whether the former took the dense path)."""
+    spinors = sample_spinors(spec, cfg)
+    dense_calls = []
+    dense = wavepacket._dense_sum
+
+    def counted_dense(*args):
+        dense_calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(wavepacket, "_dense_sum", counted_dense)
+    auto = wavepacket._plane_wave_sum(spec, cfg, spinors, points, t)
+    coeff = (spec.weight * spec.amplitude)[:, None] * spinors
+    reference = PREFACTOR * dense(spec, cfg, coeff, np.asarray(points, dtype=float), t)
+    return auto, reference, bool(dense_calls)
+
+
+def _mesh(*axes):
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.3])
+def test_separable_sum_matches_dense_on_default_field(monkeypatch, t):
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    points, _ = position_grid(21, 6.0)
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    auto, dense, took_dense = _both_sums(monkeypatch, spec, cfg, points, t)
+    assert not took_dense
+    assert np.abs(auto - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        position_grid(7, 3.0)[0] + [0.7, -1.3, 2.1],
+        _mesh(np.linspace(-4.0, 4.0, 3), np.linspace(-5.0, 3.0, 5), np.linspace(-2.0, 8.0, 7)),
+    ],
+    ids=["shifted", "3x5x7"],
+)
+def test_separable_sum_matches_dense_on_tensor_meshes(monkeypatch, points):
+    rng = np.random.default_rng(91)
+    spec, cfg = _random_spectrum(rng, n_per_axis=5), _random_packet(rng)
+    auto, dense, took_dense = _both_sums(monkeypatch, spec, cfg, points, 0.9)
+    assert not took_dense
+    assert np.abs(auto - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_separable_sum_applies_to_a_csv_round_tripped_spectrum(monkeypatch, tmp_path):
+    rng = np.random.default_rng(92)
+    spec, cfg = _random_spectrum(rng, n_per_axis=5), _random_packet(rng)
+    path = tmp_path / "spec.csv"
+    save_spectrum(spec, path)
+    loaded = load_spectrum(path)
+    points, _ = position_grid(9, 4.0)
+    auto, dense, took_dense = _both_sums(monkeypatch, loaded, cfg, points, 1.3)
+    assert not took_dense
+    assert np.abs(auto - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_shuffled_points_take_the_dense_path_and_agree(monkeypatch):
+    rng = np.random.default_rng(93)
+    spec, cfg = _random_spectrum(rng, n_per_axis=5), _random_packet(rng)
+    points, _ = position_grid(9, 4.0)
+    order = rng.permutation(len(points))
+    separable, _, took_dense = _both_sums(monkeypatch, spec, cfg, points, 1.3)
+    assert not took_dense
+    shuffled, dense, took_dense = _both_sums(monkeypatch, spec, cfg, points[order], 1.3)
+    assert took_dense
+    assert np.array_equal(shuffled, dense)
+    assert np.abs(shuffled - separable[order]).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_single_point_calls_skip_grid_detection(monkeypatch):
+    def no_detection(a):
+        raise AssertionError("grid detection ran for a single point")
+
+    monkeypatch.setattr(wavepacket, "_tensor_axes", no_detection)
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 2.0)
+    evaluate_wavefunction(spec, packet(), [0.1, 0.2, 0.3], 0.5)
+    eigen_component(spec, packet(), +1, [0.1, 0.2, 0.3], 0.5)
+    local_spv(spec, packet(), [0.1, 0.2, 0.3], 0.5)
+
+
+def test_tensor_axes_detection():
+    ax = [np.array([-1.0, 0.5]), np.array([0.0, 1.0, 2.0]), np.array([3.0])]
+    grid = _mesh(*ax)
+    assert all(np.array_equal(a, b) for a, b in zip(wavepacket._tensor_axes(grid), ax))
+    # a descending axis, a dropped point or a repeated point is not a grid
+    assert wavepacket._tensor_axes(grid[::-1]) is None
+    assert wavepacket._tensor_axes(grid[1:]) is None
+    assert wavepacket._tensor_axes(np.vstack([grid[:1], grid[:-1]])) is None
+
+
+def test_dense_block_stays_within_its_byte_budget():
+    n_k = 41**3
+    rows = wavepacket._dense_rows(n_k)
+    assert rows >= 1
+    assert rows * n_k * 16 <= wavepacket.DENSE_BLOCK_BYTES
+    # a spectrum too large for one row of the budget still gets one row
+    assert wavepacket._dense_rows(wavepacket.DENSE_BLOCK_BYTES) == 1
+
+
+def test_dense_sum_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(94)
+    spec, cfg = _random_spectrum(rng), _random_packet(rng)
+    points = rng.normal(scale=3.0, size=(50, 3))
+    spinors = sample_spinors(spec, cfg)
+    whole = wavepacket._plane_wave_sum(spec, cfg, spinors, points, 0.7)
+    monkeypatch.setattr(wavepacket, "DENSE_BLOCK_BYTES", 3 * 16 * len(spec))
+    assert wavepacket._dense_rows(len(spec)) == 3
+    assert np.array_equal(wavepacket._plane_wave_sum(spec, cfg, spinors, points, 0.7), whole)
+
+
+def _per_value_csv(header, rows):
+    return "\n".join([header] + [",".join(f"{v:.17g}" for v in row) for row in rows]) + "\n"
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    spec = Spectrum(
+        k=[[-0.0, 0.25, 2.0], [1.0 / 3.0, -0.0, -2.5]],
+        amplitude=[np.sqrt(0.5) * (0.6 - 0.8j), -np.sqrt(0.5)],
+        weight=[1.0, 1.0],
+    )
+    save_spectrum(spec, tmp_path / "spec.csv")
+    rows = [(*spec.k[j], spec.amplitude[j].real, spec.amplitude[j].imag, spec.weight[j])
+            for j in range(len(spec))]
+    assert (tmp_path / "spec.csv").read_text() == _per_value_csv(wavepacket.SPECTRUM_HEADER, rows)
+
+    fld = spin_field(_random_spectrum(np.random.default_rng(95)), packet(),
+                     [[-0.0, 0.0, 1e-300], [0.1, -2.0, 3.5], [40.0, 40.0, 40.0]], 1.7)
+    fld.s[2] = np.nan  # a node row
+    fld.node[2] = True
+    save_spin_field(fld, tmp_path / "field.csv")
+    rows = [(*fld.x[j], fld.t, fld.rho[j], *fld.s[j]) for j in range(len(fld.rho))]
+    text = (tmp_path / "field.csv").read_text()
+    assert text == _per_value_csv(wavepacket.FIELD_HEADER, rows)
+    assert "-0,0," in text and ",nan,nan,nan\n" in text and ",1.7," in text
