@@ -19,7 +19,7 @@ from .frames import (
     DegenerateFrame,
     ReferenceAnnihilated,
 )
-from .wavepacket import BadGrid, SpectrumNearOrigin
+from .wavepacket import SpectrumNearOrigin
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -30,6 +30,7 @@ EXIT_GEOMETRY = 3
 RENORM_WARN = 1e-6
 # flags whose --config value may be a JSON list of numbers instead of text
 VECTOR_FLAGS = ("k0", "i_vec", "alpha", "axis")
+REFERENCES = {"default": DEFAULT_REFERENCES, "fallback": FALLBACK_REFERENCES}
 
 
 class ConfigError(ValueError):
@@ -41,15 +42,11 @@ def _fmt(value) -> str:
 
 
 def _parse_reals(value, count, name):
-    if isinstance(value, str):
-        toks = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        toks = value
-        # float(True) is 1.0: a JSON boolean is not a number here
-        if any(isinstance(t, bool) for t in toks):
-            raise ConfigError(f"{name} must hold numbers, got {list(toks)!r}")
-    else:
-        raise ConfigError(f"{name} must be {count} comma-separated numbers")
+    """`count` finite floats from comma-separated text or a config file's list (see _typed)."""
+    toks = value.split(",") if isinstance(value, str) else value
+    # float(True) is 1.0: a JSON boolean is not a number here
+    if any(isinstance(t, bool) for t in toks):
+        raise ConfigError(f"{name} must hold numbers, got {list(toks)!r}")
     if len(toks) != count:
         raise ConfigError(f"{name} must have {count} components, got {len(toks)}")
     try:
@@ -61,12 +58,8 @@ def _parse_reals(value, count, name):
     return reals
 
 
-def _real(value, name):
-    return float(_parse_reals([value], 1, name)[0])
-
-
-def _unit3(value, name):
-    vec = _parse_reals(value, 3, name)
+def _renormalized(vec, name):
+    """vec / |vec|, with a warning on stderr when |vec| is off 1 by more than RENORM_WARN."""
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ConfigError(f"{name} must be nonzero")
@@ -75,15 +68,8 @@ def _unit3(value, name):
     return vec / norm
 
 
-def _jones(value):
-    reals = _parse_reals(value, 4, "alpha")
-    alpha = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
-    norm = np.linalg.norm(alpha)
-    if norm == 0.0:
-        raise ConfigError("alpha must be nonzero")
-    if abs(norm - 1.0) > RENORM_WARN:
-        print(f"warning: renormalizing alpha (|alpha| = {_fmt(norm)})", file=sys.stderr)
-    return alpha / norm
+def _unit3(value, name):
+    return _renormalized(_parse_reals(value, 3, name), name)
 
 
 def _load_config(path):
@@ -97,36 +83,18 @@ def _load_config(path):
     return cfg
 
 
-def _references(choice):
-    if choice == "default":
-        return DEFAULT_REFERENCES
-    if choice == "fallback":
-        return FALLBACK_REFERENCES
-    raise ConfigError(f"ref must be 'default' or 'fallback', got {choice!r}")
-
-
 def _spectrum(args):
     if args.spectrum is not None:
         return wp.load_spectrum(args.spectrum)
     k0 = _parse_reals(args.k0, 3, "k0")
-    sigma_k = _real(args.sigma_k, "sigma_k")
-    span = _real(args.span, "span")
-    return wp.gaussian_spectrum(k0, sigma_k, args.n_k, span)
+    return wp.gaussian_spectrum(k0, args.sigma_k, args.n_k, args.span)
 
 
 def _packet_config(args):
     i_vec = _unit3(args.i_vec, "i_vec")
-    alpha = _jones(args.alpha)
-    return wp.PacketConfig(i_vec=i_vec, alpha=alpha, ref=_references(args.ref))
-
-
-def _write_lines(path, lines):
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    re1, im1, re2, im2 = _parse_reals(args.alpha, 4, "alpha")
+    alpha = _renormalized(np.array([re1 + 1j * im1, re2 + 1j * im2]), "alpha")
+    return wp.PacketConfig(i_vec=i_vec, alpha=alpha, ref=REFERENCES[args.ref])
 
 
 def _cmd_verify(args):
@@ -139,12 +107,17 @@ def _cmd_verify(args):
             raise ConfigError(
                 f"unknown suites {unknown}; choose from {list(verify_mod.SUITE_NAMES)}"
             )
-    if args.n_cases < 0:
-        raise ConfigError("n_cases must be >= 0")
+        if not names:
+            raise ConfigError(f"suites {args.suites!r} names no suite")
     results = verify_mod.run_suites(
         names, seed=args.seed, n_cases=args.n_cases, tolerance=args.tolerance
     )
-    _write_lines(args.out, verify_mod.report_lines(results))
+    text = "\n".join(verify_mod.report_lines(results)) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -159,8 +132,8 @@ def _cmd_spectrum_gen(args):
 def _cmd_field(args):
     spec = _spectrum(args)
     cfg = _packet_config(args)
-    points, spacing = wp.position_grid(args.grid_n, _real(args.grid_span, "grid_span"))
-    fld = wp.spin_field(spec, cfg, points, _real(args.time, "time"))
+    points, spacing = wp.position_grid(args.grid_n, args.grid_span)
+    fld = wp.spin_field(spec, cfg, points, args.time)
     wp.save_spin_field(fld, args.out)
     prob = float(np.sum(fld.rho)) * spacing**3
     ok = ~fld.node
@@ -175,8 +148,6 @@ def _cmd_total_spin(args):
     spec = _spectrum(args)
     cfg = _packet_config(args)
     axis = _unit3(args.axis, "axis")
-    if args.steps < 1:
-        raise ConfigError("steps must be >= 1")
     phis, spins = wp.total_spin_i_sweep(spec, cfg, axis, args.steps)
     bound = 0.5 * cfg.hbar + 1e-9
     for i, s in enumerate(spins):
@@ -185,10 +156,7 @@ def _cmd_total_spin(args):
                 f"row {i}: |S| = {np.linalg.norm(s)} exceeds hbar/2; "
                 "spectrum normalization is broken"
             )
-    lines = ["phi,Sx,Sy,Sz"]
-    for phi, s in zip(phis, spins):
-        lines.append(",".join(_fmt(v) for v in (phi, *s)))
-    _write_lines(args.out, lines)
+    wp.write_table(args.out, "phi,Sx,Sy,Sz", np.column_stack([phis, spins]))
     print(f"wrote {args.out}: {args.steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
     return EXIT_OK
 
@@ -208,7 +176,7 @@ def _add_packet_flags(sub):
     sub.add_argument("--i-vec", dest="i_vec", default="1,0,0",
                      help="characterization vector x,y,z (default 1,0,0)")
     sub.add_argument("--alpha", default="1,0,0,0", help="Jones vector re1,im1,re2,im2 (default 1,0,0,0)")
-    sub.add_argument("--ref", choices=["default", "fallback"], default="default",
+    sub.add_argument("--ref", choices=REFERENCES, default="default",
                      help="reference spinor pair (default: default)")
 
 
@@ -261,6 +229,7 @@ def _typed(sub, config):
 
     A value for a flag with a type is converted from its text.  Every other
     flag takes a string; the vector flags also take a JSON list of numbers.
+    A flag with choices takes one of them.
     """
     typed = dict(config)
     for action in sub._actions:
@@ -279,6 +248,10 @@ def _typed(sub, config):
                 )
         elif not isinstance(value, str):
             raise ConfigError(f"config value {action.dest} = {value!r}: must be a string")
+        if action.choices is not None and typed[action.dest] not in action.choices:
+            raise ConfigError(
+                f"config value {action.dest} = {value!r}: must be one of {list(action.choices)}"
+            )
     return typed
 
 
@@ -309,7 +282,7 @@ def main(argv=None) -> int:
     except (DegenerateFrame, SpectrumNearOrigin, ReferenceAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except (ConfigError, BadGrid, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -177,8 +177,9 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     only, not on the characterization vector.  They are computed as
     1/|sigma+ chi1| and 1/|sigma- chi2| (sigma+-^dag sigma+- = 1 -+ w.sigma),
     which, unlike the bracketed forms, does not cancel as w approaches the
-    axis that annihilates a reference.  phi0 is the angle of chi1^dag chi-:
-    exp(i phi0) = sqrt2 N+ N- chi1^dag sigma- chi2 = sqrt2 N+ chi1^dag chi-.
+    axis that annihilates a reference.  phi0 is the angle of
+    c = chi+^dag sigma+ chi-; read from unit vectors, it keeps its precision
+    where both reference images are small.
 
     Raises ReferenceAnnihilated, with the first offending frame in `index`,
     when a reference spinor is (numerically) the eigenspinor its ladder
@@ -201,13 +202,18 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
                 index,
             )
     n_plus, n_minus = 1.0 / norm_plus, 1.0 / norm_minus
+    chi_plus = n_plus[..., None] * raised
     chi_minus = n_minus[..., None] * lowered
+    # sigma+ = [[p_z, p_x - i p_y], [p_x + i p_y, -p_z]] written out on transposed
+    # views: on one frame, matrix products or moveaxis cost several times this
+    (p_x, p_y, p_z), (a, b), (up, down) = w_plus.T, chi_minus.T, chi_plus.conj().T
+    c = up * (p_z * a + (p_x - 1j * p_y) * b) + down * ((p_x + 1j * p_y) * a - p_z * b)
     return EigenPair(
-        chi_plus=n_plus[..., None] * raised,
+        chi_plus=chi_plus,
         chi_minus=chi_minus,
         n_plus=_item(n_plus),
         n_minus=_item(n_minus),
-        phi0=_item(np.angle(_vdot(ref.chi1, chi_minus))),
+        phi0=_item(np.angle(c.T)),
     )
 
 

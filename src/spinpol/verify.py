@@ -262,6 +262,9 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     fn, default_tol, suite_id = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
+    # written so that a NaN tolerance fails it
+    if not (n_cases >= 0 and 0 <= tol < np.inf):
+        raise ValueError(f"n_cases must be >= 0 and tolerance finite and >= 0, got {n_cases}, {tol}")
     # per-suite streams keyed by (seed, suite id) so a suite's draw does not
     # depend on which other suites were selected
     rng = np.random.default_rng([seed, suite_id])

@@ -9,6 +9,7 @@ so the packet's local polarization field and total spin are determined by the
 weighting A(k), the Jones vector, and the shared characterization vector alone.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +43,7 @@ class SpectrumNearOrigin(ValueError):
 
 
 class BadGrid(ValueError):
-    """Grid parameters are unusable (even sample count, non-positive span)."""
+    """Grid parameters are unusable (even sample count, non-finite k0, span not finite and positive)."""
 
 
 class NodePoint(ValueError):
@@ -151,8 +152,11 @@ def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spect
     k0 = np.asarray(k0, dtype=float)
     if n_per_axis < 1 or n_per_axis % 2 == 0:
         raise BadGrid(f"n_per_axis must be odd and positive, got {n_per_axis}")
-    if span <= 0 or sigma_k <= 0:
-        raise BadGrid(f"span and sigma_k must be positive, got {span}, {sigma_k}")
+    # written so that NaN fails it
+    if not (np.isfinite(k0).all() and 0 < span < math.inf and 0 < sigma_k < math.inf):
+        raise BadGrid(
+            f"k0 must be finite, span and sigma_k finite and positive; got {k0.tolist()}, {span}, {sigma_k}"
+        )
     if np.linalg.norm(k0) <= 3.0 * sigma_k + EPS_K:
         raise SpectrumNearOrigin(
             f"|k0| = {np.linalg.norm(k0)} is within 3 sigma_k = {3 * sigma_k} of "
@@ -277,8 +281,12 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     """Sum the spectrum at each point: per axis on tensor grids, densely otherwise.
 
     Both paths are deterministic, so repeated calls give identical results.
+    Raises ValueError for a time or a point that is not finite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not (np.isfinite(points).all() and math.isfinite(t)):
+        bad = points[~np.isfinite(points).all(axis=1)].tolist()
+        raise ValueError(f"time t and every point must be finite, got t = {t}, points {bad}")
     coeff = (spec.weight * spec.amplitude)[:, None] * spinors
     # one point costs less densely than the grid detection would
     k_axes = _tensor_axes(spec.k) if len(points) > 1 else None
@@ -388,14 +396,14 @@ def position_grid(n_per_axis: int, half_span: float):
     if n_per_axis < 2:
         raise BadGrid(f"position grid needs at least 2 points per axis, got {n_per_axis}")
     # written so that NaN fails it
-    if not half_span > 0:
-        raise BadGrid(f"position grid half-span must be positive, got {half_span}")
+    if not 0 < half_span < math.inf:
+        raise BadGrid(f"position grid half-span must be positive and finite, got {half_span}")
     ax = np.linspace(-half_span, half_span, n_per_axis)
     points = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     return points, float(ax[1] - ax[0])
 
 
-def _write_table(path, header, table) -> None:
+def write_table(path, header, table) -> None:
     """Write a header line and one CSV row per table row, each value as %.17g."""
     row = ",".join(["%.17g"] * table.shape[1])
     lines = [header, *(row % tuple(r) for r in table.tolist())]
@@ -406,18 +414,22 @@ def _write_table(path, header, table) -> None:
 def save_spectrum(spec: Spectrum, path) -> None:
     """Write a spectrum as CSV rows kx,ky,kz,re_A,im_A,weight."""
     table = np.column_stack([spec.k, spec.amplitude.real, spec.amplitude.imag, spec.weight])
-    _write_table(path, SPECTRUM_HEADER, table)
+    write_table(path, SPECTRUM_HEADER, table)
 
 
 def load_spectrum(path) -> Spectrum:
     """Read a spectrum CSV; the exact header line is required."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SPECTRUM_HEADER:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != SPECTRUM_HEADER:
         raise ValueError(f"spectrum file must start with header '{SPECTRUM_HEADER}'")
-    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    if rows.ndim != 2 or rows.shape[1] != 6:
-        raise ValueError("spectrum rows must have 6 comma-separated fields")
+    rows = []
+    for n, ln in lines[1:]:
+        toks = ln.split(",")
+        if len(toks) != 6:
+            raise ValueError(f"spectrum line {n} has {len(toks)} fields, expected 6")
+        rows.append([float(tok) for tok in toks])
+    rows = np.array(rows).reshape(-1, 6)
     return Spectrum(
         k=rows[:, :3], amplitude=rows[:, 3] + 1j * rows[:, 4], weight=rows[:, 5]
     )
@@ -426,4 +438,4 @@ def load_spectrum(path) -> Spectrum:
 def save_spin_field(fld: SpinField, path) -> None:
     """Write a spin field as CSV rows x,y,z,t,rho,sx,sy,sz (NaN s at nodes)."""
     table = np.column_stack([fld.x, np.full(len(fld.rho), fld.t), fld.rho, fld.s])
-    _write_table(path, FIELD_HEADER, table)
+    write_table(path, FIELD_HEADER, table)

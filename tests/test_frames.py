@@ -246,6 +246,25 @@ def test_ladder_constants_have_fixed_modulus_and_pairing():
         assert abs(c - SQRT2 * np.exp(1j * phase_factor(f))) < 1e-12
 
 
+def test_phase_factor_matches_reference_overlap_definition():
+    # exp(i phi0) = sqrt2 N+ N- chi1^dag sigma- chi2 = phase of chi1^dag chi-,
+    # checked away from -z, where the reference overlap keeps its precision
+    ref = DEFAULT_REFERENCES
+    rng = np.random.default_rng(36)
+    checked = 0
+    while checked < 200:
+        f = random_frame(rng)
+        if f.w[2] < -0.5:
+            continue
+        pair = eigen_spinors(f)
+        _, sig_minus = ladder_operators(f)
+        overlap = SQRT2 * pair.n_plus * pair.n_minus * np.vdot(ref.chi1, sig_minus @ ref.chi2)
+        assert abs(np.exp(1j * pair.phi0) - overlap) < 1e-12
+        chi1_chi_minus = np.vdot(ref.chi1, pair.chi_minus)
+        assert abs(np.exp(1j * pair.phi0) - chi1_chi_minus / abs(chi1_chi_minus)) < 1e-12
+        checked += 1
+
+
 def test_mapping_matrix_fixture_and_unitarity():
     varpi = mapping_matrix(build_frame(Z, X))
     assert_allclose(varpi, np.array([[1.0, 0.0], [0.0, 1.0j]]), atol=1e-15)

@@ -1,6 +1,7 @@
 """Conjugated Pauli components: closed forms, algebra, rotation laws."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from spinpol import (
@@ -148,3 +149,19 @@ def test_batched_components_equal_stacked_single_frames():
     assert np.abs(hs.cartesian() - np.array([h.cartesian() for h in singles])).max() <= 1e-15
     assert hs.cartesian().shape == (40, 3, 2, 2)
     assert isinstance(singles[0].phi0, float)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 3e-3])
+def test_closed_forms_hold_near_the_annihilating_axis(eps):
+    # the default references are annihilated at w = -z: both of their ladder
+    # images are small there, and phi0 must not be read from their overlap
+    azimuth = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    shell = np.stack(
+        (
+            np.sin(eps) * np.cos(azimuth),
+            np.sin(eps) * np.sin(azimuth),
+            np.full_like(azimuth, -np.cos(eps)),
+        ),
+        axis=-1,
+    )
+    assert closed_form_residual(build_frame(shell, X)) <= 1e-12

@@ -28,6 +28,24 @@ def test_suite_draws_do_not_depend_on_selection():
     assert alone.max_residual == with_others.max_residual
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"n_cases": -1}, "n_cases must be >= 0 .*got -1, "),
+     ({"tolerance": np.nan}, "tolerance finite and >= 0, got 100, nan"),
+     ({"tolerance": -1.0}, "tolerance finite and >= 0, got 100, -1.0")],
+    ids=["negative-cases", "nan-tolerance", "negative-tolerance"],
+)
+def test_run_suite_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite("algebra", **kwargs)
+
+
+def test_heisenberg_suite_passes_on_a_frame_near_the_south_pole():
+    # seed 912 draws w with 1 + w_z = 1.7e-4, where the phase read from the
+    # overlap of the small reference images broke the closed-form check
+    assert verify.run_suite("heisenberg", seed=912, n_cases=100).passed
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(KeyError):
         verify.run_suite("nonsense")
@@ -70,6 +88,8 @@ def test_cli_verify_rejects_unknown_suite(capsys):
     code = cli.main(["verify", "--suites", "algebra,bogus"])
     assert code == cli.EXIT_CONFIG
     assert "bogus" in capsys.readouterr().err
+    # an empty selection would run nothing, so no argument check either
+    assert cli.main(["verify", "--suites", ",", "--n-cases", "-1"]) == cli.EXIT_CONFIG
 
 
 def test_cli_spectrum_gen_and_field_pipeline(tmp_path, capsys):
@@ -302,7 +322,7 @@ def test_cli_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("span", ["-6", "0"])
+@pytest.mark.parametrize("span", ["-6", "0", "inf", "nan"])
 def test_cli_non_positive_grid_span_is_config_error(tmp_path, capsys, span):
     out = tmp_path / "field.csv"
     code = cli.main(["field", "--n-k", "3", "--grid-span", span, "--out", str(out)])
@@ -342,3 +362,46 @@ def test_cli_vector_flags_take_config_lists(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"axis": [True, False, False]}))
     assert cli.main(["total-spin", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
     assert "axis must hold numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["verify", "--n-cases", "1", "--tolerance", "nan"], "tolerance finite and >= 0, got 1, nan"),
+     (["field", "--n-k", "3", "--time", "inf"], "got t = inf"),
+     (["field", "--sigma-k", "nan"], "span and sigma_k finite and positive; got [0.0, 0.0, 5.0], 4.0, nan")],
+    ids=["tolerance", "time", "sigma-k"],
+)
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_cli_unknown_ref_in_config_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"ref": "bogus"}))
+    out = tmp_path / "field.csv"
+    assert cli.main(["field", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config value ref = 'bogus': must be one of ['default', 'fallback']\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_total_spin_rows_match_per_value_formatting(tmp_path):
+    spec_path = tmp_path / "spec.csv"
+    spec_path.write_text("kx,ky,kz,re_A,im_A,weight\n0,0.5,1,0.6,0,1\n0,0,2,0,0.8,1\n")
+    out = tmp_path / "spin.csv"
+    assert cli.main(
+        ["total-spin", "--spectrum", str(spec_path), "--alpha", "0.6,0,0,0.8",
+         "--axis", "0,0.6,0.8", "--steps", "5", "--out", str(out)]
+    ) == 0
+    from spinpol import PacketConfig, total_spin_i_sweep
+
+    cfg = PacketConfig(i_vec=np.array([1.0, 0, 0]), alpha=np.array([0.6, 0.8j]))
+    phis, spins = total_spin_i_sweep(load_spectrum(spec_path), cfg, [0, 0.6, 0.8], 5)
+    rows = [",".join(f"{v:.17g}" for v in (phi, *s)) for phi, s in zip(phis, spins)]
+    assert out.read_text() == "\n".join(["phi,Sx,Sy,Sz"] + rows) + "\n"

@@ -79,6 +79,10 @@ def test_gaussian_spectrum_rejects_bad_parameters():
         gaussian_spectrum([0, 0, 5.0], 0.5, 8, 4.0)
     with pytest.raises(BadGrid):
         gaussian_spectrum([0, 0, 5.0], 0.5, 9, 0.0)
+    for k0, sigma_k, span in (([0, 0, 5.0], np.nan, 4.0), ([0, 0, 5.0], 0.5, np.inf),
+                              ([0, np.nan, 5.0], 0.5, 4.0)):
+        with pytest.raises(BadGrid, match="k0 must be finite, span and sigma_k finite and positive"):
+            gaussian_spectrum(k0, sigma_k, 9, span)
     with pytest.raises(SpectrumNearOrigin):
         gaussian_spectrum([0, 0, 1.0], 0.5, 9, 4.0)
 
@@ -365,6 +369,10 @@ def test_spectrum_file_validation(tmp_path):
     short_row.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0\n")
     with pytest.raises(ValueError, match="6"):
         load_spectrum(short_row)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0,0.5\n\n0,0,3,1\n")
+    with pytest.raises(ValueError, match="^spectrum line 4 has 4 fields, expected 6$"):
+        load_spectrum(ragged)
     not_normalized = tmp_path / "norm.csv"
     not_normalized.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0,2\n")
     with pytest.raises(ValueError, match="not normalized"):
@@ -394,10 +402,27 @@ def test_position_grid_shape_and_spacing():
         position_grid(1, 2.0)
 
 
-@pytest.mark.parametrize("half_span", [-6.0, 0.0])
+@pytest.mark.parametrize("half_span", [-6.0, 0.0, np.inf, np.nan])
 def test_position_grid_rejects_non_positive_span(half_span):
     with pytest.raises(BadGrid, match="half-span"):
         position_grid(5, half_span)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("time", r"got t = nan, points \[\]$"), ("point", r"got t = 0.5, points \[\[-1.0, nan, 0.0\]\]$")],
+    ids=["time", "point"],
+)
+def test_plane_wave_evaluators_reject_non_finite_input(bad, message):
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 2.0)
+    points, _ = position_grid(3, 1.0)
+    t = np.nan if bad == "time" else 0.5
+    if bad == "point":
+        points[4, 1] = np.nan
+    with pytest.raises(ValueError, match="time t and every point must be finite"):
+        local_spv(spec, packet(), points[4], t)
+    with pytest.raises(ValueError, match=message):
+        spin_field(spec, packet(), points, t)
 
 
 def _random_spectrum(rng, n_per_axis=3):
