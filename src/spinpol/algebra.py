@@ -78,6 +78,16 @@ def _check_spinor(name, chi):
     return chi
 
 
+def _vdot(a, b):
+    """Inner product a^dag b over the last axis, broadcast over the rest."""
+    return np.add.reduce(a.conj() * b, axis=-1)
+
+
+def _apply(m, chi):
+    """Matrix-vector product over the last axes, broadcast over the rest."""
+    return (m @ chi[..., None])[..., 0]
+
+
 def _single(name, arr):
     # for functions defined on one vector or spinor: a batch would pass the
     # checks above and then mix its frames in single-frame arithmetic
@@ -106,10 +116,17 @@ def spv(chi) -> np.ndarray:
     The result is a real unit vector and chi is the +1 eigenspinor of s.sigma.
     Raises ValueError if the input norm deviates from 1 by more than 1e-9.
     """
-    chi = _single("chi", _check_spinor("chi", chi))
-    # divide by the exact norm so the output stays unit to rounding even for
-    # inputs that are only 1e-9 normalized
-    return ((PAULI @ chi) @ chi.conj()).real / np.vdot(chi, chi).real
+    return _spv(_single("chi", _check_spinor("chi", chi)))
+
+
+def _spv(chi):
+    # (..., 2) spinors to (..., 3) vectors as products of (2, 1) columns,
+    # s = (sigma chi)^T conj(chi) / chi^dag chi; dividing by the exact norm
+    # keeps the output unit to rounding even for inputs only 1e-9 normalized
+    ket = chi[..., :, None]
+    bra = ket.conj()
+    s = (PAULI @ ket[..., None, :, :])[..., 0] @ bra
+    return s[..., 0].real / (bra.swapaxes(-1, -2) @ ket)[..., 0].real
 
 
 def eigen_residual(w, chi, lam) -> float:
@@ -118,4 +135,9 @@ def eigen_residual(w, chi, lam) -> float:
         raise ValueError(f"eigenvalue must be +1 or -1, got {lam!r}")
     w = _single("w", _check_unit("w", w))
     chi = _single("chi", _check_spinor("chi", chi))
-    return float(np.linalg.norm(dot_sigma(w) @ chi - lam * chi))
+    return float(_eigen_residual(w, chi, lam))
+
+
+def _eigen_residual(w, chi, lam):
+    # (..., 3) axes and (..., 2) spinors to one residual per frame
+    return _norm(_apply(dot_sigma(w), chi) - lam * chi)

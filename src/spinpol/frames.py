@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
-from .algebra import _check_spinor, _check_unit, _first, _item, _norm, _single, _where
+from .algebra import _apply, _check_spinor, _check_unit, _first, _item, _norm, _single, _vdot
+from .algebra import _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -47,16 +48,6 @@ class DegenerateFrame(_FrameError):
 
 class ReferenceAnnihilated(_FrameError):
     """A reference spinor is annihilated by its ladder operator."""
-
-
-def _vdot(a, b):
-    """Inner product a^dag b over the last axis, broadcast over the rest."""
-    return np.add.reduce(a.conj() * b, axis=-1)
-
-
-def _apply(m, chi):
-    """Matrix-vector product over the last axes, broadcast over the rest."""
-    return (m @ chi[..., None])[..., 0]
 
 
 def _cross(a, b):

@@ -11,18 +11,23 @@ All conjugating unitaries here act on expansion coefficients in the eigenspinor
 basis, where the axis projection w.sigma is represented by diag(1, -1).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA_Z, _norm, dot_sigma, spv
+from .algebra import SIGMA_Z, _apply, _item, _norm, _spv, _vdot, dot_sigma
 from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
 from .frames import mapping_matrix
-from .rotations import rotate_characterization, so3_rotation, su2_rotation
+from .rotations import _so3, _su2, rotate_characterization
 
 # rotations about w, represented on the eigenspinor coefficients where
 # w.sigma = diag(1, -1) = sigma_z, are rotations about z
 _COEFFICIENT_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Frobenius norms over one 2x2 matrix and over a Cartesian triple of them
+_MATRIX = (-2, -1)
+_COMPONENTS = (-3, -2, -1)
 
 # closed form vs direct conjugation must agree to rounding; anything worse is a bug
 _INTERNAL_TOL = 1e-12
@@ -111,16 +116,26 @@ def heisenberg_sigma(
     return _closed_form(frame, ref)[0]
 
 
-def closed_form_residual(
-    frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES
-) -> float:
-    """Worst deviation between the closed-form components and direct conjugation."""
-    return float(np.max(_closed_form(frame, ref)[1]))
+def closed_form_residual(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
+    """Deviation between the closed-form components and direct conjugation.
+
+    The worst over sigma_u, sigma_v, sigma_w of one frame, as a float; a batch
+    of frames gives one deviation per frame.
+    """
+    return _item(_closed_form(frame, ref)[1])
 
 
-def rotation_residual(
-    frame: Frame, phi: float, ref: ReferenceSpinors = DEFAULT_REFERENCES
-) -> float:
+def _worst(*residuals):
+    # elementwise max broadcast over the frames; unlike max(), NaN propagates
+    return functools.reduce(np.maximum, residuals)
+
+
+def _rotated_triad(frame: Frame, r):
+    # the triad vectors under the (..., 3, 3) rotations r
+    return _apply(r, frame.u), _apply(r, frame.v), _apply(r, frame.w)
+
+
+def rotation_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFERENCES):
     """Worst residual of the three rotation laws under I -> R(phi w) I.
 
     (a) per-component law: sigma_u and sigma_v are conjugated by the coefficient
@@ -129,48 +144,49 @@ def rotation_residual(
         the original Cartesian components conjugated through 2 phi;
     (c) vector law: the same components equal the original triad vectors rotated
         through 2 phi with the matrices left fixed.
+
+    A batch of frames and (...) angles gives one residual per frame.
     """
     hs = heisenberg_sigma(frame, ref)
     hs_rot = heisenberg_sigma(rotate_characterization(frame, phi), ref)
+    twice = 2.0 * phi
 
-    u1 = su2_rotation(_COEFFICIENT_AXIS, phi)
-    res_a = max(
-        np.linalg.norm(hs_rot.sigma_u - _conjugate(hs.sigma_u, u1)),
-        np.linalg.norm(hs_rot.sigma_v - _conjugate(hs.sigma_v, u1)),
-        np.linalg.norm(hs_rot.sigma_w - hs.sigma_w),
+    u1 = _su2(_COEFFICIENT_AXIS, phi)
+    res_a = _worst(
+        _norm(hs_rot.sigma_u - _conjugate(hs.sigma_u, u1), axis=_MATRIX),
+        _norm(hs_rot.sigma_v - _conjugate(hs.sigma_v, u1), axis=_MATRIX),
+        _norm(hs_rot.sigma_w - hs.sigma_w, axis=_MATRIX),
     )
 
     lhs = hs_rot.cartesian()
-    u2 = su2_rotation(_COEFFICIENT_AXIS, 2.0 * phi)
-    res_b = np.linalg.norm(lhs - _conjugate(hs.cartesian(), u2))
+    u2 = _su2(_COEFFICIENT_AXIS, twice)[..., None, :, :]
+    res_b = _norm(lhs - _conjugate(hs.cartesian(), u2), axis=_COMPONENTS)
 
-    r2 = so3_rotation(frame.w, 2.0 * phi)
-    res_c = np.linalg.norm(lhs - _expand(hs, r2 @ frame.u, r2 @ frame.v, r2 @ frame.w))
+    r2 = _so3(frame.w, twice)
+    res_c = _norm(lhs - _expand(hs, *_rotated_triad(frame, r2)), axis=_COMPONENTS)
 
-    return float(max(res_a, res_b, res_c))
+    return _item(_worst(res_a, res_b, res_c))
 
 
-def equivalence_residual(
-    frame: Frame, phi: float, ref: ReferenceSpinors = DEFAULT_REFERENCES
-) -> float:
+def equivalence_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFERENCES):
     """Deviation between rotating the triad through phi and conjugating through phi.
 
     Both actions applied to the same component triple must produce the same
-    Cartesian matrix components.
+    Cartesian matrix components.  A batch gives one deviation per frame.
     """
     hs = heisenberg_sigma(frame, ref)
-    r = so3_rotation(frame.w, phi)
-    lhs = _expand(hs, r @ frame.u, r @ frame.v, r @ frame.w)
-    rhs = _conjugate(hs.cartesian(), su2_rotation(_COEFFICIENT_AXIS, phi))
-    return float(np.linalg.norm(lhs - rhs))
+    lhs = _expand(hs, *_rotated_triad(frame, _so3(frame.w, phi)))
+    rhs = _conjugate(hs.cartesian(), _su2(_COEFFICIENT_AXIS, phi)[..., None, :, :])
+    return _item(_norm(lhs - rhs, axis=_COMPONENTS))
 
 
-def expectation_spv_residual(
-    frame: Frame, alpha, ref: ReferenceSpinors = DEFAULT_REFERENCES
-) -> float:
-    """Deviation of alpha^dag sigma^H alpha from the polarization of varpi alpha."""
+def expectation_spv_residual(frame: Frame, alpha, ref: ReferenceSpinors = DEFAULT_REFERENCES):
+    """Deviation of alpha^dag sigma^H alpha from the polarization of varpi alpha.
+
+    A batch of frames and (..., 2) Jones vectors gives one deviation per frame.
+    """
     hs = heisenberg_sigma(frame, ref)
-    alpha = np.asarray(alpha, dtype=complex)
-    expect = ((hs.cartesian() @ alpha) @ alpha.conj()).real
-    s = spv(compose_spinor(mapping_matrix(frame, ref), alpha))
-    return float(np.linalg.norm(expect - s))
+    alpha = np.asarray(alpha, dtype=complex)[..., None, :]
+    expect = _vdot(alpha, _apply(hs.cartesian(), alpha)).real
+    s = _spv(compose_spinor(mapping_matrix(frame, ref), alpha[..., 0, :]))
+    return _item(_norm(expect - s))

@@ -8,7 +8,7 @@ those laws into machine-checkable numbers.
 
 import numpy as np
 
-from .algebra import IDENTITY2, _check_unit, _single, dot_sigma, spv
+from .algebra import IDENTITY2, PAULI, _apply, _check_unit, _item, _norm, _single, _spv, dot_sigma
 from .frames import (
     DEFAULT_REFERENCES,
     Frame,
@@ -29,6 +29,13 @@ GENERATOR_Z = np.array(
     [[0.0, -1.0j, 0.0], [1.0j, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex
 )
 
+# -i (n.G) is the real cross-product matrix of n: (n @ _CROSS) flattened
+_CROSS = (-1j * np.array([GENERATOR_X, GENERATOR_Y, GENERATOR_Z])).real.reshape(3, 9)
+_EYE3 = np.eye(3)
+# flattened 1 and -i sigma: -i (n.sigma) is (n @ _MINUS_I_SIGMA) flattened
+_IDENTITY2_FLAT = IDENTITY2.reshape(4)
+_MINUS_I_SIGMA = (-1j * PAULI).reshape(3, 4)
+
 
 def so3_generators():
     """Hermitian generators (Gx, Gy, Gz); a x b = -i (a.G) b for any 3-vectors."""
@@ -43,71 +50,90 @@ def dot_generators(a) -> np.ndarray:
 
 def so3_rotation(axis, angle) -> np.ndarray:
     """Rotation matrix cos(t) - i (n.G) sin(t) + (1 - cos(t)) n n^T about unit axis n."""
-    axis = _single("axis", _check_unit("axis", axis))
-    # -i (n.G) is the real cross-product matrix, so the result is exactly real
-    k = (-1j * dot_generators(axis)).real
-    return (
-        np.cos(angle) * np.eye(3)
-        + np.sin(angle) * k
-        + (1.0 - np.cos(angle)) * np.outer(axis, axis)
-    )
+    return _so3(_single("axis", _check_unit("axis", axis)), angle)
+
+
+def _so3(axis, angle):
+    # (..., 3) unit axes and (...) angles to (..., 3, 3) matrices
+    k = (axis @ _CROSS).reshape(axis.shape[:-1] + (3, 3))
+    cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+    return cos * _EYE3 + sin * k + (1.0 - cos) * (axis[..., :, None] * axis[..., None, :])
 
 
 def su2_rotation(axis, angle) -> np.ndarray:
     """Spinor rotation cos(t/2) 1 - i (n.sigma) sin(t/2); changes sign under t -> t + 2pi."""
-    axis = _single("axis", _check_unit("axis", axis))
-    return np.cos(angle / 2.0) * IDENTITY2 - 1j * np.sin(angle / 2.0) * dot_sigma(axis)
+    return _su2(_single("axis", _check_unit("axis", axis)), angle)
 
 
-def correspondence_residual(axis, angle, a) -> float:
-    """Frobenius deviation of (R a).sigma from U (a.sigma) U^dag for one axis-angle."""
-    rotated = so3_rotation(axis, angle) @ np.asarray(a, dtype=float)
-    u = su2_rotation(axis, angle)
-    return float(np.linalg.norm(dot_sigma(rotated) - u @ dot_sigma(a) @ u.conj().T))
+def _su2(axis, angle):
+    # (..., 3) unit axes and (...) angles to (..., 2, 2) matrices
+    half = np.asarray(angle)[..., None] / 2.0
+    u = np.cos(half) * _IDENTITY2_FLAT + np.sin(half) * (axis @ _MINUS_I_SIGMA)
+    return u.reshape(u.shape[:-1] + (2, 2))
 
 
-def rotate_characterization(frame: Frame, phi: float) -> Frame:
-    """Frame rebuilt after rotating the characterization vector by phi about w."""
-    i_rot = so3_rotation(frame.w, phi) @ frame.i_vec
+def correspondence_residual(axis, angle, a):
+    """Frobenius deviation of (R a).sigma from U (a.sigma) U^dag for one axis-angle.
+
+    axis and a may be (..., 3) arrays and angle a (...) array; the result is
+    then one deviation per axis-angle, and a Python float for a single one.
+    """
+    axis = _check_unit("axis", axis)
+    a = np.asarray(a, dtype=float)
+    rotated = _apply(_so3(axis, angle), a)
+    u = _su2(axis, angle)
+    conjugated = u @ dot_sigma(a) @ u.conj().swapaxes(-1, -2)
+    return _item(_norm(dot_sigma(rotated) - conjugated, axis=(-2, -1)))
+
+
+def rotate_characterization(frame: Frame, phi) -> Frame:
+    """Frame rebuilt after rotating the characterization vector by phi about w.
+
+    phi may be a (...) array of angles, one per frame of a batch.
+    """
+    i_rot = _apply(_so3(frame.w, phi), frame.i_vec)
     return build_frame(frame.w, i_rot)
 
 
 def eigenspinor_rotation_residuals(
-    frame: Frame, phi: float, ref: ReferenceSpinors = DEFAULT_REFERENCES
+    frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFERENCES
 ):
     """Residuals of the double-angle law for the two eigenspinors.
 
     Rotating the characterization vector by phi about w multiplies chi+ by
     exp(-i phi) and chi- by exp(+i phi), equivalently applies the spinor
     rotation through 2 phi about w.  Returns the (+, -) residual pair, each the
-    worst of the phase form and the rotation form.
+    worst of the phase form and the rotation form: two floats for one frame,
+    two arrays of one residual per frame for a batch.
     """
     before = eigen_spinors(frame, ref)
     after = eigen_spinors(rotate_characterization(frame, phi), ref)
-    u2 = su2_rotation(frame.w, 2.0 * phi)
-    res_plus = max(
-        np.linalg.norm(after.chi_plus - np.exp(-1j * phi) * before.chi_plus),
-        np.linalg.norm(after.chi_plus - u2 @ before.chi_plus),
+    u2 = _su2(frame.w, 2.0 * phi)
+    res_plus = np.maximum(
+        _norm(after.chi_plus - np.exp(-1j * phi)[..., None] * before.chi_plus),
+        _norm(after.chi_plus - _apply(u2, before.chi_plus)),
     )
-    res_minus = max(
-        np.linalg.norm(after.chi_minus - np.exp(+1j * phi) * before.chi_minus),
-        np.linalg.norm(after.chi_minus - u2 @ before.chi_minus),
+    res_minus = np.maximum(
+        _norm(after.chi_minus - np.exp(+1j * phi)[..., None] * before.chi_minus),
+        _norm(after.chi_minus - _apply(u2, before.chi_minus)),
     )
-    return float(res_plus), float(res_minus)
+    return _item(res_plus), _item(res_minus)
 
 
 def spv_rotation_residual(
-    frame: Frame, phi: float, alpha, ref: ReferenceSpinors = DEFAULT_REFERENCES
-) -> float:
+    frame: Frame, phi, alpha, ref: ReferenceSpinors = DEFAULT_REFERENCES
+):
     """Residual of the double-angle law for a superposition and its polarization.
 
     With chi = varpi(I) alpha, checks chi(I') = U(2 phi w) chi(I) and
-    s(I') = R(2 phi w) s(I); returns the larger deviation.
+    s(I') = R(2 phi w) s(I); returns the larger deviation, one per frame for
+    a batch of frames, angles and Jones vectors.
     """
     chi = compose_spinor(mapping_matrix(frame, ref), alpha)
     chi_rot = compose_spinor(
         mapping_matrix(rotate_characterization(frame, phi), ref), alpha
     )
-    spinor_dev = np.linalg.norm(chi_rot - su2_rotation(frame.w, 2.0 * phi) @ chi)
-    spv_dev = np.linalg.norm(spv(chi_rot) - so3_rotation(frame.w, 2.0 * phi) @ spv(chi))
-    return float(max(spinor_dev, spv_dev))
+    twice = 2.0 * phi
+    spinor_dev = _norm(chi_rot - _apply(_su2(frame.w, twice), chi))
+    spv_dev = _norm(_spv(chi_rot) - _apply(_so3(frame.w, twice), _spv(chi)))
+    return _item(np.maximum(spinor_dev, spv_dev))

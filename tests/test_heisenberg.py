@@ -164,4 +164,25 @@ def test_closed_forms_hold_near_the_annihilating_axis(eps):
         ),
         axis=-1,
     )
-    assert closed_form_residual(build_frame(shell, X)) <= 1e-12
+    assert np.max(closed_form_residual(build_frame(shell, X))) <= 1e-12
+
+
+def test_batched_residuals_equal_stacked_single_frames():
+    rng = np.random.default_rng(71)
+    frames = [random_frame(rng) for _ in range(50)]
+    batch = build_frame(np.array([f.w for f in frames]), np.array([f.i_vec for f in frames]))
+    phis = rng.uniform(0, 4 * np.pi, size=50)
+    alphas = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    cases = [
+        (closed_form_residual(batch), [closed_form_residual(f) for f in frames]),
+        (rotation_residual(batch, phis), [rotation_residual(f, p) for f, p in zip(frames, phis)]),
+        (equivalence_residual(batch, phis),
+         [equivalence_residual(f, p) for f, p in zip(frames, phis)]),
+        (expectation_spv_residual(batch, alphas),
+         [expectation_spv_residual(f, a) for f, a in zip(frames, alphas)]),
+    ]
+    for batched, stacked in cases:
+        assert batched.shape == (50,)
+        assert all(type(r) is float for r in stacked)
+        assert np.abs(batched - stacked).max() <= 1e-15

@@ -234,3 +234,58 @@ def test_rotations_reject_non_unit_axis():
         so3_rotation([1.0, 1.0, 0.0], 0.3)
     with pytest.raises(ValueError, match="unit"):
         su2_rotation([0.0, 0.0, 0.5], 0.3)
+
+
+def _random_batch(rng, n=50):
+    frames = [random_frame(rng) for _ in range(n)]
+    batch = build_frame(np.array([f.w for f in frames]), np.array([f.i_vec for f in frames]))
+    phis = rng.uniform(0, 4 * np.pi, size=n)
+    alphas = np.array([random_jones(rng) for _ in range(n)])
+    return frames, batch, phis, alphas
+
+
+def test_batched_residuals_equal_stacked_single_frames():
+    rng = np.random.default_rng(54)
+    frames, batch, phis, alphas = _random_batch(rng)
+    rotated = rotate_characterization(batch, phis)
+    singles = [rotate_characterization(f, phi) for f, phi in zip(frames, phis)]
+    for name in ("i_vec", "u", "v"):
+        stacked = np.array([getattr(g, name) for g in singles])
+        assert np.abs(getattr(rotated, name) - stacked).max() <= 1e-15
+
+    pair = eigenspinor_rotation_residuals(batch, phis)
+    stacked = np.array([eigenspinor_rotation_residuals(f, phi) for f, phi in zip(frames, phis)])
+    assert len(pair) == 2 and pair[0].shape == (50,)
+    assert np.abs(np.array(pair) - stacked.T).max() <= 1e-15
+
+    batched = spv_rotation_residual(batch, phis, alphas)
+    stacked = [spv_rotation_residual(f, phi, a) for f, phi, a in zip(frames, phis, alphas)]
+    assert batched.shape == (50,)
+    assert np.abs(batched - stacked).max() <= 1e-15
+
+    axes = np.array([f.w for f in frames])
+    vectors = rng.normal(size=(50, 3))
+    batched = correspondence_residual(axes, phis, vectors)
+    stacked = [correspondence_residual(*args) for args in zip(axes, phis, vectors)]
+    assert batched.shape == (50,)
+    assert np.abs(batched - stacked).max() <= 1e-15
+
+
+def test_single_frame_residuals_stay_python_floats():
+    f = build_frame(Z, X)
+    res = eigenspinor_rotation_residuals(f, 0.3)
+    assert type(res) is tuple and all(type(r) is float for r in res)
+    assert type(spv_rotation_residual(f, 0.3, [1.0, 0.0])) is float
+    assert type(correspondence_residual(Z, 0.3, X)) is float
+
+
+def test_one_frame_broadcasts_against_many_angles():
+    # a shared frame with a batch of angles, and a batch of frames with one angle
+    rng = np.random.default_rng(55)
+    frames, batch, phis, _ = _random_batch(rng, n=8)
+    shared = eigenspinor_rotation_residuals(frames[0], phis)
+    assert np.abs(np.array(shared) - np.array(
+        [eigenspinor_rotation_residuals(frames[0], phi) for phi in phis]).T).max() <= 1e-15
+    one_angle = spv_rotation_residual(batch, 0.7, [1.0, 0.0])
+    stacked = [spv_rotation_residual(f, 0.7, [1.0, 0.0]) for f in frames]
+    assert np.abs(one_angle - stacked).max() <= 1e-15

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spinpol import cli, verify
+from spinpol import algebra, cli, frames, heisenberg, rotations, verify, wavepacket
 from spinpol.wavepacket import load_spectrum
 
 
@@ -44,6 +44,77 @@ def test_heisenberg_suite_passes_on_a_frame_near_the_south_pole():
     # seed 912 draws w with 1 + w_z = 1.7e-4, where the phase read from the
     # overlap of the small reference images broke the closed-form check
     assert verify.run_suite("heisenberg", seed=912, n_cases=100).passed
+
+
+# PCG64 state (128-bit state, has_uint32) after each 100-case suite at seed
+# 1729, recorded from the one-frame-per-call implementation that drew and
+# checked each case in turn
+PARENT_STREAM_STATES = {
+    "algebra": (0xC7729390EC3BC443B2E42CAB5C418B12, 0),
+    "frames": (0xC29FE319058EF709F50AD31E111CD600, 0),
+    "rotations": (0xA0887480791ED6E76F65AEC421CAB8FC, 0),
+    "heisenberg": (0x6D16C9EF17A2F232FE09FF66CD788AA2, 0),
+    "wavepacket": (0x03C7B87A4A455858D379C70FF79A2F33, 0),
+}
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
+def test_suite_consumes_exactly_the_per_case_draws(name, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    verify.run_suite(name, seed=1729, n_cases=100)
+    state = made[0].bit_generator.state
+    assert (state["state"]["state"], state["has_uint32"]) == PARENT_STREAM_STATES[name]
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
+def test_result_does_not_depend_on_the_case_block(name, monkeypatch):
+    whole = verify.run_suite(name, seed=3, n_cases=50).max_residual
+    monkeypatch.setattr(verify, "CASE_BLOCK", 7)
+    assert verify.run_suite(name, seed=3, n_cases=50).max_residual == whole
+
+
+def test_suite_memory_is_bounded_by_the_case_block():
+    import tracemalloc
+
+    # a first run leaves numpy's one-time allocations out of the peaks
+    verify.run_suite("heisenberg", n_cases=verify.CASE_BLOCK)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for blocks in (1, 4):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verify.run_suite("heisenberg", n_cases=blocks * verify.CASE_BLOCK)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize(
+    "suite, module, name",
+    [("algebra", algebra, "sigma_product"),
+     ("frames", frames, "mapping_matrix"),
+     ("rotations", rotations, "spv_rotation_residual"),
+     ("heisenberg", heisenberg, "closed_form_residual"),
+     ("wavepacket", wavepacket, "total_spin")],
+)
+def test_nan_residual_fails_the_suite(suite, module, name, monkeypatch, capsys):
+    orig = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: orig(*args, **kwargs) * np.nan)
+    result = verify.run_suite(suite, n_cases=10)
+    assert np.isnan(result.max_residual)
+    assert not result.passed
+    assert cli.main(["verify", "--suites", suite, "--n-cases", "10"]) == cli.EXIT_VERIFY
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    assert row == f"{suite},10,nan,{result.tolerance:.17g},fail"
 
 
 def test_unknown_suite_is_rejected():
