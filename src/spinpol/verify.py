@@ -216,44 +216,47 @@ def _draw_wavepacket(rng):
 
 
 def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, phi):
-    # frame-level parts for the whole block: the composed spinor of a single
-    # plane wave along `direction`, and I rotated about it
+    # frame-level parts: the composed spinor of a single plane wave along
+    # `direction`, and I rotated about it
     chi = frames.compose_spinor(frames.mapping_matrix(frames.build_frame(direction, i_vec)), alpha)
     i_rot = algebra._apply(rotations._so3(direction, phi), i_vec)
     n = len(i_vec)
-    s_single, spin0, spin1 = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
-    linearity, unit = np.empty(n), np.zeros(n)
-    # the public evaluators under test, one case at a time
-    for j in range(n):
-        cfg = wavepacket.PacketConfig(i_vec=i_vec[j], alpha=alpha[j])
+    # the public evaluators under test, one call per block of stacked packets
+    cfg = wavepacket.PacketConfig(i_vec=i_vec, alpha=alpha)
 
-        # single plane wave: local polarization equals the composed spinor's
-        single = wavepacket.Spectrum(k=[2.0 * direction[j]], amplitude=[1.0], weight=[1.0])
-        s_single[j] = wavepacket.local_spv(single, cfg, x[j], t[j])[1]
+    # single plane wave: local polarization equals the composed spinor's
+    single = wavepacket.Spectrum(
+        k=2.0 * direction[:, None, :], amplitude=np.ones((n, 1)), weight=np.ones((n, 1))
+    )
+    s_single = wavepacket.local_spv(single, cfg, x, t)[1]
 
-        # two-direction spectrum: linearity of the eigen decomposition and a
-        # unit local polarization away from nodes
-        spec = wavepacket.Spectrum(
-            k=[1.5 * direction[j], 2.5 * d2[j]],
-            amplitude=np.array([0.8, 0.6 * np.exp(1j * phase[j])]),
-            weight=[1.0, 1.0],
-        )
-        psi = wavepacket.evaluate_wavefunction(spec, cfg, x[j], t[j])
-        psi_plus = wavepacket.eigen_component(spec, cfg, +1, x[j], t[j])
-        psi_minus = wavepacket.eigen_component(spec, cfg, -1, x[j], t[j])
-        linearity[j] = np.linalg.norm(psi - alpha[j, 0] * psi_plus - alpha[j, 1] * psi_minus)
-        if np.linalg.norm(psi) ** 2 > 1e-6:
-            _, s2 = wavepacket.local_spv(spec, cfg, x[j], t[j])
-            unit[j] = abs(np.linalg.norm(s2) - 1.0)
+    # two-direction spectra: linearity of the eigen decomposition and a unit
+    # local polarization away from nodes
+    spec = wavepacket.Spectrum(
+        k=np.stack([1.5 * direction, 2.5 * d2], axis=1),
+        amplitude=np.stack([np.full(n, 0.8), 0.6 * np.exp(1j * phase)], axis=1),
+        weight=np.ones((n, 2)),
+    )
+    psi = wavepacket.evaluate_wavefunction(spec, cfg, x, t)
+    psi_plus = wavepacket.eigen_component(spec, cfg, +1, x, t)
+    psi_minus = wavepacket.eigen_component(spec, cfg, -1, x, t)
+    linearity = _norms(psi - alpha[:, :1] * psi_plus - alpha[:, 1:] * psi_minus)
+    rows = _norms(psi) ** 2 > 1e-6
+    s2 = wavepacket.local_spv(
+        wavepacket.Spectrum(k=spec.k[rows], amplitude=spec.amplitude[rows], weight=spec.weight[rows]),
+        wavepacket.PacketConfig(i_vec=i_vec[rows], alpha=alpha[rows]),
+        x[rows],
+        t[rows],
+    )[1]
+    unit = np.zeros(n)
+    # each |s| as the dot product s.s that np.linalg.norm takes for one vector
+    unit[rows] = abs(np.sqrt((s2[:, None, :] @ s2[:, :, None])[:, 0, 0]) - 1.0)
 
-        # collinear spectrum: rotating I about the common axis rotates the
-        # total spin through twice the angle
-        coll = wavepacket.Spectrum(
-            k=np.outer(mags[j], direction[j]), amplitude=amp[j], weight=weight[j]
-        )
-        spin0[j] = wavepacket.total_spin(coll, cfg)
-        cfg_rot = wavepacket.PacketConfig(i_vec=i_rot[j], alpha=alpha[j])
-        spin1[j] = wavepacket.total_spin(coll, cfg_rot)
+    # collinear spectra: rotating I about the common axis rotates the total
+    # spin through twice the angle
+    coll = wavepacket.Spectrum(k=mags[:, :, None] * direction[:, None, :], amplitude=amp, weight=weight)
+    spin0 = wavepacket.total_spin(coll, cfg)
+    spin1 = wavepacket.total_spin(coll, wavepacket.PacketConfig(i_vec=i_rot, alpha=alpha))
     law = spin1 - algebra._apply(rotations._so3(direction, 2.0 * phi), spin0)
     return _norms(s_single - algebra._spv(chi)), linearity, unit, _norms(law)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import PAULI, _item
+from .algebra import PAULI, _first, _item
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -47,20 +47,42 @@ class BadGrid(ValueError):
 
 
 class NodePoint(ValueError):
-    """Probability density vanishes here; the local polarization is undefined."""
+    """Probability density vanishes here; the local polarization is undefined.
+
+    `index` locates the first such packet of a batch (() for one packet).
+    """
+
+    def __init__(self, message, index=()):
+        super().__init__(message)
+        self.index = index
+
+
+def _sample(index):
+    """'sample j' of one spectrum, 'packet b, sample j' of a batch, from an index (..., j)."""
+    *packet, j = index
+    if not packet:
+        return f"sample {j}"
+    return f"packet {packet[0] if len(packet) == 1 else tuple(packet)}, sample {j}"
+
+
+def _packet(index):
+    return f" of packet {index[0] if len(index) == 1 else index}" if index else ""
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Discrete plane-wave spectrum: wave vectors, complex weights, quadrature weights.
 
+    A batch of equal-size spectra, one per packet, carries leading axes (...):
+    every check below then runs on each packet alone.
+
     Attributes
     ----------
-    k : ndarray, shape (n, 3)
+    k : ndarray, shape (..., n, 3)
         Wave vectors, lexicographic in grid index for generated spectra.
-    amplitude : ndarray, shape (n,), complex
+    amplitude : ndarray, shape (..., n), complex
         Weighting function samples A(k).
-    weight : ndarray, shape (n,)
+    weight : ndarray, shape (..., n)
         Quadrature weights (cell volumes); sum(weight |A|^2) must equal 1.
     """
 
@@ -76,41 +98,59 @@ class Spectrum:
         object.__setattr__(
             self, "weight", np.atleast_1d(np.asarray(self.weight, dtype=float))
         )
-        n = len(self.weight)
-        if self.k.shape != (n, 3) or self.amplitude.shape != (n,):
-            raise ValueError("spectrum arrays must have matching lengths, k of shape (n, 3)")
+        shape = self.weight.shape
+        if self.k.shape != shape + (3,) or self.amplitude.shape != shape:
+            raise ValueError(
+                "spectrum arrays must have matching lengths, k of shape (..., n, 3), "
+                "amplitude and weight of shape (..., n)"
+            )
         for name in ("k", "amplitude", "weight"):
             bad = ~np.isfinite(getattr(self, name))
             if bad.any():
-                j = int(np.argwhere(bad)[0][0])
-                raise ValueError(f"spectrum {name} of sample {j} is not finite")
-        norms = np.linalg.norm(self.k, axis=1)
-        scale = float(norms.max(initial=0.0))
-        small = np.flatnonzero(norms < EPS_K * max(scale, 1e-300))
-        if small.size:
+                index = _first(bad)[: len(shape)]
+                raise ValueError(f"spectrum {name} of {_sample(index)} is not finite")
+        norms = np.linalg.norm(self.k, axis=-1)
+        # each packet's floor scales with its own largest |k|
+        scale = norms.max(axis=-1, initial=0.0)
+        small = norms < EPS_K * np.maximum(scale, 1e-300)[..., None]
+        if small.any():
+            index = _first(small)
             raise SpectrumNearOrigin(
-                f"sample {small[0]} has |k| = {norms[small[0]]}; the zero wave "
+                f"{_sample(index)} has |k| = {norms[index]}; the zero wave "
                 "vector has no quantization axis"
             )
-        total = float(np.sum(self.weight * np.abs(self.amplitude) ** 2))
-        if not abs(total - 1.0) <= NORM_TOL:
+        total = np.sum(self.weight * np.abs(self.amplitude) ** 2, axis=-1)
+        # written so that NaN fails it
+        off = ~(np.abs(total - 1.0) <= NORM_TOL)
+        if off.any():
+            index = _first(off)
             raise ValueError(
-                f"spectrum is not normalized: sum(weight |A|^2) = {total}"
+                f"spectrum{_packet(index)} is not normalized: sum(weight |A|^2) = {total[index]}"
             )
 
     def __len__(self):
-        return len(self.weight)
+        """Samples per packet."""
+        return self.weight.shape[-1]
 
 
 @dataclass(frozen=True)
 class PacketConfig:
-    """Shared per-packet parameters: characterization vector, Jones vector, references."""
+    """Per-packet parameters: characterization vector, Jones vector, references.
+
+    i_vec (..., 3) and alpha (..., 2) may carry one vector per packet; they
+    broadcast against the spectrum's batch shape.  ref, hbar and mu are shared.
+    """
 
     i_vec: np.ndarray
     alpha: np.ndarray
     ref: ReferenceSpinors = DEFAULT_REFERENCES
     hbar: float = 1.0
     mu: float = 1.0
+
+    def __post_init__(self):
+        # written so that NaN fails it
+        if not (0 < self.hbar < math.inf and 0 < self.mu < math.inf):
+            raise ValueError(f"hbar and mu must be finite and positive, got {self.hbar}, {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -182,45 +222,65 @@ def dispersion(k, cfg: PacketConfig) -> float:
     return _item(cfg.hbar * np.sum(k**2, axis=-1) / (2.0 * cfg.mu))
 
 
+def _per_packet(a):
+    """A batch of per-packet (..., d) vectors as (..., 1, d), to broadcast over samples.
+
+    One packet's (d,) vector broadcasts as it is.
+    """
+    a = np.asarray(a)
+    return a[..., None, :] if a.ndim > 1 else a
+
+
+def _batch_shape(spec: Spectrum, cfg: PacketConfig):
+    """Leading shape of the packets: the spectrum's, i_vec's and alpha's, broadcast."""
+    try:
+        return np.broadcast_shapes(
+            spec.weight.shape[:-1], np.shape(cfg.i_vec)[:-1], np.shape(cfg.alpha)[:-1]
+        )
+    except ValueError:
+        raise ValueError(
+            f"packet batch shapes do not broadcast: spectrum {spec.weight.shape[:-1]}, "
+            f"i_vec {np.shape(cfg.i_vec)[:-1]}, alpha {np.shape(cfg.alpha)[:-1]}"
+        ) from None
+
+
 def _per_sample(spec: Spectrum, cfg: PacketConfig, fn):
     """fn(frames of all samples, cfg.ref), naming the first offending sample on failure.
 
     Each sample takes its own direction k_hat as quantization axis and shares
-    the characterization vector cfg.i_vec.
+    its packet's characterization vector cfg.i_vec.
     """
-    k_hat = spec.k / np.linalg.norm(spec.k, axis=1, keepdims=True)
+    k_hat = spec.k / np.linalg.norm(spec.k, axis=-1, keepdims=True)
+    i_vec = _per_packet(cfg.i_vec)
     try:
-        return fn(build_frame(k_hat, cfg.i_vec), cfg.ref)
-    except DegenerateFrame as exc:
-        j = exc.index[0]
-        raise DegenerateFrame(
-            f"sample {j} with k = {spec.k[j].tolist()} is parallel to the "
-            f"characterization vector: {exc}",
-            exc.index,
-        ) from exc
-    except ReferenceAnnihilated as exc:
-        j = exc.index[0]
-        raise ReferenceAnnihilated(
-            f"sample {j} with k = {spec.k[j].tolist()}: {exc}; choose references "
-            "valid on the whole spectrum support",
-            exc.index,
-        ) from exc
+        return fn(build_frame(k_hat, i_vec), cfg.ref)
+    except (DegenerateFrame, ReferenceAnnihilated) as exc:
+        # the frames may broadcast one spectrum over many packets
+        k = np.broadcast_to(spec.k, np.broadcast_shapes(k_hat.shape, i_vec.shape))[exc.index]
+        where = f"{_sample(exc.index)} with k = {k.tolist()}"
+        if isinstance(exc, DegenerateFrame):
+            message = f"{where} is parallel to the characterization vector: {exc}"
+        else:
+            message = f"{where}: {exc}; choose references valid on the whole spectrum support"
+        raise type(exc)(message, exc.index) from exc
 
 
 def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.ndarray:
     """Per-sample spinors chi(k_hat): the superposition (branch 0) or one eigenspinor.
 
     branch +1/-1 selects the corresponding eigenspinor instead of the
-    superposition varpi alpha.  Raises DegenerateFrame naming the offending
-    sample when some k is parallel to the characterization vector, and
-    ReferenceAnnihilated when the references fail on the spectrum's support.
+    superposition varpi alpha.  A batch of packets gives (..., n, 2), each
+    packet's samples composed with its own alpha.  Raises DegenerateFrame
+    naming the offending sample when some k is parallel to the
+    characterization vector, and ReferenceAnnihilated when the references
+    fail on the spectrum's support.
     """
     if branch not in (0, +1, -1):
         raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
     varpi = _per_sample(spec, cfg, mapping_matrix)
     if branch == 0:
-        return compose_spinor(varpi, cfg.alpha)
-    return varpi[:, :, 0 if branch == +1 else 1]
+        return compose_spinor(varpi, _per_packet(cfg.alpha))
+    return varpi[..., 0 if branch == +1 else 1]
 
 
 def _tensor_axes(a):
@@ -261,35 +321,57 @@ def _dense_rows(n_k):
 
 
 def _dense_sum(spec, cfg, coeff, points, t):
-    """The plane-wave sum at any points, one bounded block of phase factors at a time."""
-    omega = dispersion(spec.k, cfg)
-    out = np.empty((len(points), 2), dtype=complex)
-    rows = _dense_rows(len(spec))
-    for lo in range(0, len(points), rows):
-        hi = min(lo + rows, len(points))
-        phases = 1j * (points[lo:hi] @ spec.k.T - t * omega)
-        np.exp(phases, out=phases)
-        # per-point reduction over samples in index order, not a BLAS product
-        out[lo:hi, 0] = (phases * coeff[:, 0]).sum(axis=1)
-        out[lo:hi, 1] = (phases * coeff[:, 1]).sum(axis=1)
-        # free the block before the next one is built
-        del phases
-    return out
+    """The plane-wave sum at points (..., m, 3), one bounded block of phase factors at a time.
+
+    Each packet's points meet only its own samples: spec.k (..., n, 3), coeff
+    (..., n, 2) and t (...) broadcast against the points' leading shape.  A
+    block holds whole packets, or runs of one packet's points when those
+    alone overflow the budget.
+    """
+    t = np.asarray(t, dtype=float)
+    batch = np.broadcast_shapes(points.shape[:-2], spec.k.shape[:-2], coeff.shape[:-2], t.shape)
+    m, n = points.shape[-2], spec.k.shape[-2]
+
+    def flat(a, tail):
+        return np.ascontiguousarray(np.broadcast_to(a, batch + tail).reshape((-1,) + tail))
+
+    k, coeff, points = flat(spec.k, (n, 3)), flat(coeff, (n, 2)), flat(points, (m, 3))
+    k_t = k.swapaxes(-1, -2)
+    omega_t = flat(t, ())[:, None, None] * dispersion(k, cfg)[:, None, :]
+    out = np.empty((len(points), m, 2), dtype=complex)
+    rows = _dense_rows(n)
+    per = max(1, rows // max(m, 1))
+    for p in range(0, len(points), per):
+        packets = slice(p, p + per)
+        for lo in range(0, m, rows):
+            block = (packets, slice(lo, lo + rows))
+            phases = 1j * (points[block] @ k_t[packets] - omega_t[packets])
+            np.exp(phases, out=phases)
+            # per-point reduction over samples in index order, not a BLAS product
+            out[block + (0,)] = (phases * coeff[packets, None, :, 0]).sum(axis=-1)
+            out[block + (1,)] = (phases * coeff[packets, None, :, 1]).sum(axis=-1)
+            # free the block before the next one is built
+            del phases
+    return out.reshape(batch + (m, 2))
 
 
 def _plane_wave_sum(spec, cfg, spinors, points, t):
-    """Sum the spectrum at each point: per axis on tensor grids, densely otherwise.
+    """Sum each packet's spectrum at its points (..., m, 3).
 
-    Both paths are deterministic, so repeated calls give identical results.
+    One packet's points take the per-axis sum when they and the spectrum are
+    tensor grids, and the dense sum otherwise.  Both paths are deterministic,
+    so repeated calls give identical results.
     Raises ValueError for a time or a point that is not finite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not (np.isfinite(points).all() and math.isfinite(t)):
-        bad = points[~np.isfinite(points).all(axis=1)].tolist()
+    t = np.asarray(t, dtype=float)
+    if not (np.isfinite(points).all() and np.isfinite(t).all()):
+        bad = points[~np.isfinite(points).all(axis=-1)].tolist()
         raise ValueError(f"time t and every point must be finite, got t = {t}, points {bad}")
-    coeff = (spec.weight * spec.amplitude)[:, None] * spinors
-    # one point costs less densely than the grid detection would
-    k_axes = _tensor_axes(spec.k) if len(points) > 1 else None
+    coeff = (spec.weight * spec.amplitude)[..., None] * spinors
+    # one point costs less densely than the grid detection would, and only a
+    # single packet's points (m, 3) can form a grid
+    k_axes = _tensor_axes(spec.k) if points.ndim == 2 and len(points) > 1 else None
     x_axes = _tensor_axes(points) if k_axes is not None else None
     if x_axes is None:
         out = _dense_sum(spec, cfg, coeff, points, t)
@@ -298,50 +380,84 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     return (2.0 * np.pi) ** -1.5 * out
 
 
-def evaluate_wavefunction(spec: Spectrum, cfg: PacketConfig, x, t: float) -> np.ndarray:
-    """Unnormalized spinor amplitude of the packet at one space-time point."""
-    spinors = sample_spinors(spec, cfg)
-    return _plane_wave_sum(spec, cfg, spinors, x, t)[0]
+def _packet_points(spec: Spectrum, cfg: PacketConfig, x, t):
+    """One point per packet: x as (..., 1, 3) points and t as (...) times.
+
+    x must broadcast to the batch shape + (3,) and t to the batch shape.
+    """
+    batch = _batch_shape(spec, cfg)
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    try:
+        return np.broadcast_to(x, batch + (3,))[..., None, :], np.broadcast_to(t, batch)
+    except ValueError:
+        raise ValueError(
+            f"x must have shape {batch + (3,)} and t shape {batch} (or broadcast to them), "
+            f"got {x.shape} and {t.shape}"
+        ) from None
 
 
-def eigen_component(
-    spec: Spectrum, cfg: PacketConfig, branch: int, x, t: float
-) -> np.ndarray:
+def evaluate_wavefunction(spec: Spectrum, cfg: PacketConfig, x, t) -> np.ndarray:
+    """Unnormalized spinor amplitude of each packet at its space-time point.
+
+    One packet takes a 3-vector x and a time t and gives a 2-spinor.  A batch
+    takes x (..., 3) and t scalar or (...), and gives (..., 2).
+    """
+    points, t = _packet_points(spec, cfg, x, t)
+    return _plane_wave_sum(spec, cfg, sample_spinors(spec, cfg), points, t)[..., 0, :]
+
+
+def eigen_component(spec: Spectrum, cfg: PacketConfig, branch: int, x, t) -> np.ndarray:
     """Eigen component of the packet: the same sum with chi+ or chi- per sample.
 
     The full amplitude decomposes as alpha_1 (+ branch) + alpha_2 (- branch).
+    Shapes as in evaluate_wavefunction.
     """
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    points, t = _packet_points(spec, cfg, x, t)
     spinors = sample_spinors(spec, cfg, branch=branch)
-    return _plane_wave_sum(spec, cfg, spinors, x, t)[0]
+    return _plane_wave_sum(spec, cfg, spinors, points, t)[..., 0, :]
 
 
 def _density_and_spin(psi):
-    rho = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-    sdens = np.einsum("ni,jik,nk->nj", psi.conj(), PAULI, psi).real
+    rho = np.abs(psi[..., 0]) ** 2 + np.abs(psi[..., 1]) ** 2
+    sdens = np.einsum("...i,jik,...k->...j", psi.conj(), PAULI, psi).real
     return rho, sdens
 
 
-def local_spv(spec: Spectrum, cfg: PacketConfig, x, t: float, rho_floor: float = 0.0):
-    """Probability density and unit polarization vector at one point.
+def local_spv(spec: Spectrum, cfg: PacketConfig, x, t, rho_floor: float = 0.0):
+    """Probability density and unit polarization vector of each packet at its point.
 
-    Returns (rho, s) with s = Psi^dag sigma Psi / rho.  Raises NodePoint when
-    rho does not exceed rho_floor (default: only an exactly vanishing density).
+    Returns (rho, s) with s = Psi^dag sigma Psi / rho: a float and a 3-vector
+    for one packet, (...) and (..., 3) arrays for a batch.  Raises NodePoint,
+    with the first such packet in `index`, when rho does not exceed rho_floor
+    (default: only an exactly vanishing density), which must be finite and >= 0.
     """
-    psi = evaluate_wavefunction(spec, cfg, x, t)[None, :]
+    # written so that NaN fails it
+    if not 0.0 <= rho_floor < math.inf:
+        raise ValueError(f"rho_floor must be finite and >= 0, got {rho_floor}")
+    psi = evaluate_wavefunction(spec, cfg, x, t)
     rho, sdens = _density_and_spin(psi)
-    if rho[0] <= rho_floor:
-        raise NodePoint(f"density {rho[0]} at x = {np.asarray(x).tolist()}")
-    return float(rho[0]), sdens[0] / rho[0]
+    node = rho <= rho_floor
+    if node.any():
+        index = _first(node)
+        x_node = np.broadcast_to(np.asarray(x, dtype=float), rho.shape + (3,))[index]
+        raise NodePoint(f"density {rho[index]}{_packet(index)} at x = {x_node.tolist()}", index)
+    return _item(rho), sdens / rho[..., None]
 
 
 def spin_field(spec: Spectrum, cfg: PacketConfig, points, t: float) -> SpinField:
-    """Local polarization field over a batch of points.
+    """Local polarization field of one packet at one time over a batch of points.
 
     Node points (rho below 1e-12 of the grid peak) get NaN polarization rows
     instead of an error so one node cannot abort a whole field evaluation.
     """
+    batch = _batch_shape(spec, cfg)
+    if batch or np.ndim(t):
+        raise ValueError(
+            f"spin_field takes one packet at one time, got a batch of shape {batch} "
+            f"and t of shape {np.shape(t)}"
+        )
     spinors = sample_spinors(spec, cfg)
     psi = _plane_wave_sum(spec, cfg, spinors, points, t)
     rho, sdens = _density_and_spin(psi)
@@ -360,14 +476,15 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
 
     Each sample contributes its conjugated Pauli components expanded on its own
     triad; the result does not involve time.  |S| <= hbar/2 up to quadrature
-    normalization error.
+    normalization error.  A batch of packets gives one (..., 3) spin each.
     """
-    alpha = np.asarray(cfg.alpha, dtype=complex)
+    # each packet's alpha as a (2, 1) column against its samples' (3, 2, 2) components
+    alpha = np.asarray(cfg.alpha, dtype=complex)[..., None, None, :, None]
     cartesian = _per_sample(spec, cfg, heisenberg_sigma).cartesian()
-    expect = ((cartesian @ alpha) @ alpha.conj()).real
+    expect = ((cartesian @ alpha)[..., 0] @ alpha[..., 0, :, :].conj())[..., 0].real
     prob = spec.weight * np.abs(spec.amplitude) ** 2
     # summed over samples in index order, as a running total
-    return 0.5 * cfg.hbar * np.add.reduce(prob[:, None] * expect, axis=0)
+    return 0.5 * cfg.hbar * np.add.reduce(prob[..., None] * expect, axis=-2)
 
 
 def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):

@@ -80,21 +80,33 @@ def test_result_does_not_depend_on_the_case_block(name, monkeypatch):
     assert verify.run_suite(name, seed=3, n_cases=50).max_residual == whole
 
 
-def test_suite_memory_is_bounded_by_the_case_block():
+def _block_peaks(name):
+    """tracemalloc peaks of one suite at 1 and 4 blocks of cases."""
     import tracemalloc
 
     # a first run leaves numpy's one-time allocations out of the peaks
-    verify.run_suite("heisenberg", n_cases=verify.CASE_BLOCK)
+    verify.run_suite(name, n_cases=verify.CASE_BLOCK)
     peaks = []
     tracemalloc.start()
     try:
         for blocks in (1, 4):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            verify.run_suite("heisenberg", n_cases=blocks * verify.CASE_BLOCK)
+            verify.run_suite(name, n_cases=blocks * verify.CASE_BLOCK)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_suite_memory_is_bounded_by_the_case_block():
+    peaks = _block_peaks("heisenberg")
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_wavepacket_suite_memory_is_bounded_by_the_case_block():
+    # the stacked packets of a block are the suite's largest arrays
+    peaks = _block_peaks("wavepacket")
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
@@ -104,11 +116,21 @@ def test_suite_memory_is_bounded_by_the_case_block():
      ("frames", frames, "mapping_matrix"),
      ("rotations", rotations, "spv_rotation_residual"),
      ("heisenberg", heisenberg, "closed_form_residual"),
-     ("wavepacket", wavepacket, "total_spin")],
+     ("wavepacket", wavepacket, "total_spin"),
+     # the wavepacket suite calls the public evaluators, not a private copy
+     ("wavepacket", wavepacket, "local_spv"),
+     ("wavepacket", wavepacket, "evaluate_wavefunction"),
+     ("wavepacket", wavepacket, "eigen_component")],
 )
 def test_nan_residual_fails_the_suite(suite, module, name, monkeypatch, capsys):
     orig = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args, **kwargs: orig(*args, **kwargs) * np.nan)
+
+    def nan_result(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        # local_spv returns (rho, s)
+        return tuple(r * np.nan for r in result) if isinstance(result, tuple) else result * np.nan
+
+    monkeypatch.setattr(module, name, nan_result)
     result = verify.run_suite(suite, n_cases=10)
     assert np.isnan(result.max_residual)
     assert not result.passed

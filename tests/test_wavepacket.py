@@ -617,3 +617,179 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     text = (tmp_path / "field.csv").read_text()
     assert text == _per_value_csv(wavepacket.FIELD_HEADER, rows)
     assert "-0,0," in text and ",nan,nan,nan\n" in text and ",1.7," in text
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], 0.0), ([0.0, 1.0], 0.0), ([0.0, 0.0, 0.0], [0.0, 1.0])],
+    ids=["two-points", "2-vector", "list-t"],
+)
+def test_single_packet_evaluators_take_exactly_one_point(x, t):
+    spec, cfg = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 2.0), packet()
+    message = r"x must have shape \(3,\) and t shape \(\) \(or broadcast to them\)"
+    with pytest.raises(ValueError, match=message):
+        evaluate_wavefunction(spec, cfg, x, t)
+    with pytest.raises(ValueError, match=message):
+        eigen_component(spec, cfg, +1, x, t)
+    with pytest.raises(ValueError, match=message):
+        local_spv(spec, cfg, x, t)
+
+
+@pytest.mark.parametrize("name", ["hbar", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_packet_constants_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match="hbar and mu must be finite and positive"):
+        packet(**{name: value})
+
+
+@pytest.mark.parametrize("rho_floor", [np.nan, np.inf, -1.0])
+def test_local_spv_rejects_a_bad_density_floor(rho_floor):
+    with pytest.raises(ValueError, match="rho_floor must be finite and >= 0"):
+        local_spv(single_wave(), packet(), [0.0, 0.0, 0.0], 0.0, rho_floor=rho_floor)
+
+
+def _random_packets(rng, n_packets=6, n_samples=3):
+    """A batch of random packets and the same packets one by one."""
+    direction = rng.normal(size=(n_packets, n_samples, 3)) + [0.0, 0.0, 3.0]
+    k = direction * rng.uniform(1.0, 3.0, size=(n_packets, n_samples, 1))
+    amp = rng.normal(size=(n_packets, n_samples)) + 1j * rng.normal(size=(n_packets, n_samples))
+    weight = rng.uniform(0.5, 1.5, size=(n_packets, n_samples))
+    amp /= np.sqrt(np.sum(weight * np.abs(amp) ** 2, axis=1, keepdims=True))
+    cfgs = [_random_packet(rng) for _ in range(n_packets)]
+    batch = (
+        Spectrum(k=k, amplitude=amp, weight=weight),
+        packet(i_vec=[c.i_vec for c in cfgs], alpha=[c.alpha for c in cfgs]),
+    )
+    return batch, [(Spectrum(k=k[b], amplitude=amp[b], weight=weight[b]), cfgs[b]) for b in range(n_packets)]
+
+
+def test_batched_evaluators_equal_single_packet_calls():
+    rng = np.random.default_rng(96)
+    (spec, cfg), singles = _random_packets(rng)
+    x, t = rng.normal(size=(6, 3)), rng.uniform(0.0, 2.0, size=6)
+    assert len(spec) == 3
+
+    def stacked(fn, *args):
+        return np.array([fn(s, c, *(a[b] for a in args)) for b, (s, c) in enumerate(singles)])
+
+    assert np.array_equal(evaluate_wavefunction(spec, cfg, x, t), stacked(evaluate_wavefunction, x, t))
+    for branch in (+1, -1):
+        assert np.array_equal(
+            eigen_component(spec, cfg, branch, x, t),
+            np.array([eigen_component(s, c, branch, x[b], t[b]) for b, (s, c) in enumerate(singles)]),
+        )
+    for branch in (0, +1, -1):
+        assert np.array_equal(
+            sample_spinors(spec, cfg, branch), np.array([sample_spinors(s, c, branch) for s, c in singles])
+        )
+    rho, s = local_spv(spec, cfg, x, t)
+    singles_spv = [local_spv(sp, c, x[b], t[b]) for b, (sp, c) in enumerate(singles)]
+    assert np.array_equal(rho, [r for r, _ in singles_spv])
+    assert np.array_equal(s, [v for _, v in singles_spv])
+    assert np.array_equal(total_spin(spec, cfg), stacked(total_spin))
+
+
+def test_one_point_and_time_broadcast_across_the_batch():
+    rng = np.random.default_rng(97)
+    (spec, cfg), singles = _random_packets(rng)
+    x, t = rng.normal(size=3), 0.8
+    psi = evaluate_wavefunction(spec, cfg, x, t)
+    assert psi.shape == (6, 2)
+    assert np.array_equal(psi, evaluate_wavefunction(spec, cfg, np.tile(x, (6, 1)), np.full(6, t)))
+    assert np.array_equal(psi, np.array([evaluate_wavefunction(s, c, x, t) for s, c in singles]))
+    # one spectrum shared by a batch of configurations
+    shared = Spectrum(k=spec.k[0], amplitude=spec.amplitude[0], weight=spec.weight[0])
+    assert np.array_equal(
+        total_spin(shared, cfg), np.array([total_spin(shared, c) for _, c in singles])
+    )
+
+
+def test_single_packets_return_python_floats_and_batches_arrays():
+    rho, s = local_spv(single_wave(), packet(), [0.1, 0.2, 0.3], 0.4)
+    assert type(rho) is float and s.shape == (3,)
+    (spec, cfg), _ = _random_packets(np.random.default_rng(98))
+    rho, s = local_spv(spec, cfg, np.zeros(3), 0.0)
+    assert rho.shape == (6,) and s.shape == (6, 3)
+
+
+def _packet_4_batch(k4=None, i_vec4=None, weight4=1.0):
+    """Six two-sample packets along +z; packet 4 takes the given sample 1, i_vec and weight scale."""
+    k = np.tile([[0.3, 0.1, 2.0], [0.0, 0.4, 2.5]], (6, 1, 1))
+    if k4 is not None:
+        k[4, 1] = k4
+    weight = np.full((6, 2), 0.5)
+    weight[4] *= weight4
+    i_vec = np.tile(X, (6, 1))
+    if i_vec4 is not None:
+        i_vec[4] = i_vec4
+    return Spectrum(k=k, amplitude=np.ones((6, 2)), weight=weight), packet(i_vec=i_vec, alpha=(1.0, 0.0))
+
+
+def test_batch_errors_name_packet_4():
+    with pytest.raises(ValueError, match=r"^spectrum of packet 4 is not normalized"):
+        _packet_4_batch(weight4=1.1)
+    with pytest.raises(ValueError, match="spectrum k of packet 4, sample 1 is not finite"):
+        _packet_4_batch(k4=[0.0, np.nan, 2.0])
+    with pytest.raises(SpectrumNearOrigin, match=r"^packet 4, sample 1 has \|k\|"):
+        _packet_4_batch(k4=[0.0, 0.0, 1e-7])
+    spec, cfg = _packet_4_batch(k4=[2.0, 0.0, 0.0])
+    with pytest.raises(DegenerateFrame, match=r"^packet 4, sample 1 with k = \[2.0, 0.0, 0.0\]") as exc:
+        total_spin(spec, cfg)
+    assert exc.value.index == (4, 1)
+    spec, cfg = _packet_4_batch(k4=[0.0, 0.0, -2.0])
+    with pytest.raises(ReferenceAnnihilated, match="^packet 4, sample 1 .*support") as exc:
+        evaluate_wavefunction(spec, cfg, np.zeros(3), 0.0)
+    assert exc.value.index == (4, 1)
+    # the characterization vector of packet 4 alone is parallel to its sample 0
+    spec, cfg = _packet_4_batch(i_vec4=[0.3, 0.1, 2.0] / np.linalg.norm([0.3, 0.1, 2.0]))
+    with pytest.raises(DegenerateFrame, match="^packet 4, sample 0 "):
+        sample_spinors(spec, cfg)
+
+
+def test_node_point_of_a_batch_names_its_packet():
+    # equal-weight waves along z interfere destructively where 2z = pi
+    k = np.tile([[0.0, 0.0, 2.0], [0.0, 0.0, 4.0]], (6, 1, 1))
+    spec = Spectrum(k=k, amplitude=np.full((6, 2), np.sqrt(0.5)), weight=np.ones((6, 2)))
+    x = np.zeros((6, 3))
+    x[4, 2] = np.pi / 2
+    with pytest.raises(NodePoint, match="of packet 4 at x = ") as exc:
+        local_spv(spec, packet(), x, 0.0, rho_floor=1e-20)
+    assert exc.value.index == (4,)
+
+
+def test_near_origin_floor_scales_with_each_packets_own_k():
+    k = np.array([[[0.0, 0.0, 1e-3], [0.0, 1e-4, 1.2e-3]], [[0.0, 0.0, 1e3], [0.0, 1e2, 1.2e3]]])
+    spec = Spectrum(k=k, amplitude=np.ones((2, 2)), weight=np.full((2, 2), 0.5))
+    spin = total_spin(spec, packet())
+    assert spin.shape == (2, 3)
+    assert np.isfinite(spin).all()
+
+
+def test_spin_field_takes_one_packet():
+    (spec, cfg), singles = _random_packets(np.random.default_rng(99))
+    points, _ = position_grid(3, 1.0)
+    with pytest.raises(ValueError, match=r"spin_field takes one packet at one time, got a batch of shape \(6,\)"):
+        spin_field(spec, singles[0][1], points, 0.0)
+    with pytest.raises(ValueError, match="spin_field takes one packet"):
+        spin_field(singles[0][0], cfg, points, 0.0)
+    with pytest.raises(ValueError, match=r"and t of shape \(2,\)$"):
+        spin_field(*singles[0], points, [0.0, 1.0])
+
+
+def test_batched_dense_blocks_do_not_change_the_sum(monkeypatch):
+    rng = np.random.default_rng(100)
+    (spec, cfg), _ = _random_packets(rng)
+    x, t = rng.normal(size=(6, 3)), rng.uniform(0.0, 2.0, size=6)
+    whole = evaluate_wavefunction(spec, cfg, x, t)
+    # two packets of one point per block, then the budget of a single phase row
+    for budget in (2 * 16 * len(spec), 1):
+        monkeypatch.setattr(wavepacket, "DENSE_BLOCK_BYTES", budget)
+        assert np.array_equal(evaluate_wavefunction(spec, cfg, x, t), whole)
+    # several points per packet, each packet split into runs of two points
+    points = rng.normal(size=(6, 4, 3))
+    spinors = sample_spinors(spec, cfg)
+    monkeypatch.setattr(wavepacket, "DENSE_BLOCK_BYTES", 2 * 16 * len(spec))
+    split = wavepacket._plane_wave_sum(spec, cfg, spinors, points, t)
+    monkeypatch.setattr(wavepacket, "DENSE_BLOCK_BYTES", 2**20)
+    assert np.array_equal(wavepacket._plane_wave_sum(spec, cfg, spinors, points, t), split)
+    assert split.shape == (6, 4, 2)
