@@ -35,16 +35,22 @@ def _item(x):
 
 
 def _norm(a, axis=-1):
-    # np.add.reduce, not np.sum: a single frame must stay cheap, and np.sum
-    # adds several microseconds of dispatch per call
+    # Frobenius norm over any tuple of axes: np.linalg.norm refuses more than
+    # two, and heisenberg reduces the (3, 2, 2) components at once
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
-def _off_unit(norm):
-    """(where, value) of the first norm off 1 by more than EPS_INPUT, or None if all are unit."""
+def _off_unit(a):
+    """(where, |row|) of the first (..., n) row whose norm is off 1 by more than EPS_INPUT, or None."""
     # written so that NaN fails it
-    if isinstance(norm, float):
+    if a.ndim == 1:
+        # one vector in Python floats: the array path costs about 7 us more,
+        # and acceptance criterion 1's single-frame loop 1.3-1.5x the time
+        norm = math.hypot(*map(abs, a.tolist()))
         return None if abs(norm - 1.0) <= EPS_INPUT else ("", norm)
+    # inf * 0 in an infinite complex entry's product would warn; the norm is inf
+    with np.errstate(invalid="ignore"):
+        norm = _norm(a)
     ok = np.abs(norm - 1.0) <= EPS_INPUT
     if ok.all():
         return None
@@ -56,8 +62,7 @@ def _check_unit(name, vec):
     vec = np.asarray(vec, dtype=float)
     if vec.ndim == 0 or vec.shape[-1] != 3:
         raise ValueError(f"{name} must be a 3-vector or an array of 3-vectors")
-    # one vector: a Python float norm skips the array machinery
-    bad = _off_unit(math.hypot(*vec.tolist()) if vec.ndim == 1 else _norm(vec))
+    bad = _off_unit(vec)
     if bad:
         raise ValueError(f"{name}{bad[0]} must be a unit vector, |{name}| = {bad[1]}")
     return vec
@@ -67,12 +72,7 @@ def _check_spinor(name, chi):
     chi = np.asarray(chi, dtype=complex)
     if chi.ndim == 0 or chi.shape[-1] != 2:
         raise ValueError(f"{name} must be a 2-spinor or an array of 2-spinors")
-    if chi.ndim == 1:
-        a, b = chi.tolist()
-        norm = math.hypot(a.real, a.imag, b.real, b.imag)
-    else:
-        norm = _norm(chi)
-    bad = _off_unit(norm)
+    bad = _off_unit(chi)
     if bad:
         raise ValueError(f"{name}{bad[0]} is not normalized: |{name}| = {bad[1]}")
     return chi
@@ -119,14 +119,18 @@ def spv(chi) -> np.ndarray:
     return _spv(_single("chi", _check_spinor("chi", chi)))
 
 
+def _density_and_spin(psi):
+    """Density psi^dag psi (...) and unnormalized spin psi^dag sigma psi (..., 3) of (..., 2) spinors."""
+    rho = np.abs(psi[..., 0]) ** 2 + np.abs(psi[..., 1]) ** 2
+    sdens = np.einsum("...i,jik,...k->...j", psi.conj(), PAULI, psi).real
+    return rho, sdens
+
+
 def _spv(chi):
-    # (..., 2) spinors to (..., 3) vectors as products of (2, 1) columns,
-    # s = (sigma chi)^T conj(chi) / chi^dag chi; dividing by the exact norm
-    # keeps the output unit to rounding even for inputs only 1e-9 normalized
-    ket = chi[..., :, None]
-    bra = ket.conj()
-    s = (PAULI @ ket[..., None, :, :])[..., 0] @ bra
-    return s[..., 0].real / (bra.swapaxes(-1, -2) @ ket)[..., 0].real
+    # (..., 2) spinors to (..., 3) vectors; dividing by the exact norm keeps
+    # the output unit to rounding even for inputs only 1e-9 normalized
+    rho, sdens = _density_and_spin(chi)
+    return sdens / rho[..., None]
 
 
 def eigen_residual(w, chi, lam) -> float:

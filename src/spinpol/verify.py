@@ -62,10 +62,6 @@ def _norms(x):
     return np.linalg.norm(x.reshape(len(x), -1), axis=1)
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
-
-
 def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
@@ -92,7 +88,7 @@ def _check_algebra(a, b, chi, ca, cb):
         - cb[..., None] * algebra.dot_sigma(b)
     )
     return (
-        _norms(anti - 2.0 * _dot(a, b)[:, None, None] * np.eye(2)),
+        _norms(anti - 2.0 * algebra._vdot(a, b)[:, None, None] * np.eye(2)),
         abs(_norms(s) - 1.0),
         algebra._eigen_residual(s, chi, +1),
         _norms(lin),
@@ -109,7 +105,7 @@ def _check_frames(w, i_vec, theta, phi):
     f = frames.build_frame(w, i_vec)
     # polar angle of the characterization vector is degenerate: push I
     # toward w at fixed azimuth and the triad must not move
-    perp = f.i_vec - _dot(f.i_vec, f.w)[:, None] * f.w
+    perp = f.i_vec - algebra._vdot(f.i_vec, f.w)[:, None] * f.w
     perp /= _norms(perp)[:, None]
     tilted = np.sin(theta)[:, None] * perp + np.cos(theta)[:, None] * f.w
     g = frames.build_frame(f.w, tilted / _norms(tilted)[:, None])
@@ -120,9 +116,9 @@ def _check_frames(w, i_vec, theta, phi):
     c, c_prime = frames.ladder_constants(f)
     varpi = frames.mapping_matrix(f)
     return (
-        abs(_dot(f.u, f.v)),
-        abs(_dot(f.v, f.w)),
-        abs(_dot(f.w, f.u)),
+        abs(algebra._vdot(f.u, f.v)),
+        abs(algebra._vdot(f.v, f.w)),
+        abs(algebra._vdot(f.w, f.u)),
         _norms(np.cross(f.u, f.v) - f.w),
         *(abs(_norms(vec) - 1.0) for vec in (f.u, f.v, f.w)),
         _norms(f.u - g.u),

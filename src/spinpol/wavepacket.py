@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import PAULI, _first, _item
+from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -139,6 +139,7 @@ class PacketConfig:
 
     i_vec (..., 3) and alpha (..., 2) may carry one vector per packet; they
     broadcast against the spectrum's batch shape.  ref, hbar and mu are shared.
+    Both are checked here, each packet's to within 1e-9 of unit norm.
     """
 
     i_vec: np.ndarray
@@ -151,6 +152,8 @@ class PacketConfig:
         # written so that NaN fails it
         if not (0 < self.hbar < math.inf and 0 < self.mu < math.inf):
             raise ValueError(f"hbar and mu must be finite and positive, got {self.hbar}, {self.mu}")
+        object.__setattr__(self, "i_vec", _check_unit("i_vec", self.i_vec))
+        object.__setattr__(self, "alpha", _check_spinor("alpha", self.alpha))
 
 
 @dataclass(frozen=True)
@@ -222,15 +225,6 @@ def dispersion(k, cfg: PacketConfig) -> float:
     return _item(cfg.hbar * np.sum(k**2, axis=-1) / (2.0 * cfg.mu))
 
 
-def _per_packet(a):
-    """A batch of per-packet (..., d) vectors as (..., 1, d), to broadcast over samples.
-
-    One packet's (d,) vector broadcasts as it is.
-    """
-    a = np.asarray(a)
-    return a[..., None, :] if a.ndim > 1 else a
-
-
 def _batch_shape(spec: Spectrum, cfg: PacketConfig):
     """Leading shape of the packets: the spectrum's, i_vec's and alpha's, broadcast."""
     try:
@@ -251,7 +245,8 @@ def _per_sample(spec: Spectrum, cfg: PacketConfig, fn):
     its packet's characterization vector cfg.i_vec.
     """
     k_hat = spec.k / np.linalg.norm(spec.k, axis=-1, keepdims=True)
-    i_vec = _per_packet(cfg.i_vec)
+    # each packet's (..., 3) vector as (..., 1, 3), to broadcast over samples
+    i_vec = cfg.i_vec[..., None, :]
     try:
         return fn(build_frame(k_hat, i_vec), cfg.ref)
     except (DegenerateFrame, ReferenceAnnihilated) as exc:
@@ -279,7 +274,7 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
         raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
     varpi = _per_sample(spec, cfg, mapping_matrix)
     if branch == 0:
-        return compose_spinor(varpi, _per_packet(cfg.alpha))
+        return compose_spinor(varpi, cfg.alpha[..., None, :])
     return varpi[..., 0 if branch == +1 else 1]
 
 
@@ -419,12 +414,6 @@ def eigen_component(spec: Spectrum, cfg: PacketConfig, branch: int, x, t) -> np.
     return _plane_wave_sum(spec, cfg, spinors, points, t)[..., 0, :]
 
 
-def _density_and_spin(psi):
-    rho = np.abs(psi[..., 0]) ** 2 + np.abs(psi[..., 1]) ** 2
-    sdens = np.einsum("...i,jik,...k->...j", psi.conj(), PAULI, psi).real
-    return rho, sdens
-
-
 def local_spv(spec: Spectrum, cfg: PacketConfig, x, t, rho_floor: float = 0.0):
     """Probability density and unit polarization vector of each packet at its point.
 
@@ -479,7 +468,7 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     normalization error.  A batch of packets gives one (..., 3) spin each.
     """
     # each packet's alpha as a (2, 1) column against its samples' (3, 2, 2) components
-    alpha = np.asarray(cfg.alpha, dtype=complex)[..., None, None, :, None]
+    alpha = cfg.alpha[..., None, None, :, None]
     cartesian = _per_sample(spec, cfg, heisenberg_sigma).cartesian()
     expect = ((cartesian @ alpha)[..., 0] @ alpha[..., 0, :, :].conj())[..., 0].real
     prob = spec.weight * np.abs(spec.amplitude) ** 2
@@ -488,11 +477,14 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
 
 
 def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
-    """Total spin under rotation of the characterization vector about an axis.
+    """Total spin of one packet under rotation of its characterization vector about an axis.
 
     Returns (phis, spins): n_steps angles uniform on [0, 2 pi) and the total
     spin at each rotated characterization vector.
     """
+    batch = _batch_shape(spec, cfg)
+    if batch:
+        raise ValueError(f"total_spin_i_sweep takes one packet, got a batch of shape {batch}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     axis = np.asarray(axis, dtype=float)

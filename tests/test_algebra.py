@@ -144,6 +144,9 @@ def test_input_checks_keep_their_messages_for_one_vector_and_a_batch():
             _check_unit("w", [bad, 0.0, 0.0])
         with pytest.raises(ValueError, match="not normalized"):
             _check_spinor("chi", [bad, 0.0])
+    # an infinite complex entry is refused by its norm, without a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^x \(frame 0\) is not normalized: \|x\| = inf$"):
+        _check_spinor("x", [[np.inf, 0.0], [1.0, 0.0]])
     # within EPS_INPUT of 1 passes, one vector or a batch
     assert _check_unit("w", [0.0, 0.0, 1.0 + 5e-10]).shape == (3,)
     assert _check_spinor("chi", [[1.0 + 5e-10, 0.0]]).shape == (1, 2)

@@ -22,6 +22,7 @@ from spinpol import (
     phase_factor,
     rotate_characterization,
 )
+from spinpol.frames import _cross
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -244,6 +245,16 @@ def test_ladder_constants_have_fixed_modulus_and_pairing():
         assert abs(abs(c_prime) - SQRT2) < 1e-12
         assert abs(c - 1j * np.conj(c_prime)) < 1e-12
         assert abs(c - SQRT2 * np.exp(1j * phase_factor(f))) < 1e-12
+        # phi0 is read from the same expression of c, not from a second formula
+        assert phase_factor(f) == np.angle(c)
+
+
+def test_cross_product_equals_np_cross_bit_for_bit():
+    rng = np.random.default_rng(37)
+    a, b = rng.normal(size=(2, 1000, 3))
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    for a_row, b_row in zip(a, b):
+        assert _cross(a_row, b_row).tobytes() == np.cross(a_row, b_row).tobytes()
 
 
 def test_phase_factor_matches_reference_overlap_definition():

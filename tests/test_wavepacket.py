@@ -314,6 +314,36 @@ def test_sweep_with_one_step_is_just_total_spin():
     assert_allclose(spins[0], total_spin(spec, cfg), atol=0)
 
 
+@pytest.mark.parametrize(
+    "spec, cfg",
+    [
+        (single_wave(), packet(i_vec=np.tile(X, (2, 1)), alpha=np.tile([1.0, 0.0], (2, 1)))),
+        (single_wave(), packet(i_vec=np.tile(X, (3, 1)))),
+        (Spectrum(k=[[[0.0, 0.0, 2.0]]] * 3, amplitude=np.ones((3, 1)), weight=np.ones((3, 1))), packet()),
+    ],
+    ids=["two_configs", "three_configs", "three_spectra"],
+)
+def test_sweep_refuses_a_batch_of_packets(spec, cfg):
+    with pytest.raises(ValueError, match=r"^total_spin_i_sweep takes one packet, got a batch of shape \(\d,\)"):
+        total_spin_i_sweep(spec, cfg, Z, 8)
+
+
+def test_packet_config_checks_its_vectors_and_names_a_bad_packet():
+    # total_spin reads alpha directly: unchecked, a norm-2 alpha gave four times hbar/2
+    with pytest.raises(ValueError, match=r"^alpha is not normalized: \|alpha\| = 2\.0$"):
+        packet(alpha=[2.0, 0.0])
+    with pytest.raises(ValueError, match=r"^i_vec must be a unit vector, \|i_vec\| = 2\.0$"):
+        packet(i_vec=2.0 * X)
+    # a batch names the packet, not its position among the broadcast samples
+    alpha, i_vec = np.tile([1.0, 0.0], (6, 1)), np.tile(X, (6, 1))
+    alpha[3] = [0.0, 2.0]
+    with pytest.raises(ValueError, match=r"^alpha \(frame 3\) is not normalized: \|alpha\| = 2\.0$"):
+        packet(i_vec=i_vec, alpha=alpha)
+    i_vec[3] = 2.0 * Y
+    with pytest.raises(ValueError, match=r"^i_vec \(frame 3\) must be a unit vector, \|i_vec\| = 2\.0$"):
+        packet(i_vec=i_vec)
+
+
 def test_broad_spectrum_total_spin_depends_on_characterization_vector():
     spec = gaussian_spectrum([0.0, 0.0, 4.0], 0.5, 5, 3.0)
     cfg = packet(alpha=np.array([1.0, 1.0]) / np.sqrt(2))
