@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item
+from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item, _single
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -25,7 +25,7 @@ from .frames import (
     mapping_matrix,
 )
 from .heisenberg import heisenberg_sigma
-from .rotations import so3_rotation
+from .rotations import _so3
 
 # relative floor on |k|: a zero wave vector has no quantization axis
 EPS_K = 1e-6
@@ -33,6 +33,10 @@ EPS_K = 1e-6
 NORM_TOL = 1e-9
 # bytes of one block of complex phase factors in the dense plane-wave sum
 DENSE_BLOCK_BYTES = 32 * 2**20
+# frames (sweep steps x samples) per total_spin call of a sweep: it bounds the
+# sweep's memory, and 729-sample sweeps ran fastest at 2 steps a call (the
+# temporaries of larger blocks outgrow the cache)
+_SWEEP_FRAMES = 2048
 
 SPECTRUM_HEADER = "kx,ky,kz,re_A,im_A,weight"
 FIELD_HEADER = "x,y,z,t,rho,sx,sy,sz"
@@ -467,10 +471,13 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     triad; the result does not involve time.  |S| <= hbar/2 up to quadrature
     normalization error.  A batch of packets gives one (..., 3) spin each.
     """
-    # each packet's alpha as a (2, 1) column against its samples' (3, 2, 2) components
-    alpha = cfg.alpha[..., None, None, :, None]
     cartesian = _per_sample(spec, cfg, heisenberg_sigma).cartesian()
-    expect = ((cartesian @ alpha)[..., 0] @ alpha[..., 0, :, :].conj())[..., 0].real
+    # alpha^dag C alpha over each sample's (3, 2, 2) components C, written out
+    # per entry: matmul on stacks of 2x2 matrices dispatches once per matrix
+    a0, a1 = cfg.alpha[..., None, None, 0], cfg.alpha[..., None, None, 1]
+    c_alpha0 = cartesian[..., 0, 0] * a0 + cartesian[..., 0, 1] * a1
+    c_alpha1 = cartesian[..., 1, 0] * a0 + cartesian[..., 1, 1] * a1
+    expect = (c_alpha0 * a0.conj() + c_alpha1 * a1.conj()).real
     prob = spec.weight * np.abs(spec.amplitude) ** 2
     # summed over samples in index order, as a running total
     return 0.5 * cfg.hbar * np.add.reduce(prob[..., None] * expect, axis=-2)
@@ -480,19 +487,30 @@ def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
     """Total spin of one packet under rotation of its characterization vector about an axis.
 
     Returns (phis, spins): n_steps angles uniform on [0, 2 pi) and the total
-    spin at each rotated characterization vector.
+    spin at each rotated characterization vector.  The steps run as batches of
+    packets, at most _SWEEP_FRAMES frames (steps x samples) per call, so memory
+    does not grow with n_steps.  A geometry error names the sweep step.
     """
     batch = _batch_shape(spec, cfg)
     if batch:
         raise ValueError(f"total_spin_i_sweep takes one packet, got a batch of shape {batch}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    axis = np.asarray(axis, dtype=float)
+    axis = _single("axis", _check_unit("axis", axis))
     phis = 2.0 * np.pi * np.arange(n_steps) / n_steps
+    i_rots = _so3(axis, phis) @ cfg.i_vec
     spins = np.empty((n_steps, 3))
-    for i, phi in enumerate(phis):
-        i_rot = so3_rotation(axis, phi) @ cfg.i_vec
-        spins[i] = total_spin(spec, replace(cfg, i_vec=i_rot))
+    per = max(1, _SWEEP_FRAMES // len(spec))
+    for lo in range(0, n_steps, per):
+        steps = slice(lo, lo + per)
+        try:
+            spins[steps] = total_spin(spec, replace(cfg, i_vec=i_rots[steps]))
+        except (DegenerateFrame, ReferenceAnnihilated) as exc:
+            # the block's packet b is sweep step lo + b
+            b, j = exc.index
+            where = f"step {lo + b} (phi = {float(phis[lo + b])}), sample {j}"
+            message = where + str(exc).removeprefix(_sample(exc.index))
+            raise type(exc)(message, (lo + b, j)) from exc
     return phis, spins
 
 

@@ -186,3 +186,33 @@ def test_batched_residuals_equal_stacked_single_frames():
         assert batched.shape == (50,)
         assert all(type(r) is float for r in stacked)
         assert np.abs(batched - stacked).max() <= 1e-15
+
+
+def test_cross_check_fires_on_a_rephased_eigenspinor(monkeypatch):
+    # chi- off by a phase of 1e-6 with phi0 left as it was: the closed forms no
+    # longer match the direct conjugation, and every caller must refuse
+    from dataclasses import replace
+
+    from spinpol import PacketConfig, Spectrum, heisenberg, total_spin
+
+    eigen_spinors = heisenberg.eigen_spinors
+
+    def rephased(frame, ref):
+        pair = eigen_spinors(frame, ref)
+        return replace(pair, chi_minus=pair.chi_minus * np.exp(1e-6j))
+
+    monkeypatch.setattr(heisenberg, "eigen_spinors", rephased)
+    rng = np.random.default_rng(83)
+    one = random_frame(rng)
+    batch = build_frame(np.array([one.w] * 5), np.array([one.i_vec] * 5))
+    spec = Spectrum(k=[[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]], amplitude=[0.6, 0.8], weight=[1.0, 1.0])
+    configs = (
+        PacketConfig(i_vec=X, alpha=np.array([0.6, 0.8j])),
+        PacketConfig(i_vec=np.tile(X, (3, 1)), alpha=np.array([0.6, 0.8j])),
+    )
+    for frame in (one, batch):
+        with pytest.raises(RuntimeError, match="closed-form component disagrees"):
+            heisenberg_sigma(frame)
+    for cfg in configs:
+        with pytest.raises(RuntimeError, match="closed-form component disagrees"):
+            total_spin(spec, cfg)

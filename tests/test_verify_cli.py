@@ -80,6 +80,46 @@ def test_result_does_not_depend_on_the_case_block(name, monkeypatch):
     assert verify.run_suite(name, seed=3, n_cases=50).max_residual == whole
 
 
+def test_draws_equal_the_np_linalg_norm_and_np_cross_draws():
+    # the reference draws, written with np.linalg.norm and np.cross
+    def unit_vector(rng):
+        while True:
+            v = rng.normal(size=3)
+            n = np.linalg.norm(v)
+            if n > 1e-3:
+                return v / n
+
+    def spinor(rng):
+        while True:
+            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+            n = np.linalg.norm(z)
+            if n > 1e-3:
+                return z / n
+
+    def frame(rng):
+        w = unit_vector(rng)
+        while True:
+            i_vec = unit_vector(rng)
+            if np.linalg.norm(np.cross(w, i_vec)) > 1e-2:
+                return w, i_vec
+
+    def direction_clear_of(rng, avoid):
+        while True:
+            d = unit_vector(rng)
+            if 1.0 + d[2] > 1e-4 and np.linalg.norm(np.cross(d, avoid)) > 1e-2:
+                return d
+
+    pairs = [(verify._unit_vector, unit_vector), (verify._spinor, spinor), (verify._frame, frame)]
+    avoid = np.array([0.0, 0.6, 0.8])
+    pairs.append((lambda rng: verify._direction_clear_of(rng, avoid),
+                  lambda rng: direction_clear_of(rng, avoid)))
+    for fast, slow in pairs:
+        rng_fast, rng_slow = np.random.default_rng(97), np.random.default_rng(97)
+        for _ in range(500):
+            assert np.array(fast(rng_fast)).tobytes() == np.array(slow(rng_slow)).tobytes()
+        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+
 def _block_peaks(name):
     """tracemalloc peaks of one suite at 1 and 4 blocks of cases."""
     import tracemalloc
@@ -232,6 +272,22 @@ def test_cli_field_degenerate_geometry_names_the_sample(tmp_path, capsys):
     )
     assert code == cli.EXIT_GEOMETRY
     assert "sample 0" in capsys.readouterr().err
+
+
+def test_cli_total_spin_degenerate_geometry_names_the_sweep_step(tmp_path, capsys):
+    # I = x rotated about y through step 2's pi/2 is -z, antiparallel to sample 1
+    spec_path = tmp_path / "two.csv"
+    spec_path.write_text("kx,ky,kz,re_A,im_A,weight\n0.3,0,2,0.6,0,1\n0,0,2,0.8,0,1\n")
+    out = tmp_path / "spin.csv"
+    code = cli.main(
+        ["total-spin", "--spectrum", str(spec_path), "--i-vec", "1,0,0", "--axis", "0,1,0",
+         "--steps", "8", "--out", str(out)]
+    )
+    assert code == cli.EXIT_GEOMETRY
+    assert capsys.readouterr().err.startswith(
+        "error: step 2 (phi = 1.5707963267948966), sample 1 with k = [0.0, 0.0, 2.0] is parallel"
+    )
+    assert not out.exists()
 
 
 def test_cli_near_origin_spectrum_is_geometry_error(capsys, tmp_path):

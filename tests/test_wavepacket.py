@@ -314,6 +314,57 @@ def test_sweep_with_one_step_is_just_total_spin():
     assert_allclose(spins[0], total_spin(spec, cfg), atol=0)
 
 
+@pytest.mark.parametrize("budget", [1, 729, 3 * 729, 10**6])
+def test_sweep_equals_one_total_spin_per_step_for_any_block(budget, monkeypatch):
+    # the reference is the per-step loop: rotate I, then one total_spin call
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    axis = np.array([0.48, 0.6, 0.64])
+    monkeypatch.setattr(wavepacket, "_SWEEP_FRAMES", budget)
+    phis, spins = total_spin_i_sweep(spec, cfg, axis, 7)
+    for phi, s in zip(phis, spins):
+        i_rot = so3_rotation(axis, phi) @ cfg.i_vec
+        assert s.tobytes() == total_spin(spec, packet(i_vec=i_rot, alpha=cfg.alpha)).tobytes()
+
+
+def test_sweep_memory_is_bounded_by_the_frame_budget():
+    import tracemalloc
+
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    # a first run leaves numpy's one-time allocations out of the peaks
+    total_spin_i_sweep(spec, cfg, Y, 8)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (8, 64):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            total_spin_i_sweep(spec, cfg, Y, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("budget", [4, 6, 2048])
+def test_sweep_geometry_error_names_the_step(budget, monkeypatch):
+    # I = x rotated about y through step 2's pi/2 is -z, antiparallel to sample
+    # 1; with 2 samples, step 2 opens the second block of 2 steps, sits last in
+    # the first block of 3, or in the one block of all 8
+    monkeypatch.setattr(wavepacket, "_SWEEP_FRAMES", budget)
+    spec = Spectrum(k=[[0.3, 0.0, 2.0], [0.0, 0.0, 2.0]], amplitude=[0.6, 0.8], weight=[1.0, 1.0])
+    with pytest.raises(
+        DegenerateFrame, match=r"^step 2 \(phi = 1\.5707963267948966\), sample 1 with k = \[0\.0, 0\.0, 2\.0\] is parallel"
+    ) as exc:
+        total_spin_i_sweep(spec, packet(), Y, 8)
+    assert exc.value.index == (2, 1)
+    # the references fail on the sample at -z already at step 0
+    below = Spectrum(k=[[0.3, 0.0, 2.0], [0.0, 0.0, -2.0]], amplitude=[0.6, 0.8], weight=[1.0, 1.0])
+    with pytest.raises(ReferenceAnnihilated, match=r"^step 0 \(phi = 0\.0\), sample 1 .*support"):
+        total_spin_i_sweep(below, packet(), Z, 8)
+
+
 @pytest.mark.parametrize(
     "spec, cfg",
     [
