@@ -530,12 +530,39 @@ def position_grid(n_per_axis: int, half_span: float):
     return points, float(ax[1] - ax[0])
 
 
+def _distinct_texts(col):
+    """The %.17g text of each entry of a float column, or None if its values rarely repeat.
+
+    A column with at least two rows per distinct value (grid coordinates, a
+    constant time) formats each distinct value once.  Values are keyed by bit
+    pattern, not by float value: -0.0 and 0.0 print differently.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return None
+    texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_table(path, header, table) -> None:
-    """Write a header line and one CSV row per table row, each value as %.17g."""
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [header, *(row % tuple(r) for r in table.tolist())]
+    """Write a header line and one CSV row per table row, each value as %.17g.
+
+    Columns whose values repeat are formatted once per distinct value; the rest
+    of the table fills one %-template, built row by row around that text.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    cells, rest = [], []
+    for j in range(table.shape[1]):
+        texts = _distinct_texts(table[:, j])
+        if texts is None:
+            rest.append(j)
+            texts = ["%.17g"] * len(table)
+        cells.append(texts)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        if len(table):
+            template = "\n".join(map(",".join, zip(*cells)))
+            fh.write(template % tuple(table[:, rest].ravel().tolist()) + "\n")
 
 
 def save_spectrum(spec: Spectrum, path) -> None:
@@ -545,18 +572,21 @@ def save_spectrum(spec: Spectrum, path) -> None:
 
 
 def load_spectrum(path) -> Spectrum:
-    """Read a spectrum CSV; the exact header line is required."""
+    """Read a spectrum CSV; the exact header line is required.
+
+    Blank lines are skipped but still count in the line numbers of errors.
+    Every field converts as float() would, all of them in one array call.
+    """
     with open(path) as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if not lines or lines[0][1] != SPECTRUM_HEADER:
         raise ValueError(f"spectrum file must start with header '{SPECTRUM_HEADER}'")
-    rows = []
-    for n, ln in lines[1:]:
-        toks = ln.split(",")
-        if len(toks) != 6:
-            raise ValueError(f"spectrum line {n} has {len(toks)} fields, expected 6")
-        rows.append([float(tok) for tok in toks])
-    rows = np.array(rows).reshape(-1, 6)
+    body = lines[1:]
+    for n, ln in body:
+        if ln.count(",") != 5:
+            raise ValueError(f"spectrum line {n} has {ln.count(',') + 1} fields, expected 6")
+    fields = ",".join(ln for _, ln in body).split(",") if body else []
+    rows = np.array(fields, dtype=float).reshape(-1, 6)
     return Spectrum(
         k=rows[:, :3], amplitude=rows[:, 3] + 1j * rows[:, 4], weight=rows[:, 5]
     )

@@ -460,6 +460,33 @@ def test_spectrum_file_validation(tmp_path):
         load_spectrum(not_normalized)
 
 
+def test_spectrum_field_counts_are_checked_per_line(tmp_path):
+    # 5 + 7 fields total 12 = 2 x 6, so only a per-line check refuses this file
+    path = tmp_path / "uneven.csv"
+    path.write_text("kx,ky,kz,re_A,im_A,weight\n0,0,2,1,0\n0.5,0,0,2,1,0,0.5\n")
+    with pytest.raises(ValueError, match="^spectrum line 2 has 5 fields, expected 6$"):
+        load_spectrum(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_spectrum_file_parsing_edge_cases(tmp_path, newline):
+    path = tmp_path / "edge.csv"
+    lines = ["kx,ky,kz,re_A,im_A,weight", "0,0,1_0,1,0,0.5", "", "  ", "0,0, 2.5 ,1,0,0.5"]
+    path.write_bytes(newline.join(lines + [""]).encode())
+    spec = load_spectrum(path)
+    # float() semantics per field: underscores and surrounding spaces are accepted
+    assert np.array_equal(spec.k, [[0.0, 0.0, 10.0], [0.0, 0.0, 2.5]])
+    assert np.array_equal(spec.amplitude, [1.0, 1.0])
+    assert np.array_equal(spec.weight, [0.5, 0.5])
+    # blank lines count in the line numbers of errors
+    path.write_bytes(newline.join(lines + ["0,0,3,1", ""]).encode())
+    with pytest.raises(ValueError, match="^spectrum line 6 has 4 fields, expected 6$"):
+        load_spectrum(path)
+    path.write_bytes(newline.join(lines + ["0,0,3,1,abc,0", ""]).encode())
+    with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        load_spectrum(path)
+
+
 def test_spin_field_file_format(tmp_path):
     fld = spin_field(single_wave(), packet(), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 0.5)
     path = tmp_path / "field.csv"
@@ -698,6 +725,46 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     text = (tmp_path / "field.csv").read_text()
     assert text == _per_value_csv(wavepacket.FIELD_HEADER, rows)
     assert "-0,0," in text and ",nan,nan,nan\n" in text and ",1.7," in text
+
+
+# values whose text or bit pattern is easy to get wrong: signed zeros, NaN of
+# either sign and with a payload, infinities, the smallest subnormal
+_SPECIAL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e-300, 1e22, -1.5],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_write_table_matches_per_value_formatting(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2 * len(_SPECIAL), 80))
+    # both zeros in one repeated column: a writer that keys repeated values by
+    # float value instead of bit pattern prints them alike
+    zeros = rng.choice([0.0, -0.0], size=rows)
+    zeros[:2] = [0.0, -0.0]
+    columns = [zeros]
+    for _ in range(int(rng.integers(1, 7))):
+        if rng.random() < 0.5:
+            # at most rows / 2 distinct values: formatted once per bit pattern
+            pool = rng.choice(_SPECIAL, size=rng.integers(1, len(_SPECIAL) + 1), replace=False)
+            columns.append(rng.choice(pool, size=rows))
+        else:
+            # random bit patterns: all distinct, NaN payloads and subnormals included
+            columns.append(np.frombuffer(rng.bytes(8 * rows), dtype=np.float64))
+    order = rng.permutation(len(columns))
+    table = np.column_stack([columns[j] for j in order])
+    header = ",".join(f"c{j}" for j in range(table.shape[1]))
+    wavepacket.write_table(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_text() == _per_value_csv(header, table.tolist())
+
+
+def test_write_table_with_no_row_or_one_row(tmp_path):
+    wavepacket.write_table(tmp_path / "empty.csv", "a,b", np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    wavepacket.write_table(tmp_path / "one.csv", "a,b,c", np.array([[-0.0, np.nan, 1e22]]))
+    assert (tmp_path / "one.csv").read_text() == "a,b,c\n-0,nan,1e+22\n"
 
 
 @pytest.mark.parametrize(
