@@ -1,4 +1,4 @@
-"""Fixed-size spin-1/2 kernel: Pauli matrices, the spin polarization vector and input checks.
+"""Fixed-size spin-1/2 kernel: Pauli matrices and bilinears, the spin polarization vector and input checks.
 
 The unit-vector and spinor checks that every module uses live here; they take
 one vector or an (..., n) array of them and fail on NaN.
@@ -12,9 +12,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
-# the Pauli vector as one (3, 2, 2) array
+# the Pauli vector as one (3, 2, 2) array, and its entries (sigma_j)_ik as a
+# (4, 3) table with row 2 i + k and column j: only 0, +-1 and +-i
 PAULI = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
-_PAULI_FLAT = PAULI.reshape(3, 4)
+_PAULI_ENTRIES = PAULI.reshape(3, 4).T
 
 # tolerance for caller-supplied data vs internally produced values
 EPS_INPUT = 1e-9
@@ -102,7 +103,7 @@ def dot_sigma(a) -> np.ndarray:
     A (..., 3) array of vectors gives the (..., 2, 2) array of their projections.
     """
     a = np.asarray(a)
-    return (a @ _PAULI_FLAT).reshape(a.shape[:-1] + (2, 2))
+    return (a @ _PAULI_ENTRIES.T).reshape(a.shape[:-1] + (2, 2))
 
 
 def sigma_product(a, b) -> np.ndarray:
@@ -119,11 +120,18 @@ def spv(chi) -> np.ndarray:
     return _spv(_single("chi", _check_spinor("chi", chi)))
 
 
+def _bilinear(a, b):
+    """Pauli bilinear a^dag sigma b, shape (..., 3), of (..., 2) spinors that broadcast together."""
+    # products with the table's entries are exact, so this is the component formula
+    # bit for bit; one 2-D product, as a stacked (..., 4) @ (4, 3) dispatches per row
+    outer = a.conj()[..., :, None] * b[..., None, :]
+    return (outer.reshape(-1, 4) @ _PAULI_ENTRIES).reshape(outer.shape[:-2] + (3,))
+
+
 def _density_and_spin(psi):
     """Density psi^dag psi (...) and unnormalized spin psi^dag sigma psi (..., 3) of (..., 2) spinors."""
     rho = np.abs(psi[..., 0]) ** 2 + np.abs(psi[..., 1]) ** 2
-    sdens = np.einsum("...i,jik,...k->...j", psi.conj(), PAULI, psi).real
-    return rho, sdens
+    return rho, _bilinear(psi, psi).real
 
 
 def _spv(chi):

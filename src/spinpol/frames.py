@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
-from .algebra import _apply, _check_spinor, _check_unit, _first, _item, _norm, _single, _vdot
-from .algebra import _where
+from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _first, _item, _norm, _single
+from .algebra import _vdot, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -124,13 +124,15 @@ def build_frame(w, i_vec) -> Frame:
     """Build the triad: v = (w x I)/|w x I|, u = v x w.
 
     w and i_vec are 3-vectors or broadcastable (..., 3) arrays of them.  Only
-    the azimuth of I about w matters; its polar angle is degenerate.  Raises
-    DegenerateFrame, with the first offending frame in `index`, when
-    |w x I| < EPS_PARALLEL.
+    the azimuth of I about w matters; its polar angle is degenerate.  The triad
+    is orthonormal to rounding for every accepted pair.  Raises DegenerateFrame,
+    with the first offending frame in `index`, when |w x I| < EPS_PARALLEL.
     """
     w = _check_unit("w", w)
     i_vec = _check_unit("i_vec", i_vec)
     cross = _cross(w, i_vec)
+    # one Gram-Schmidt step: w x I is normal to w only to 1e-16, so v.w would be 1e-16/|w x I|
+    cross -= _vdot(w, cross)[..., None] * w
     norm = _norm(cross)
     ok = norm >= EPS_PARALLEL
     if not ok.all():
@@ -195,7 +197,7 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     n_plus, n_minus = 1.0 / norm_plus, 1.0 / norm_minus
     chi_plus = n_plus[..., None] * raised
     chi_minus = n_minus[..., None] * lowered
-    c = _ladder_constant(dot_sigma(w_plus), chi_plus, chi_minus)
+    c = _ladder_constant(w_plus, chi_plus, chi_minus)
     return EigenPair(
         chi_plus=chi_plus,
         chi_minus=chi_minus,
@@ -205,9 +207,9 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     )
 
 
-def _ladder_constant(op, chi_to, chi_from):
-    """chi_to^dag op chi_from: the constant c of op chi_from = c chi_to."""
-    return _vdot(chi_to, _apply(op, chi_from))
+def _ladder_constant(a, chi_to, chi_from):
+    """a.(chi_to^dag sigma chi_from): the constant c of (a.sigma) chi_from = c chi_to."""
+    return np.add.reduce(a * _bilinear(chi_to, chi_from), axis=-1)
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
@@ -216,9 +218,9 @@ def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
     Both have modulus sqrt2 and satisfy c = i conj(c').
     """
     pair = eigen_spinors(frame, ref)
-    sig_plus, sig_minus = ladder_operators(frame)
-    c = _ladder_constant(sig_plus, pair.chi_plus, pair.chi_minus)
-    c_prime = _ladder_constant(sig_minus, pair.chi_minus, pair.chi_plus)
+    w_plus, w_minus = complex_basis(frame)
+    c = _ladder_constant(w_plus, pair.chi_plus, pair.chi_minus)
+    c_prime = _ladder_constant(w_minus, pair.chi_minus, pair.chi_plus)
     return _item(c), _item(c_prime)
 
 

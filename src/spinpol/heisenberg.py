@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA_Z, _apply, _item, _norm, _spv, _vdot
+from .algebra import SIGMA_Z, _apply, _bilinear, _item, _norm, _spv, _vdot
 from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
 from .frames import mapping_matrix
 from .rotations import _so3, _su2, rotate_characterization
@@ -73,32 +73,20 @@ def _conjugate(m, unitary) -> np.ndarray:
     return _mul(_mul(unitary.conj().swapaxes(-1, -2), m), unitary)
 
 
-def _parts(z) -> np.ndarray:
-    # a complex array's real and imaginary parts on a new last axis, as a float
-    # view: scaling them by a real array costs half a complex product
-    return z.view(float).reshape(z.shape + (2,))
-
-
 def _direct(frame: Frame, varpi) -> np.ndarray:
-    """varpi^dag (a.sigma) varpi for a = u, v, w, stacked on axis -3, from spinor components.
+    """varpi^dag (a.sigma) varpi for a = u, v, w on axis -3; entry (i, j) is a.(chi_i^dag sigma chi_j).
 
-    Entry (i, j) is a.(chi_i^dag sigma chi_j): the Pauli components of the four
-    bilinears come from products of the spinor components, each dotted with u,
-    v and w.  All four entries are computed; none is inferred from Hermiticity.
+    chi_i is column i of varpi.  All four entries are computed; none is inferred from Hermiticity.
     """
-    top, bottom = varpi[..., 0, :], varpi[..., 1, :]
-    # conj(chi_i) as rows and chi_j as columns, for the upper and the lower component
-    top_i, bottom_i = top.conj()[..., :, None], bottom.conj()[..., :, None]
-    top_j, bottom_j = top[..., None, :], bottom[..., None, :]
-    top_bottom, bottom_top = top_i * bottom_j, bottom_i * top_j
-    # column j of the triad holds the j-th Cartesian components of u, v and w
-    triad = np.stack(np.broadcast_arrays(frame.u, frame.v, frame.w), axis=-2)[..., None, None, None]
-    # the x, y and z bilinears, one at a time and summed in place, which keeps
-    # the peak memory of a large batch down
-    direct = triad[..., 0, :, :, :] * _parts(top_bottom + bottom_top)[..., None, :, :, :]
-    direct += triad[..., 1, :, :, :] * _parts(1j * (bottom_top - top_bottom))[..., None, :, :, :]
-    direct += triad[..., 2, :, :, :] * _parts(top_i * top_j - bottom_i * bottom_j)[..., None, :, :, :]
-    return direct.view(complex)[..., 0]
+    chi = varpi.swapaxes(-1, -2)
+    bilinears = _bilinear(chi[..., :, None, :], chi[..., None, :, :])[..., None, :, :, :]
+    # column c of the triad holds the c-th Cartesian components of u, v and w;
+    # one c at a time, summed in place, bounds the peak memory of a large batch
+    triad = np.stack(np.broadcast_arrays(frame.u, frame.v, frame.w), axis=-2)[..., None, None]
+    direct = triad[..., 0, :, :] * bilinears[..., 0]
+    direct += triad[..., 1, :, :] * bilinears[..., 1]
+    direct += triad[..., 2, :, :] * bilinears[..., 2]
+    return direct
 
 
 def _closed_form(frame: Frame, ref: ReferenceSpinors):

@@ -288,7 +288,8 @@ def _tensor_axes(a):
     `a` is a grid when the sorted unique values of its columns rebuild it
     exactly as their `ij` meshgrid, last column fastest.
     """
-    axes = [np.unique(a[:, i]) for i in range(a.shape[1])]
+    # return_inverse takes the sorting path; a bare np.unique imports numpy.ma
+    axes = [np.unique(a[:, i], return_inverse=True)[0] for i in range(a.shape[1])]
     if np.prod([len(ax) for ax in axes]) != len(a):
         return None
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(a.shape)

@@ -12,7 +12,7 @@ from spinpol import (
     spv,
     su2_rotation,
 )
-from spinpol.algebra import _check_spinor, _check_unit
+from spinpol.algebra import PAULI, _bilinear, _check_spinor, _check_unit
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -29,6 +29,20 @@ Z = np.array([0.0, 0.0, 1.0])
 )
 def test_dot_sigma_cartesian_axes(axis, expected):
     assert_allclose(dot_sigma(axis), expected, atol=0)
+
+
+def test_bilinear_matches_the_pauli_einsum_and_batches_bit_for_bit():
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(50, 1, 2)) + 1j * rng.normal(size=(50, 1, 2))
+    b = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    batch = _bilinear(a, b)
+    assert batch.shape == (50, 7, 3)
+    reference = np.einsum("...i,jik,...k->...j", a.conj(), PAULI, b)
+    scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    assert (np.abs(batch - reference).max(axis=-1) <= 1e-15 * scale).all()
+    for i in range(50):
+        for j in range(7):
+            assert _bilinear(a[i, 0], b[j]).tobytes() == batch[i, j].tobytes()
 
 
 def test_dot_sigma_complex_direction():

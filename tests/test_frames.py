@@ -20,9 +20,10 @@ from spinpol import (
     ladder_operators,
     mapping_matrix,
     phase_factor,
+    closed_form_residual,
     rotate_characterization,
 )
-from spinpol.frames import _cross
+from spinpol.frames import EPS_PARALLEL, _cross
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -77,6 +78,31 @@ def test_triad_is_right_handed_orthonormal():
         assert abs(np.dot(f.v, f.w)) < 1e-12
         assert abs(np.dot(f.w, f.u)) < 1e-12
         assert np.linalg.norm(np.cross(f.u, f.v) - f.w) < 1e-12
+
+
+@pytest.mark.parametrize("cross", [1e-3, 1e-5, 1e-6, 2 * EPS_PARALLEL])
+def test_near_parallel_frames_keep_the_laws_that_do_not_rebuild_from_i(cross):
+    # I tilted from w by an angle whose sine is `cross`: v = (w x I)/|w x I|
+    # alone would be normal to w only to about 1e-16/cross
+    rng = np.random.default_rng(24)
+    w = rng.normal(size=(300, 3))
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    # clear of the south pole, whose own precision loss is a separate matter
+    w[w[:, 2] < -0.9] *= -1.0
+    p = np.cross(w, rng.normal(size=(300, 3)))
+    p /= np.linalg.norm(p, axis=-1, keepdims=True)
+    i_vec = np.sqrt(1.0 - cross**2) * w + cross * p
+    i_vec /= np.linalg.norm(i_vec, axis=-1, keepdims=True)
+    f = build_frame(w, i_vec)
+    triad = np.stack((f.u, f.v, f.w), axis=-2)
+    gram = triad @ triad.swapaxes(-1, -2) - np.eye(3)
+    assert np.abs(gram).max() < 1e-12
+    assert np.abs(np.cross(f.u, f.v) - f.w).max() < 1e-12
+    pair = eigen_spinors(f)
+    axis = dot_sigma(f.w)
+    for chi, lam in ((pair.chi_plus, 1.0), (pair.chi_minus, -1.0)):
+        assert np.abs((axis @ chi[..., None])[..., 0] - lam * chi).max() < 1e-12
+    assert closed_form_residual(f).max() < 1e-12
 
 
 def test_polar_angle_of_characterization_vector_is_degenerate():

@@ -1,10 +1,14 @@
 """Verification harness and command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinpol
 from spinpol import algebra, cli, frames, heisenberg, rotations, verify, wavepacket
 from spinpol.wavepacket import load_spectrum
 
@@ -288,6 +292,36 @@ def test_cli_total_spin_degenerate_geometry_names_the_sweep_step(tmp_path, capsy
         "error: step 2 (phi = 1.5707963267948966), sample 1 with k = [0.0, 0.0, 2.0] is parallel"
     )
     assert not out.exists()
+
+
+def test_cli_total_spin_near_parallel_sample_exits_0(tmp_path):
+    # |k_hat x I| = 1e-5: without the Gram-Schmidt step in build_frame the
+    # closed-form cross-check refused this frame as an internal error
+    spec_path = tmp_path / "one.csv"
+    spec_path.write_text(
+        "kx,ky,kz,re_A,im_A,weight\n"
+        "-1.2440648226753988,-1.5448757252883973,0.25624541048822119,1,0,1\n"
+    )
+    code = cli.main(
+        ["total-spin", "--spectrum", str(spec_path),
+         "--i-vec=-0.62203914468831856,-0.7724317503733743,0.12812686482760036",
+         "--out", str(tmp_path / "spin.csv")]
+    )
+    assert code == 0
+
+
+def test_cli_field_does_not_import_numpy_ma(tmp_path):
+    # a bare np.unique imports numpy.ma, about 14 ms of every field process
+    script = (
+        "import sys\n"
+        "from spinpol import cli\n"
+        f"assert cli.main(['field', '--grid-n', '5', '--out', {str(tmp_path / 'f.csv')!r}]) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinpol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_cli_near_origin_spectrum_is_geometry_error(capsys, tmp_path):
