@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _g17
 from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item, _single
 from .frames import (
     DEFAULT_REFERENCES,
@@ -37,6 +38,9 @@ DENSE_BLOCK_BYTES = 32 * 2**20
 # sweep's memory, and 729-sample sweeps ran fastest at 2 steps a call (the
 # temporaries of larger blocks outgrow the cache)
 _SWEEP_FRAMES = 2048
+# rows per block of write_table: its tracemalloc peak on 8 columns is about
+# 4.4 MB however long the table, and 1024 or 4096 rows wrote a field slower
+TABLE_BLOCK = 2048
 
 SPECTRUM_HEADER = "kx,ky,kz,re_A,im_A,weight"
 FIELD_HEADER = "x,y,z,t,rho,sx,sy,sz"
@@ -531,39 +535,63 @@ def position_grid(n_per_axis: int, half_span: float):
     return points, float(ax[1] - ax[0])
 
 
-def _distinct_texts(col):
-    """The %.17g text of each entry of a float column, or None if its values rarely repeat.
+def _csv_block(block):
+    """CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
 
     A column with at least two rows per distinct value (grid coordinates, a
     constant time) formats each distinct value once.  Values are keyed by bit
     pattern, not by float value: -0.0 and 0.0 print differently.
     """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(col):
-        return None
-    texts = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    rows, cols = block.shape
+    repeated = {}
+    for j in range(cols):
+        column = block[:, j].view(np.int64)
+        # a column whose first 64 rows are all distinct (rho, s) skips the
+        # sort; a repeat missed this way costs time, not bytes
+        head = np.sort(column[:64])
+        if (head[1:] != head[:-1]).all():
+            continue
+        bits, inverse = np.unique(column, return_inverse=True)
+        if 2 * len(bits) <= rows:
+            repeated[j] = bits.view(np.float64), inverse
+    rest = [j for j in range(cols) if j not in repeated]
+    values = [block[:, rest].ravel()] + [distinct for distinct, _ in repeated.values()]
+    text = _g17.format_block(np.concatenate(values)).T
+    # each value's slot and its separator, in a buffer that translate() can
+    # compact without another copy; NULs pad the unused bytes
+    buf = bytearray(rows * cols * (_g17.SLOT + 1))
+    out = np.frombuffer(buf, np.uint8).reshape(rows, cols, _g17.SLOT + 1)
+    out[..., -1] = ord(",")
+    out[:, -1, -1] = ord("\n")
+    start = rows * len(rest)
+    out[:, rest, :-1] = text[:start].reshape(rows, len(rest), _g17.SLOT)
+    # the few distinct slots of the repeated columns, contiguous for the gathers
+    distinct_text = np.ascontiguousarray(text[start:])
+    start = 0
+    for j, (distinct, inverse) in repeated.items():
+        out[:, j, :-1] = distinct_text[start + inverse]
+        start += len(distinct)
+    return buf.translate(None, b"\0").decode("ascii")
 
 
 def write_table(path, header, table) -> None:
     """Write a header line and one CSV row per table row, each value as %.17g.
 
-    Columns whose values repeat are formatted once per distinct value; the rest
-    of the table fills one %-template, built row by row around that text.
+    The table must be 2-D with one column per header field, else ValueError.
+    Rows are formatted TABLE_BLOCK at a time, so memory does not grow with
+    the table.
     """
     table = np.asarray(table, dtype=np.float64)
-    cells, rest = [], []
-    for j in range(table.shape[1]):
-        texts = _distinct_texts(table[:, j])
-        if texts is None:
-            rest.append(j)
-            texts = ["%.17g"] * len(table)
-        cells.append(texts)
+    fields = header.count(",") + 1
+    if table.ndim != 2 or table.shape[1] != fields:
+        raise ValueError(
+            f"a table for header '{header}' must be 2-D with {fields} columns, "
+            f"got shape {table.shape}"
+        )
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        if len(table):
-            template = "\n".join(map(",".join, zip(*cells)))
-            fh.write(template % tuple(table[:, rest].ravel().tolist()) + "\n")
+        for lo in range(0, len(table), TABLE_BLOCK):
+            fh.write(_csv_block(table[lo : lo + TABLE_BLOCK]))
 
 
 def save_spectrum(spec: Spectrum, path) -> None:
