@@ -25,7 +25,7 @@ from .frames import (
     compose_spinor,
     mapping_matrix,
 )
-from .heisenberg import heisenberg_sigma
+from .heisenberg import _checked_phase
 from .rotations import _so3
 
 # relative floor on |k|: a zero wave vector has no quantization axis
@@ -34,10 +34,10 @@ EPS_K = 1e-6
 NORM_TOL = 1e-9
 # bytes of one block of complex phase factors in the dense plane-wave sum
 DENSE_BLOCK_BYTES = 32 * 2**20
-# frames (sweep steps x samples) per total_spin call of a sweep: it bounds the
-# sweep's memory, and 729-sample sweeps ran fastest at 2 steps a call (the
-# temporaries of larger blocks outgrow the cache)
-_SWEEP_FRAMES = 2048
+# frames (packets x samples) per block of total_spin, and per total_spin call
+# of a sweep: it bounds their memory, and 729-sample sweeps ran fastest at 2
+# steps a call (the temporaries of larger blocks outgrow the cache)
+_FRAME_BUDGET = 2048
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
 # 4.4 MB however long the table, and 1024 or 4096 rows wrote a field slower
 TABLE_BLOCK = 2048
@@ -246,26 +246,29 @@ def _batch_shape(spec: Spectrum, cfg: PacketConfig):
         ) from None
 
 
-def _per_sample(spec: Spectrum, cfg: PacketConfig, fn):
-    """fn(frames of all samples, cfg.ref), naming the first offending sample on failure.
+def _per_sample(spec: Spectrum, cfg: PacketConfig, fn, samples=slice(None)):
+    """fn(frames of the samples, cfg.ref), naming the first offending sample on failure.
 
     Each sample takes its own direction k_hat as quantization axis and shares
-    its packet's characterization vector cfg.i_vec.
+    its packet's characterization vector cfg.i_vec.  Errors name a sample by
+    its index in the whole spectrum, also for a slice of its samples.
     """
-    k_hat = spec.k / np.linalg.norm(spec.k, axis=-1, keepdims=True)
+    k = spec.k[..., samples, :]
+    k_hat = k / np.linalg.norm(k, axis=-1, keepdims=True)
     # each packet's (..., 3) vector as (..., 1, 3), to broadcast over samples
     i_vec = cfg.i_vec[..., None, :]
     try:
         return fn(build_frame(k_hat, i_vec), cfg.ref)
     except (DegenerateFrame, ReferenceAnnihilated) as exc:
         # the frames may broadcast one spectrum over many packets
-        k = np.broadcast_to(spec.k, np.broadcast_shapes(k_hat.shape, i_vec.shape))[exc.index]
-        where = f"{_sample(exc.index)} with k = {k.tolist()}"
+        k = np.broadcast_to(k, np.broadcast_shapes(k_hat.shape, i_vec.shape))[exc.index]
+        index = exc.index[:-1] + (exc.index[-1] + (samples.start or 0),)
+        where = f"{_sample(index)} with k = {k.tolist()}"
         if isinstance(exc, DegenerateFrame):
             message = f"{where} is parallel to the characterization vector: {exc}"
         else:
             message = f"{where}: {exc}; choose references valid on the whole spectrum support"
-        raise type(exc)(message, exc.index) from exc
+        raise type(exc)(message, index) from exc
 
 
 def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.ndarray:
@@ -472,20 +475,29 @@ def spin_field(spec: Spectrum, cfg: PacketConfig, points, t: float) -> SpinField
 def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     """Total spin: (hbar/2) alpha^dag [sum weight |A|^2 sigma^H(k_hat)] alpha.
 
-    Each sample contributes its conjugated Pauli components expanded on its own
-    triad; the result does not involve time.  |S| <= hbar/2 up to quadrature
-    normalization error.  A batch of packets gives one (..., 3) spin each.
+    A sample adds 2 Re z u + 2 Im z v + (|alpha_1|^2 - |alpha_2|^2) w on its own
+    triad, z = e conj(alpha_1) alpha_2 with e = exp(i phi0) the cross-checked
+    phase of its sigma_u and sigma_v.  No time enters; |S| <= hbar/2 up to
+    quadrature error.  A batch of packets gives one (..., 3) spin each.  Samples
+    run in blocks of _FRAME_BUDGET frames (packets x samples), bounding memory.
     """
-    cartesian = _per_sample(spec, cfg, heisenberg_sigma).cartesian()
-    # alpha^dag C alpha over each sample's (3, 2, 2) components C, written out
-    # per entry: matmul on stacks of 2x2 matrices dispatches once per matrix
-    a0, a1 = cfg.alpha[..., None, None, 0], cfg.alpha[..., None, None, 1]
-    c_alpha0 = cartesian[..., 0, 0] * a0 + cartesian[..., 0, 1] * a1
-    c_alpha1 = cartesian[..., 1, 0] * a0 + cartesian[..., 1, 1] * a1
-    expect = (c_alpha0 * a0.conj() + c_alpha1 * a1.conj()).real
-    prob = spec.weight * np.abs(spec.amplitude) ** 2
-    # summed over samples in index order, as a running total
-    return 0.5 * cfg.hbar * np.add.reduce(prob[..., None] * expect, axis=-2)
+    per = max(1, _FRAME_BUDGET // math.prod(_batch_shape(spec, cfg)))
+    a1, a2 = cfg.alpha[..., None, 0], cfg.alpha[..., None, 1]
+    total = 0.0
+    for lo in range(0, len(spec), per):
+        samples = slice(lo, lo + per)
+        # the cross-check runs on every frame; only its phase is read here
+        frame, e = _per_sample(spec, cfg, lambda f, ref: (f, _checked_phase(f, ref)[0]), samples)
+        z = e * (a1.conj() * a2)
+        expect = 2.0 * z.real[..., None] * frame.u + 2.0 * z.imag[..., None] * frame.v
+        expect += (np.abs(a1) ** 2 - np.abs(a2) ** 2)[..., None] * frame.w
+        prob = spec.weight[..., samples] * np.abs(spec.amplitude[..., samples]) ** 2
+        rows = prob[..., None] * expect
+        # the carried total joins the block's first row: summed over samples
+        # in index order, as one running total whatever the budget
+        rows[..., 0, :] += total
+        total = np.add.reduce(rows, axis=-2)
+    return 0.5 * cfg.hbar * total
 
 
 def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
@@ -493,7 +505,7 @@ def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
 
     Returns (phis, spins): n_steps angles uniform on [0, 2 pi) and the total
     spin at each rotated characterization vector.  The steps run as batches of
-    packets, at most _SWEEP_FRAMES frames (steps x samples) per call, so memory
+    packets, at most _FRAME_BUDGET frames (steps x samples) per call, so memory
     does not grow with n_steps.  A geometry error names the sweep step.
     """
     batch = _batch_shape(spec, cfg)
@@ -505,7 +517,7 @@ def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
     phis = 2.0 * np.pi * np.arange(n_steps) / n_steps
     i_rots = _so3(axis, phis) @ cfg.i_vec
     spins = np.empty((n_steps, 3))
-    per = max(1, _SWEEP_FRAMES // len(spec))
+    per = max(1, _FRAME_BUDGET // len(spec))
     for lo in range(0, n_steps, per):
         steps = slice(lo, lo + per)
         try:

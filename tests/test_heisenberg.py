@@ -193,7 +193,7 @@ def test_cross_check_fires_on_a_rephased_eigenspinor(monkeypatch):
     # longer match the direct conjugation, and every caller must refuse
     from dataclasses import replace
 
-    from spinpol import PacketConfig, Spectrum, heisenberg, total_spin
+    from spinpol import PacketConfig, Spectrum, heisenberg, total_spin, total_spin_i_sweep
 
     eigen_spinors = heisenberg.eigen_spinors
 
@@ -216,3 +216,42 @@ def test_cross_check_fires_on_a_rephased_eigenspinor(monkeypatch):
     for cfg in configs:
         with pytest.raises(RuntimeError, match="closed-form component disagrees"):
             total_spin(spec, cfg)
+    # the sweep reaches the same check through its blocks of steps
+    with pytest.raises(RuntimeError, match="closed-form component disagrees"):
+        total_spin_i_sweep(spec, configs[0], Z, 4)
+
+
+def _closed_forms_as_one_array(frame):
+    """The closed forms as one (..., 3, 2, 2) array, subtracted whole from the direct conjugation."""
+    from spinpol import heisenberg
+    from spinpol.algebra import SIGMA_Z, _norm
+
+    pair = heisenberg.eigen_spinors(frame, heisenberg.DEFAULT_REFERENCES)
+    direct = heisenberg._direct(frame, pair.mapping)
+    e = np.exp(1j * np.asarray(pair.phi0))
+    closed = np.zeros(e.shape + (3, 2, 2), dtype=complex)
+    closed[..., 0, 0, 1] = e
+    closed[..., 0, 1, 0] = np.conj(e)
+    closed[..., 1, 0, 1] = -1j * e
+    closed[..., 1, 1, 0] = 1j * np.conj(e)
+    closed[..., 2, :, :] = SIGMA_Z
+    direct -= closed
+    return closed, pair.phi0, np.maximum.reduce(_norm(direct, axis=(-2, -1)), axis=-1)
+
+
+def test_entrywise_check_keeps_the_matrices_phase_and_deviation_bitwise():
+    rng = np.random.default_rng(91)
+    frames = [random_frame(rng) for _ in range(500)]
+    batch = build_frame(np.array([f.w for f in frames]), np.array([f.i_vec for f in frames]))
+    closed, phi0, deviation = _closed_forms_as_one_array(batch)
+    hs = heisenberg_sigma(batch)
+    for j, m in enumerate((hs.sigma_u, hs.sigma_v, hs.sigma_w)):
+        assert m.tobytes() == closed[..., j, :, :].tobytes()
+    assert hs.phi0.tobytes() == phi0.tobytes()
+    assert closed_form_residual(batch).tobytes() == deviation.tobytes()
+    # one frame at a time takes the same path
+    for f in frames[:20]:
+        closed, phi0, deviation = _closed_forms_as_one_array(f)
+        assert heisenberg_sigma(f).sigma_u.tobytes() == closed[0].tobytes()
+        assert heisenberg_sigma(f).phi0 == phi0
+        assert closed_form_residual(f) == deviation

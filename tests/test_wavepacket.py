@@ -284,6 +284,96 @@ def test_total_spin_agrees_with_per_sample_polarizations():
         assert np.linalg.norm(total_spin(spec, cfg) - expected) < 1e-12
 
 
+def _cartesian_total_spin(spec, cfg):
+    """hbar/2 sum_j weight |A|^2 alpha^dag C_j alpha, C_j the Cartesian components of sigma^H."""
+    from spinpol import heisenberg_sigma
+
+    k_hat = spec.k / np.linalg.norm(spec.k, axis=-1, keepdims=True)
+    c = heisenberg_sigma(build_frame(k_hat, cfg.i_vec[..., None, :])).cartesian()
+    alpha = cfg.alpha[..., None, None, :]
+    expect = np.einsum("...i,...ij,...j->...", alpha.conj(), c, alpha).real
+    prob = spec.weight * np.abs(spec.amplitude) ** 2
+    return 0.5 * cfg.hbar * np.sum(prob[..., None] * expect, axis=-2)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+def test_total_spin_equals_the_cartesian_expectation(hbar):
+    rng = np.random.default_rng(88)
+    spec = gaussian_spectrum([0.3, -0.2, 5.0], 0.5, 7, 3.0)
+    # Jones vectors with several relative phases, one packet and a (2, 3) batch
+    phases = np.exp(1j * np.array([0.0, 0.5 * np.pi, np.pi, 2.2, -1.1, 3.0]))
+    alpha = np.stack([np.full(6, 0.6), 0.8 * phases], axis=-1).reshape(2, 3, 2)
+    i_vec = rng.normal(size=(2, 3, 3))
+    i_vec /= np.linalg.norm(i_vec, axis=-1, keepdims=True)
+    one = packet(i_vec=i_vec[0, 0], alpha=alpha[0, 1], hbar=hbar)
+    batch = packet(i_vec=i_vec, alpha=alpha, hbar=hbar)
+    for cfg in (one, batch):
+        s = total_spin(spec, cfg)
+        assert s.shape == np.shape(cfg.alpha)[:-1] + (3,)
+        assert np.abs(s - _cartesian_total_spin(spec, cfg)).max() <= 1e-15
+
+
+def _budget_cases():
+    rng = np.random.default_rng(89)
+    i_vec = rng.normal(size=(3, 3))
+    i_vec /= np.linalg.norm(i_vec, axis=-1, keepdims=True)
+    alpha = np.array([0.6, 0.8 * np.exp(0.7j)])
+    spec = gaussian_spectrum([0.0, 0.3, 5.0], 0.5, 9, 4.0)
+    batch = Spectrum(k=np.stack([spec.k, spec.k[::-1]]), amplitude=np.stack([spec.amplitude] * 2),
+                     weight=np.stack([spec.weight] * 2))
+    return [(spec, packet(i_vec=i_vec[0], alpha=alpha)), (spec, packet(i_vec=i_vec, alpha=alpha)),
+            (batch, packet(i_vec=i_vec[:2], alpha=alpha))]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 729, 2048])
+def test_total_spin_does_not_depend_on_the_frame_budget(budget, monkeypatch):
+    # the running total is carried in sample order across blocks
+    cases = _budget_cases()
+    reference = [total_spin(spec, cfg) for spec, cfg in cases]
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
+    for (spec, cfg), s in zip(cases, reference):
+        assert total_spin(spec, cfg).tobytes() == s.tobytes()
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", 10**6)
+    for (spec, cfg), s in zip(cases, reference):
+        assert total_spin(spec, cfg).tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10**6])
+def test_blocked_total_spin_names_the_global_sample(budget, monkeypatch):
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
+    with pytest.raises(DegenerateFrame, match=r"^sample 4 with k = \[-2\.0, 0\.0, 0\.0\] is parallel") as exc:
+        total_spin(_seven_samples([-2.0, 0.0, 0.0]), packet())
+    assert exc.value.index == (4,)
+    cfg = packet(i_vec=np.tile(X, (2, 1)))
+    with pytest.raises(ReferenceAnnihilated, match=r"^packet 0, sample 4 .*support") as exc:
+        total_spin(_seven_samples([0.0, 0.0, -2.0]), cfg)
+    assert exc.value.index == (0, 4)
+    # a sweep whose budget holds less than the spectrum still names step and sample
+    with pytest.raises(ReferenceAnnihilated, match=r"^step 0 \(phi = 0\.0\), sample 4 .*support") as exc:
+        total_spin_i_sweep(_seven_samples([0.0, 0.0, -2.0]), packet(), Z, 3)
+    assert exc.value.index == (0, 4)
+
+
+def test_total_spin_memory_is_bounded_by_the_frame_budget():
+    import tracemalloc
+
+    # 41^3 = 68921 samples; building every frame at once took about 19 times
+    # the spectrum's own arrays
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 41, 4.0)
+    own = spec.k.nbytes + spec.amplitude.nbytes + spec.weight.nbytes
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    # a first call leaves numpy's one-time allocations out of the peak
+    total_spin(single_wave(), cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total_spin(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * own, (peak, own)
+
+
 def test_total_spin_is_reproducible():
     spec = gaussian_spectrum([0.0, 0.0, 4.0], 0.5, 3, 2.0)
     cfg = packet(alpha=np.array([0.6, 0.8j]))
@@ -320,7 +410,7 @@ def test_sweep_equals_one_total_spin_per_step_for_any_block(budget, monkeypatch)
     spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
     cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
     axis = np.array([0.48, 0.6, 0.64])
-    monkeypatch.setattr(wavepacket, "_SWEEP_FRAMES", budget)
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
     phis, spins = total_spin_i_sweep(spec, cfg, axis, 7)
     for phi, s in zip(phis, spins):
         i_rot = so3_rotation(axis, phi) @ cfg.i_vec
@@ -352,7 +442,7 @@ def test_sweep_geometry_error_names_the_step(budget, monkeypatch):
     # I = x rotated about y through step 2's pi/2 is -z, antiparallel to sample
     # 1; with 2 samples, step 2 opens the second block of 2 steps, sits last in
     # the first block of 3, or in the one block of all 8
-    monkeypatch.setattr(wavepacket, "_SWEEP_FRAMES", budget)
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
     spec = Spectrum(k=[[0.3, 0.0, 2.0], [0.0, 0.0, 2.0]], amplitude=[0.6, 0.8], weight=[1.0, 1.0])
     with pytest.raises(
         DegenerateFrame, match=r"^step 2 \(phi = 1\.5707963267948966\), sample 1 with k = \[0\.0, 0\.0, 2\.0\] is parallel"
