@@ -171,7 +171,8 @@ def rotation_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFEREN
     (c) vector law: the same components equal the original triad vectors rotated
         through 2 phi with the matrices left fixed.
 
-    A batch of frames and (...) angles gives one residual per frame.
+    A batch of frames and (...) angles gives one residual per frame.  The laws
+    rebuild the frame from R I, so they hold to about 1e-16/|w x I|.
     """
     hs = heisenberg_sigma(frame, ref)
     hs_rot = heisenberg_sigma(rotate_characterization(frame, phi), ref)

@@ -104,7 +104,8 @@ def eigenspinor_rotation_residuals(
     exp(-i phi) and chi- by exp(+i phi), equivalently applies the spinor
     rotation through 2 phi about w.  Returns the (+, -) residual pair, each the
     worst of the phase form and the rotation form: two floats for one frame,
-    two arrays of one residual per frame for a batch.
+    two arrays of one residual per frame for a batch.  The law rebuilds the
+    frame from R I, so it holds to about 1e-16/|w x I|.
     """
     before = eigen_spinors(frame, ref)
     after = eigen_spinors(rotate_characterization(frame, phi), ref)
@@ -127,7 +128,8 @@ def spv_rotation_residual(
 
     With chi = varpi(I) alpha, checks chi(I') = U(2 phi w) chi(I) and
     s(I') = R(2 phi w) s(I); returns the larger deviation, one per frame for
-    a batch of frames, angles and Jones vectors.
+    a batch of frames, angles and Jones vectors.  The laws rebuild the frame
+    from R I, so they hold to about 1e-16/|w x I|.
     """
     chi = compose_spinor(mapping_matrix(frame, ref), alpha)
     chi_rot = compose_spinor(

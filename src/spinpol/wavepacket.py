@@ -34,9 +34,9 @@ EPS_K = 1e-6
 NORM_TOL = 1e-9
 # bytes of one block of complex phase factors in the dense plane-wave sum
 DENSE_BLOCK_BYTES = 32 * 2**20
-# frames (packets x samples) per block of total_spin, and per total_spin call
-# of a sweep: it bounds their memory, and 729-sample sweeps ran fastest at 2
-# steps a call (the temporaries of larger blocks outgrow the cache)
+# frames (packets x samples) per block of _frame_blocks, which every per-sample
+# pipeline walks, and per total_spin call of a sweep: it bounds their memory, and
+# 729-sample sweeps ran fastest at 2 steps a call (larger blocks outgrow the cache)
 _FRAME_BUDGET = 2048
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
 # 4.4 MB however long the table, and 1024 or 4096 rows wrote a field slower
@@ -246,29 +246,31 @@ def _batch_shape(spec: Spectrum, cfg: PacketConfig):
         ) from None
 
 
-def _per_sample(spec: Spectrum, cfg: PacketConfig, fn, samples=slice(None)):
-    """fn(frames of the samples, cfg.ref), naming the first offending sample on failure.
+def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn):
+    """Yield (samples, fn(frames of the samples, cfg.ref)), _FRAME_BUDGET frames at a time.
 
     Each sample takes its own direction k_hat as quantization axis and shares
-    its packet's characterization vector cfg.i_vec.  Errors name a sample by
-    its index in the whole spectrum, also for a slice of its samples.
+    its packet's characterization vector cfg.i_vec.  Blocks run in sample order,
+    and errors name a sample by its index in the whole spectrum.
     """
-    k = spec.k[..., samples, :]
-    k_hat = k / np.linalg.norm(k, axis=-1, keepdims=True)
+    per = max(1, _FRAME_BUDGET // max(1, math.prod(_batch_shape(spec, cfg))))
     # each packet's (..., 3) vector as (..., 1, 3), to broadcast over samples
     i_vec = cfg.i_vec[..., None, :]
-    try:
-        return fn(build_frame(k_hat, i_vec), cfg.ref)
-    except (DegenerateFrame, ReferenceAnnihilated) as exc:
-        # the frames may broadcast one spectrum over many packets
-        k = np.broadcast_to(k, np.broadcast_shapes(k_hat.shape, i_vec.shape))[exc.index]
-        index = exc.index[:-1] + (exc.index[-1] + (samples.start or 0),)
-        where = f"{_sample(index)} with k = {k.tolist()}"
-        if isinstance(exc, DegenerateFrame):
-            message = f"{where} is parallel to the characterization vector: {exc}"
-        else:
-            message = f"{where}: {exc}; choose references valid on the whole spectrum support"
-        raise type(exc)(message, index) from exc
+    for lo in range(0, len(spec), per):
+        k = spec.k[..., lo : lo + per, :]
+        try:
+            block = fn(build_frame(k / np.linalg.norm(k, axis=-1, keepdims=True), i_vec), cfg.ref)
+        except (DegenerateFrame, ReferenceAnnihilated) as exc:
+            # the frames may broadcast one spectrum over many packets
+            k = np.broadcast_to(k, np.broadcast_shapes(k.shape, i_vec.shape))[exc.index]
+            index = exc.index[:-1] + (exc.index[-1] + lo,)
+            where = f"{_sample(index)} with k = {k.tolist()}"
+            if isinstance(exc, DegenerateFrame):
+                message = f"{where} is parallel to the characterization vector: {exc}"
+            else:
+                message = f"{where}: {exc}; choose references valid on the whole spectrum support"
+            raise type(exc)(message, index) from exc
+        yield slice(lo, lo + per), block
 
 
 def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.ndarray:
@@ -276,17 +278,20 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
 
     branch +1/-1 selects the corresponding eigenspinor instead of the
     superposition varpi alpha.  A batch of packets gives (..., n, 2), each
-    packet's samples composed with its own alpha.  Raises DegenerateFrame
-    naming the offending sample when some k is parallel to the
-    characterization vector, and ReferenceAnnihilated when the references
-    fail on the spectrum's support.
+    packet's samples composed with its own alpha.  Frames are built and freed
+    _FRAME_BUDGET at a time, so only the result grows with the spectrum.
+    Raises DegenerateFrame naming the offending sample when some k is parallel
+    to the characterization vector, and ReferenceAnnihilated when the
+    references fail on the spectrum's support.
     """
     if branch not in (0, +1, -1):
         raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
-    varpi = _per_sample(spec, cfg, mapping_matrix)
-    if branch == 0:
-        return compose_spinor(varpi, cfg.alpha[..., None, :])
-    return varpi[..., 0 if branch == +1 else 1]
+    out = np.empty(_batch_shape(spec, cfg) + (len(spec), 2), dtype=complex)
+    alpha = cfg.alpha[..., None, :]
+    for samples, varpi in _frame_blocks(spec, cfg, mapping_matrix):
+        # branch +1 and -1 take the columns 0 and 1 of varpi, chi+ and chi-
+        out[..., samples, :] = varpi[..., (1 - branch) // 2] if branch else compose_spinor(varpi, alpha)
+    return out
 
 
 def _tensor_axes(a):
@@ -450,8 +455,8 @@ def local_spv(spec: Spectrum, cfg: PacketConfig, x, t, rho_floor: float = 0.0):
 def spin_field(spec: Spectrum, cfg: PacketConfig, points, t: float) -> SpinField:
     """Local polarization field of one packet at one time over a batch of points.
 
-    Node points (rho below 1e-12 of the grid peak) get NaN polarization rows
-    instead of an error so one node cannot abort a whole field evaluation.
+    Node points (rho below 1e-12 of the grid peak) get NaN polarization rows, so
+    one node cannot abort a field.  Frames are built _FRAME_BUDGET at a time.
     """
     batch = _batch_shape(spec, cfg)
     if batch or np.ndim(t):
@@ -481,13 +486,10 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     quadrature error.  A batch of packets gives one (..., 3) spin each.  Samples
     run in blocks of _FRAME_BUDGET frames (packets x samples), bounding memory.
     """
-    per = max(1, _FRAME_BUDGET // math.prod(_batch_shape(spec, cfg)))
     a1, a2 = cfg.alpha[..., None, 0], cfg.alpha[..., None, 1]
     total = 0.0
-    for lo in range(0, len(spec), per):
-        samples = slice(lo, lo + per)
-        # the cross-check runs on every frame; only its phase is read here
-        frame, e = _per_sample(spec, cfg, lambda f, ref: (f, _checked_phase(f, ref)[0]), samples)
+    # the cross-check runs on every frame; only its phase is read here
+    for samples, (frame, e) in _frame_blocks(spec, cfg, lambda f, ref: (f, _checked_phase(f, ref)[0])):
         z = e * (a1.conj() * a2)
         expect = 2.0 * z.real[..., None] * frame.u + 2.0 * z.imag[..., None] * frame.v
         expect += (np.abs(a1) ** 2 - np.abs(a2) ** 2)[..., None] * frame.w

@@ -21,7 +21,10 @@ from spinpol import (
     mapping_matrix,
     phase_factor,
     closed_form_residual,
+    eigenspinor_rotation_residuals,
     rotate_characterization,
+    rotation_residual,
+    spv_rotation_residual,
 )
 from spinpol.frames import EPS_PARALLEL, _cross
 
@@ -80,11 +83,9 @@ def test_triad_is_right_handed_orthonormal():
         assert np.linalg.norm(np.cross(f.u, f.v) - f.w) < 1e-12
 
 
-@pytest.mark.parametrize("cross", [1e-3, 1e-5, 1e-6, 2 * EPS_PARALLEL])
-def test_near_parallel_frames_keep_the_laws_that_do_not_rebuild_from_i(cross):
-    # I tilted from w by an angle whose sine is `cross`: v = (w x I)/|w x I|
-    # alone would be normal to w only to about 1e-16/cross
-    rng = np.random.default_rng(24)
+def _near_parallel_frames(cross, seed=24):
+    """300 frames with I tilted from w by an angle whose sine is `cross`, and the rng."""
+    rng = np.random.default_rng(seed)
     w = rng.normal(size=(300, 3))
     w /= np.linalg.norm(w, axis=-1, keepdims=True)
     # clear of the south pole, whose own precision loss is a separate matter
@@ -93,7 +94,13 @@ def test_near_parallel_frames_keep_the_laws_that_do_not_rebuild_from_i(cross):
     p /= np.linalg.norm(p, axis=-1, keepdims=True)
     i_vec = np.sqrt(1.0 - cross**2) * w + cross * p
     i_vec /= np.linalg.norm(i_vec, axis=-1, keepdims=True)
-    f = build_frame(w, i_vec)
+    return build_frame(w, i_vec), rng
+
+
+@pytest.mark.parametrize("cross", [1e-3, 1e-5, 1e-6, 2 * EPS_PARALLEL])
+def test_near_parallel_frames_keep_the_laws_that_do_not_rebuild_from_i(cross):
+    # v = (w x I)/|w x I| alone would be normal to w only to about 1e-16/cross
+    f, _ = _near_parallel_frames(cross)
     triad = np.stack((f.u, f.v, f.w), axis=-2)
     gram = triad @ triad.swapaxes(-1, -2) - np.eye(3)
     assert np.abs(gram).max() < 1e-12
@@ -103,6 +110,21 @@ def test_near_parallel_frames_keep_the_laws_that_do_not_rebuild_from_i(cross):
     for chi, lam in ((pair.chi_plus, 1.0), (pair.chi_minus, -1.0)):
         assert np.abs((axis @ chi[..., None])[..., 0] - lam * chi).max() < 1e-12
     assert closed_form_residual(f).max() < 1e-12
+
+
+@pytest.mark.parametrize("cross", [1e-3, 1e-5, 1e-6, 2 * EPS_PARALLEL])
+def test_near_parallel_rotation_laws_hold_to_rounding_over_the_cross_product(cross):
+    # these laws rebuild the frame from R I, and the azimuth of I about w has
+    # condition number about 1/|w x I|: the bound scales with it (the worst
+    # residual x |w x I| over seeds 24-26 was 8.3e-16)
+    for seed in (24, 25, 26):
+        f, rng = _near_parallel_frames(cross, seed)
+        phi = rng.uniform(-np.pi, np.pi, size=300)
+        alpha = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+        alpha /= np.linalg.norm(alpha, axis=-1, keepdims=True)
+        for residual in (rotation_residual(f, phi), *eigenspinor_rotation_residuals(f, phi),
+                         spv_rotation_residual(f, phi, alpha)):
+            assert residual.max() <= 4e-15 / cross
 
 
 def test_polar_angle_of_characterization_vector_is_degenerate():

@@ -325,17 +325,28 @@ def _budget_cases():
             (batch, packet(i_vec=i_vec[:2], alpha=alpha))]
 
 
+def _budget_results(spec, cfg):
+    """The bytes of every pipeline that walks the frames in blocks, on one case."""
+    x, t = [0.3, -0.2, 0.5], 0.7
+    results = [total_spin(spec, cfg), evaluate_wavefunction(spec, cfg, x, t)]
+    results += [sample_spinors(spec, cfg, branch) for branch in (0, +1, -1)]
+    results += [eigen_component(spec, cfg, branch, x, t) for branch in (+1, -1)]
+    if spec.k.ndim == 2 and cfg.i_vec.ndim == 1:
+        fld = spin_field(spec, cfg, position_grid(3, 2.0)[0], t)
+        results += [fld.rho, fld.s]
+    return [r.tobytes() for r in results]
+
+
 @pytest.mark.parametrize("budget", [1, 7, 729, 2048])
 def test_total_spin_does_not_depend_on_the_frame_budget(budget, monkeypatch):
-    # the running total is carried in sample order across blocks
+    # total_spin carries its running total in sample order across blocks, and
+    # the other pipelines write each block into its own rows
     cases = _budget_cases()
-    reference = [total_spin(spec, cfg) for spec, cfg in cases]
-    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
-    for (spec, cfg), s in zip(cases, reference):
-        assert total_spin(spec, cfg).tobytes() == s.tobytes()
     monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", 10**6)
-    for (spec, cfg), s in zip(cases, reference):
-        assert total_spin(spec, cfg).tobytes() == s.tobytes()
+    unblocked = [_budget_results(spec, cfg) for spec, cfg in cases]
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
+    for (spec, cfg), reference in zip(cases, unblocked):
+        assert _budget_results(spec, cfg) == reference
 
 
 @pytest.mark.parametrize("budget", [1, 3, 10**6])
@@ -343,6 +354,9 @@ def test_blocked_total_spin_names_the_global_sample(budget, monkeypatch):
     monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", budget)
     with pytest.raises(DegenerateFrame, match=r"^sample 4 with k = \[-2\.0, 0\.0, 0\.0\] is parallel") as exc:
         total_spin(_seven_samples([-2.0, 0.0, 0.0]), packet())
+    assert exc.value.index == (4,)
+    with pytest.raises(DegenerateFrame, match=r"^sample 4 with k = \[2\.0, 0\.0, 0\.0\] is parallel") as exc:
+        sample_spinors(_seven_samples([2.0, 0.0, 0.0]), packet())
     assert exc.value.index == (4,)
     cfg = packet(i_vec=np.tile(X, (2, 1)))
     with pytest.raises(ReferenceAnnihilated, match=r"^packet 0, sample 4 .*support") as exc:
@@ -372,6 +386,36 @@ def test_total_spin_memory_is_bounded_by_the_frame_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * own, (peak, own)
+
+
+def test_spin_field_memory_is_bounded_by_the_frame_budget():
+    import tracemalloc
+
+    # 41^3 = 68921 samples at 125 points; building every frame at once took
+    # about 9 times the spectrum's own arrays
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 41, 4.0)
+    own = spec.k.nbytes + spec.amplitude.nbytes + spec.weight.nbytes
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    points = position_grid(5, 3.0)[0]
+    # a first call leaves numpy's one-time allocations out of the peak
+    spin_field(single_wave(), cfg, points, 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spin_field(spec, cfg, points, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * own, (peak, own)
+
+
+def test_an_empty_packet_batch_gives_empty_results():
+    # the frame budget is shared among no packets: one block holds every sample
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 2.0)
+    cfg = packet(i_vec=np.zeros((0, 3)), alpha=np.array([0.6, 0.8j]))
+    assert total_spin(spec, cfg).shape == (0, 3)
+    assert sample_spinors(spec, cfg).shape == (0, len(spec), 2)
+    assert evaluate_wavefunction(spec, cfg, [0.0, 0.0, 0.0], 0.0).shape == (0, 2)
 
 
 def test_total_spin_is_reproducible():
