@@ -64,6 +64,76 @@ def _direction_clear_of(rng, avoid):
             return d
 
 
+def _dots(v):
+    """v.v of each row of an (m, k) block: one BLAS ddot per row, the one v.dot(v) calls."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _units(v):
+    """The rows of v as _unit_vector returns them, and whether it accepts each."""
+    n = np.sqrt(_dots(v))
+    return v / n[:, None], n > 1e-3
+
+
+def _spinors(x):
+    """Rows of 4 normals (re, re, im, im) as _spinor returns them, and whether it accepts each."""
+    z = x[:, :2] + 1j * x[:, 2:]
+    # the stride-2 .real and .imag views take the BLAS ddot that _spinor's do
+    n = np.sqrt(_dots(z.real) + _dots(z.imag))
+    return z / n[:, None], n > 1e-3
+
+
+def _frames(x):
+    """Rows of 6 normals as _frame returns them, and whether it accepts each."""
+    (w, w_ok), (i_vec, i_ok) = _units(x[:, :3]), _units(x[:, 3:])
+    return w, i_vec, w_ok & i_ok & (np.sqrt(_dots(frames._cross(w, i_vec))) > 1e-2)
+
+
+def _directions_clear_of(x, avoid):
+    """Rows of 3 normals as _direction_clear_of returns them, and whether it accepts each."""
+    d, ok = _units(x)
+    return d, ok & (1.0 + d[:, 2] > 1e-4) & (np.sqrt(_dots(frames._cross(d, avoid))) > 1e-2)
+
+
+def _take(rng, count, layout):
+    """The random numbers of `count` cases, in stream order, with no rejection test.
+
+    `layout` lists one case's generator calls: an int k for k normals, a tuple
+    of (low, high) pairs for one uniform each.  Returns the (count, .) blocks
+    of normals and of uniforms, lo + (hi - lo) * random() being exactly
+    rng.uniform(lo, hi).
+    """
+    n_normals = sum(c for c in layout if isinstance(c, int))
+    bounds = np.array([b for c in layout if not isinstance(c, int) for b in c]).reshape(-1, 2)
+    if not len(bounds):
+        # normals do not depend on how they are chunked
+        return rng.normal(size=(count, n_normals)), np.empty((count, 0))
+    normals, unit = np.empty((count, n_normals)), np.empty((count, len(bounds)))
+    calls, n, u = [], 0, 0
+    for c in layout:
+        if isinstance(c, int):
+            calls.append((rng.normal, normals[:, n : n + c], c))
+            n += c
+        else:
+            calls.append((rng.random, unit[:, u : u + len(c)], len(c)))
+            u += len(c)
+    for row in range(count):
+        for call, out, k in calls:
+            out[row] = call(size=k)
+    lo, hi = bounds.T
+    return normals, lo + (hi - lo) * unit
+
+
+def _block_draw(rng, count, layout, stack):
+    """A block of `count` cases taken in one pass: (stacked fields, whether every case drew once).
+
+    False means some case of the per-case draw rejects a vector and draws it
+    again, so the fields do not hold that block.
+    """
+    fields, ok = stack(*_take(rng, count, layout))
+    return [np.ascontiguousarray(f) for f in fields], bool(ok.all())
+
+
 def _norms(x):
     """2-norm of each case's entries: (n, ...) to (n,)."""
     return np.linalg.norm(x.reshape(len(x), -1), axis=1)
@@ -75,7 +145,9 @@ def _dagger(m):
 
 # Each suite is a draw, which takes one case's random numbers from the suite's
 # stream, and a check, which takes the stacked draws of a block of cases and
-# returns per-case residual arrays.
+# returns per-case residual arrays.  The layout lists the draw's generator
+# calls when no vector is rejected, and the stack builds a block's fields from
+# them (see _take and _block_draw).
 
 
 def _draw_algebra(rng):
@@ -83,6 +155,16 @@ def _draw_algebra(rng):
     chi = _spinor(rng)
     ca, cb = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
     return a, b, chi, ca, cb
+
+
+_ALGEBRA_LAYOUT = (14,)
+
+
+def _stack_algebra(x, u):
+    (a, a_ok), (b, b_ok) = _units(x[:, 0:3]), _units(x[:, 3:6])
+    chi, chi_ok = _spinors(x[:, 6:10])
+    fields = (a, b, chi, x[:, 10] + 1j * x[:, 11], x[:, 12] + 1j * x[:, 13])
+    return fields, a_ok & b_ok & chi_ok
 
 
 def _check_algebra(a, b, chi, ca, cb):
@@ -106,6 +188,14 @@ def _draw_frames(rng):
     w, i_vec = _frame(rng)
     theta = rng.uniform(0.1, np.pi - 0.1)
     return w, i_vec, theta, rng.uniform(0, 2 * np.pi)
+
+
+_FRAMES_LAYOUT = (6, ((0.1, np.pi - 0.1), (0, 2 * np.pi)))
+
+
+def _stack_frames(x, u):
+    w, i_vec, ok = _frames(x)
+    return (w, i_vec, u[:, 0], u[:, 1]), ok
 
 
 def _check_frames(w, i_vec, theta, phi):
@@ -156,6 +246,17 @@ def _draw_rotations(rng):
     return axis, phi1, phi2, a, w, i_vec, phi, _spinor(rng)
 
 
+_ROTATIONS_LAYOUT = (3, ((0, 4 * np.pi),) * 2, 9, ((0, 4 * np.pi),), 4)
+
+
+def _stack_rotations(x, u):
+    axis, axis_ok = _units(x[:, 0:3])
+    w, i_vec, frame_ok = _frames(x[:, 6:12])
+    alpha, alpha_ok = _spinors(x[:, 12:16])
+    fields = (axis, u[:, 0], u[:, 1], x[:, 3:6], w, i_vec, u[:, 2], alpha)
+    return fields, axis_ok & frame_ok & alpha_ok
+
+
 def _check_rotations(axis, phi1, phi2, a, w, i_vec, phi, alpha):
     so3, su2 = rotations._so3, rotations._su2
     f = frames.build_frame(w, i_vec)
@@ -172,6 +273,15 @@ def _draw_heisenberg(rng):
     w, i_vec = _frame(rng)
     phi = rng.uniform(0, 4 * np.pi)
     return w, i_vec, phi, _spinor(rng)
+
+
+_HEISENBERG_LAYOUT = (6, ((0, 4 * np.pi),), 4)
+
+
+def _stack_heisenberg(x, u):
+    w, i_vec, frame_ok = _frames(x[:, 0:6])
+    alpha, alpha_ok = _spinors(x[:, 6:10])
+    return (w, i_vec, u[:, 0], alpha), frame_ok & alpha_ok
 
 
 def _check_heisenberg(w, i_vec, phi, alpha):
@@ -216,6 +326,29 @@ def _draw_wavepacket(rng):
     phase = rng.uniform(0, 2 * np.pi)
     mags, amp, weight = _collinear_draw(rng)
     return i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, rng.uniform(0, 2 * np.pi)
+
+
+_WAVEPACKET_LAYOUT = (
+    13,  # i_vec, direction, alpha, x
+    ((0, 2.0),),  # t
+    3,  # d2
+    ((0, 2 * np.pi),) + ((1.0, 3.0),) * 3,  # phase, mags
+    6,  # amp
+    ((0.5, 1.5),) * 3 + ((0, 2 * np.pi),),  # weight, phi
+)
+
+
+def _stack_wavepacket(x, u):
+    i_vec, i_ok = _units(x[:, 0:3])
+    direction, d_ok = _directions_clear_of(x[:, 3:6], i_vec)
+    alpha, alpha_ok = _spinors(x[:, 6:10])
+    d2, d2_ok = _directions_clear_of(x[:, 13:16], i_vec)
+    # _collinear_draw on each row
+    amp, weight = x[:, 16:19] + 1j * x[:, 19:22], u[:, 5:8]
+    amp /= np.sqrt(np.sum(weight * np.abs(amp) ** 2, axis=1))[:, None]
+    mags = np.sort(u[:, 2:5])
+    fields = (i_vec, direction, alpha, x[:, 10:13], u[:, 0], d2, u[:, 1], mags, amp, weight, u[:, 8])
+    return fields, i_ok & d_ok & alpha_ok & d2_ok
 
 
 def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, phi):
@@ -264,13 +397,13 @@ def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weigh
     return _norms(s_single - algebra._spv(chi)), linearity, unit, _norms(law)
 
 
-# name: (draw, check, tolerance, suite id)
+# name: (draw, layout, stack, check, tolerance, suite id)
 _SUITES = {
-    "algebra": (_draw_algebra, _check_algebra, 1e-12, 0),
-    "frames": (_draw_frames, _check_frames, 1e-12, 1),
-    "rotations": (_draw_rotations, _check_rotations, 1e-12, 2),
-    "heisenberg": (_draw_heisenberg, _check_heisenberg, 1e-12, 3),
-    "wavepacket": (_draw_wavepacket, _check_wavepacket, 1e-9, 4),
+    "algebra": (_draw_algebra, _ALGEBRA_LAYOUT, _stack_algebra, _check_algebra, 1e-12, 0),
+    "frames": (_draw_frames, _FRAMES_LAYOUT, _stack_frames, _check_frames, 1e-12, 1),
+    "rotations": (_draw_rotations, _ROTATIONS_LAYOUT, _stack_rotations, _check_rotations, 1e-12, 2),
+    "heisenberg": (_draw_heisenberg, _HEISENBERG_LAYOUT, _stack_heisenberg, _check_heisenberg, 1e-12, 3),
+    "wavepacket": (_draw_wavepacket, _WAVEPACKET_LAYOUT, _stack_wavepacket, _check_wavepacket, 1e-9, 4),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -279,13 +412,19 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     """Run one named suite; n_cases = 0 passes vacuously with zero residual.
 
-    Each case is drawn from the (seed, suite) stream in turn; the laws are then
-    checked on a block of up to CASE_BLOCK stacked cases at once, and the worst
-    residual over all cases is reported.  A NaN residual fails the suite.
+    The cases come from the (seed, suite) stream in case order, a block of up
+    to CASE_BLOCK at a time.  A block is drawn in one pass: each case's random
+    numbers are taken with one generator call per run of normals or uniforms,
+    then the block's vectors and spinors are normalized and their rejection
+    tests evaluated at once, with the arithmetic of the per-case draw.  If a
+    case would have redrawn a rejected vector, the block is drawn again case
+    by case from its start.  Either way the stream and the draws are the same
+    bits.  The laws are checked on the stacked block, and the worst residual
+    over all cases is reported.  A NaN residual fails the suite.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    draw, check, default_tol, suite_id = _SUITES[name]
+    draw, layout, stack, check, default_tol, suite_id = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
     # written so that a NaN tolerance fails it
     if not (n_cases >= 0 and 0 <= tol < np.inf):
@@ -297,8 +436,14 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     # blocks are drawn in case order, so neither the stream nor the result
     # depends on CASE_BLOCK, which only bounds the memory of a large run
     for start in range(0, n_cases, CASE_BLOCK):
-        cases = [draw(rng) for _ in range(min(CASE_BLOCK, n_cases - start))]
-        for residual in check(*(np.array(field) for field in zip(*cases))):
+        count = min(CASE_BLOCK, n_cases - start)
+        state = rng.bit_generator.state
+        fields, drawn = _block_draw(rng, count, layout, stack)
+        if not drawn:
+            # a case redraws a rejected vector: replay the block case by case
+            rng.bit_generator.state = state
+            fields = [np.array(field) for field in zip(*(draw(rng) for _ in range(count)))]
+        for residual in check(*fields):
             # np.maximum, not max: a NaN residual must fail the suite
             worst = np.maximum(worst, np.max(residual))
     worst = float(worst)

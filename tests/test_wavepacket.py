@@ -388,6 +388,32 @@ def test_total_spin_memory_is_bounded_by_the_frame_budget():
     assert peak <= 2 * own, (peak, own)
 
 
+def test_total_spin_memory_does_not_grow_with_the_jones_batch():
+    import tracemalloc
+
+    # each packet of a Jones batch counts toward the frame budget, so one I and
+    # 729 samples under 256 Jones vectors peak no higher than under one; with
+    # blocks sized by the frames alone the peak grew with the batch (13.6 MB
+    # against 0.9 MB)
+    spec = gaussian_spectrum([0.0, 0.3, 5.0], 0.5, 9, 4.0)
+    alpha = np.random.default_rng(90).normal(size=(256, 4)).view(complex)
+    alpha /= np.linalg.norm(alpha, axis=-1, keepdims=True)
+    cfgs = [packet(i_vec=[0.0, 0.6, 0.8], alpha=a) for a in (alpha[0], alpha)]
+    # a first call leaves numpy's one-time allocations out of the peaks
+    total_spin(spec, cfgs[0])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for cfg in cfgs:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            total_spin(spec, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
 def test_spin_field_memory_is_bounded_by_the_frame_budget():
     import tracemalloc
 
