@@ -89,6 +89,12 @@ def _apply(m, chi):
     return (m @ chi[..., None])[..., 0]
 
 
+def _mul(a, b) -> np.ndarray:
+    # 2x2 matrix product over the last two axes, broadcast over the rest; on
+    # stacks of 2x2 matrices matmul's per-matrix overhead costs several times this
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def _single(name, arr):
     # for functions defined on one vector or spinor: a batch would pass the
     # checks above and then mix its frames in single-frame arithmetic

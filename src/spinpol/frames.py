@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
 from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _first, _item, _norm, _single
-from .algebra import _vdot, _where
+from .algebra import _mul, _vdot, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -244,7 +244,7 @@ def compose_spinor(varpi, alpha) -> np.ndarray:
     varpi is (..., 2, 2) and alpha (..., 2); the two broadcast against each other.
     """
     varpi = np.asarray(varpi, dtype=complex)
-    gram = varpi.conj().swapaxes(-1, -2) @ varpi - IDENTITY2
+    gram = _mul(varpi.conj().swapaxes(-1, -2), varpi) - IDENTITY2
     ok = _norm(gram, axis=(-2, -1)) <= EPS_INPUT
     if not ok.all():
         raise ValueError(f"mapping matrix{_where(_first(~ok))} must be unitary")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _apply, _bilinear, _item, _norm, _spv, _vdot
+from .algebra import _apply, _bilinear, _item, _mul, _norm, _spv, _vdot
 from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
 from .frames import mapping_matrix
 from .rotations import _so3, _su2, rotate_characterization
@@ -60,12 +60,6 @@ def _expand(hs: HeisenbergSigma, u, v, w) -> np.ndarray:
         + v[..., :, None, None] * hs.sigma_v[..., None, :, :]
         + w[..., :, None, None] * hs.sigma_w[..., None, :, :]
     )
-
-
-def _mul(a, b) -> np.ndarray:
-    # 2x2 matrix product over the last two axes, broadcast over the rest; on
-    # stacks of 2x2 matrices matmul's per-matrix overhead costs several times this
-    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
 
 
 def _conjugate(m, unitary) -> np.ndarray:

@@ -9,6 +9,7 @@ so the packet's local polarization field and total spin are determined by the
 weighting A(k), the Jones vector, and the shared characterization vector alone.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +40,8 @@ DENSE_BLOCK_BYTES = 32 * 2**20
 # 729-sample sweeps ran fastest at 2 steps a call (larger blocks outgrow the cache)
 _FRAME_BUDGET = 2048
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
-# 4.4 MB however long the table, and 1024 or 4096 rows wrote a field slower
+# 4.1 MB however long the table, and 1024 or 4096 rows wrote the default field
+# slower (9.3 and 10.6 ms against 8.3 ms, p10 of 60 writes in one process)
 TABLE_BLOCK = 2048
 
 SPECTRUM_HEADER = "kx,ky,kz,re_A,im_A,weight"
@@ -294,14 +296,23 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
     return out
 
 
+def _sorted_unique(ordered):
+    """The distinct values of a sorted 1-D array.
+
+    np.unique would argsort to return an inverse, and import numpy.ma without one.
+    """
+    keep = np.ones(len(ordered), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _tensor_axes(a):
     """Per-column axes of a lexicographic tensor grid, or None if `a` is not one.
 
     `a` is a grid when the sorted unique values of its columns rebuild it
     exactly as their `ij` meshgrid, last column fastest.
     """
-    # return_inverse takes the sorting path; a bare np.unique imports numpy.ma
-    axes = [np.unique(a[:, i], return_inverse=True)[0] for i in range(a.shape[1])]
+    axes = [_sorted_unique(np.sort(a[:, i])) for i in range(a.shape[1])]
     if np.prod([len(ax) for ax in axes]) != len(a):
         return None
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(a.shape)
@@ -550,42 +561,48 @@ def position_grid(n_per_axis: int, half_span: float):
 
 
 def _csv_block(block):
-    """CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
+    """ASCII CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
 
     A column with at least two rows per distinct value (grid coordinates, a
     constant time) formats each distinct value once.  Values are keyed by bit
-    pattern, not by float value: -0.0 and 0.0 print differently.
+    pattern, not by float value: -0.0 and 0.0 print differently.  Each column
+    then gets a slot only as wide as the _g17 rows that its values use in the
+    block (about 20 of the 44 for a field's coordinates, one for its time), so
+    the transposing copy and the NUL compaction handle about 165 bytes a field
+    row instead of 8 x 45.
     """
     rows, cols = block.shape
     repeated = {}
-    for j in range(cols):
+    # a block too small for the kernel is formatted value by value: no dedupe pays
+    for j in range(cols) if block.size >= _g17._KERNEL_MIN else ():
         column = block[:, j].view(np.int64)
         # a column whose first 64 rows are all distinct (rho, s) skips the
         # sort; a repeat missed this way costs time, not bytes
         head = np.sort(column[:64])
         if (head[1:] != head[:-1]).all():
             continue
-        bits, inverse = np.unique(column, return_inverse=True)
+        bits = _sorted_unique(np.sort(column))
         if 2 * len(bits) <= rows:
-            repeated[j] = bits.view(np.float64), inverse
-    rest = [j for j in range(cols) if j not in repeated]
-    values = [block[:, rest].ravel()] + [distinct for distinct, _ in repeated.values()]
-    text = _g17.format_block(np.concatenate(values)).T
-    # each value's slot and its separator, in a buffer that translate() can
-    # compact without another copy; NULs pad the unused bytes
-    buf = bytearray(rows * cols * (_g17.SLOT + 1))
-    out = np.frombuffer(buf, np.uint8).reshape(rows, cols, _g17.SLOT + 1)
-    out[..., -1] = ord(",")
-    out[:, -1, -1] = ord("\n")
-    start = rows * len(rest)
-    out[:, rest, :-1] = text[:start].reshape(rows, len(rest), _g17.SLOT)
-    # the few distinct slots of the repeated columns, contiguous for the gathers
-    distinct_text = np.ascontiguousarray(text[start:])
-    start = 0
-    for j, (distinct, inverse) in repeated.items():
-        out[:, j, :-1] = distinct_text[start + inverse]
-        start += len(distinct)
-    return buf.translate(None, b"\0").decode("ascii")
+            repeated[j] = bits.view(np.float64), np.searchsorted(bits, column)
+    # each column's values, or its distinct values, as one run of the text
+    values = [repeated[j][0] if j in repeated else block[:, j] for j in range(cols)]
+    starts = [0, *itertools.accumulate(len(v) for v in values)]
+    text = _g17.format_block(np.concatenate(values))
+    used = [np.flatnonzero(m) for m in np.bitwise_or.reduceat(text, starts[:-1], axis=1).T]
+    # each column's slot and its separator, in a buffer that translate() can
+    # compact without another copy; NULs pad the bytes a value does not use
+    ends = list(itertools.accumulate(len(u) + 1 for u in used))
+    buf = bytearray(rows * ends[-1])
+    out = np.frombuffer(buf, np.uint8).reshape(rows, ends[-1])
+    out[:, [end - 1 for end in ends]] = ord(",")
+    out[:, -1] = ord("\n")
+    for j, (u, end) in enumerate(zip(used, ends)):
+        slots = text[u, starts[j] : starts[j + 1]].T
+        if j in repeated:
+            # the few distinct slots, contiguous for the gather
+            slots = np.ascontiguousarray(slots)[repeated[j][1]]
+        out[:, end - 1 - len(u) : end - 1] = slots
+    return buf.translate(None, b"\0")
 
 
 def write_table(path, header, table) -> None:
@@ -593,7 +610,8 @@ def write_table(path, header, table) -> None:
 
     The table must be 2-D with one column per header field, else ValueError.
     Rows are formatted TABLE_BLOCK at a time, so memory does not grow with
-    the table.
+    the table.  The file is written in binary, so every line ends in \\n on
+    every platform.
     """
     table = np.asarray(table, dtype=np.float64)
     fields = header.count(",") + 1
@@ -602,8 +620,8 @@ def write_table(path, header, table) -> None:
             f"a table for header '{header}' must be 2-D with {fields} columns, "
             f"got shape {table.shape}"
         )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
         for lo in range(0, len(table), TABLE_BLOCK):
             fh.write(_csv_block(table[lo : lo + TABLE_BLOCK]))
 

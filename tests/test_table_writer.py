@@ -114,6 +114,30 @@ def test_tables_around_the_block_size_print_as_per_value_text(tmp_path, offset):
     assert (tmp_path / "t.csv").read_text() == _per_value_csv("a,b,c,d", table)
 
 
+def _layout_table(rows, rng):
+    """Columns whose texts use different rows of the kernel's slot, some repeated."""
+    mixed = np.array([0.0, 7.0, -1.2345678901234567e-100, -3.5e-300])  # 1 and 24 characters
+    return np.column_stack([
+        np.zeros(rows),  # one value, one byte
+        np.full(rows, np.nan),  # no sign, three bytes
+        -rng.uniform(1.0, 10.0, rows) * 10.0 ** -rng.integers(5, 250, rows),  # '-d.ddde-XX'
+        rng.uniform(1e-4, 1e-3, rows),  # '0.000ddd'
+        rng.choice(mixed, rows),  # few values, kernel and exact texts
+        np.where(rng.random(rows) < 0.5, rng.integers(0, 10, rows), mixed[2] * rng.random(rows)),
+    ])
+
+
+@pytest.mark.parametrize("rows", [1, 40, wavepacket.TABLE_BLOCK - 1, wavepacket.TABLE_BLOCK,
+                                  wavepacket.TABLE_BLOCK + 1])
+def test_columns_of_different_widths_print_as_per_value_text(tmp_path, rows):
+    # 40 rows of 6 columns are fewer values than the kernel takes
+    table = _layout_table(rows, np.random.default_rng(rows))
+    header = "a,b,c,d,e,f"
+    wavepacket.write_table(tmp_path / "t.csv", header, table)
+    # the file is written in binary: every line ends in a bare \n
+    assert (tmp_path / "t.csv").read_bytes() == _per_value_csv(header, table).encode()
+
+
 def test_text_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
     rng = np.random.default_rng(11)
     table = np.column_stack([np.repeat(np.arange(30.0), 10), rng.normal(size=300),
