@@ -127,11 +127,29 @@ def spv(chi) -> np.ndarray:
 
 
 def _bilinear(a, b):
-    """Pauli bilinear a^dag sigma b, shape (..., 3), of (..., 2) spinors that broadcast together."""
-    # products with the table's entries are exact, so this is the component formula
-    # bit for bit; one 2-D product, as a stacked (..., 4) @ (4, 3) dispatches per row
-    outer = a.conj()[..., :, None] * b[..., None, :]
-    return (outer.reshape(-1, 4) @ _PAULI_ENTRIES).reshape(outer.shape[:-2] + (3,))
+    """Pauli bilinear a^dag sigma b, shape (..., 3), of (..., 2) spinors that broadcast together.
+
+    _pauli_components on the products o_rs = conj(a_r) b_s, written into one (..., 3) array.
+    """
+    a_bar = np.conj(a)
+    same = a_bar * b  # o00 and o11
+    o01, o10 = a_bar[..., 0] * b[..., 1], a_bar[..., 1] * b[..., 0]
+    out = np.empty(same.shape[:-1] + (3,), dtype=complex)
+    _pauli_components(o01, o10, same[..., 0], same[..., 1], out[..., 0], out[..., 1], out[..., 2])
+    return out
+
+
+def _pauli_components(o01, o10, o00, o11, x, y, z):
+    """Write the Pauli bilinear's components from its products o_rs = conj(a_r) b_s into x, y, z.
+
+    x = o01 + o10, y = -i o01 + i o10 and z = o00 - o11: sigma's entries are
+    only 0, +-1 and +-i, so each part is one sum or difference of two products
+    and equals the matrix product with sigma's entries wherever it is not zero.
+    """
+    np.add(o01, o10, out=x)
+    np.subtract(o01.imag, o10.imag, out=y.real)
+    np.subtract(o10.real, o01.real, out=y.imag)
+    np.subtract(o00, o11, out=z)
 
 
 def _density_and_spin(psi):

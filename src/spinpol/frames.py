@@ -209,7 +209,10 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
 
 def _ladder_constant(a, chi_to, chi_from):
     """a.(chi_to^dag sigma chi_from): the constant c of (a.sigma) chi_from = c chi_to."""
-    return np.add.reduce(a * _bilinear(chi_to, chi_from), axis=-1)
+    # np.multiply, not `*`: above 256 KiB numpy may compute `a * temporary` in
+    # place as temporary * a, and a complex product with fused multiply-adds
+    # is not bitwise commutative
+    return np.add.reduce(np.multiply(a, _bilinear(chi_to, chi_from)), axis=-1)
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _apply, _bilinear, _item, _mul, _norm, _spv, _vdot
+from .algebra import _apply, _item, _mul, _norm, _pauli_components, _spv, _vdot
 from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
 from .frames import mapping_matrix
 from .rotations import _so3, _su2, rotate_characterization
@@ -68,19 +68,44 @@ def _conjugate(m, unitary) -> np.ndarray:
 
 
 def _direct(frame: Frame, varpi) -> np.ndarray:
-    """varpi^dag (a.sigma) varpi for a = u, v, w on axis -3; entry (i, j) is a.(chi_i^dag sigma chi_j).
+    """varpi^dag (a.sigma) varpi for a = u, v, w, as one (3, 2, 2, ...) array with the frames last.
 
-    chi_i is column i of varpi.  All four entries are computed; none is inferred from Hermiticity.
+    Entry (a, i, j) is a.(chi_i^dag sigma chi_j), chi_i column i of varpi.  All
+    twelve entries are computed; none is inferred from Hermiticity.  The
+    bilinears come from algebra._pauli_components and are projected on u, v
+    and w by adding their x, y and z parts in that order.
     """
-    chi = varpi.swapaxes(-1, -2)
-    bilinears = _bilinear(chi[..., :, None, :], chi[..., None, :, :])[..., None, :, :, :]
-    # column c of the triad holds the c-th Cartesian components of u, v and w;
-    # one c at a time, summed in place, bounds the peak memory of a large batch
-    triad = np.stack(np.broadcast_arrays(frame.u, frame.v, frame.w), axis=-2)[..., None, None]
-    direct = triad[..., 0, :, :] * bilinears[..., 0]
-    direct += triad[..., 1, :, :] * bilinears[..., 1]
-    direct += triad[..., 2, :, :] * bilinears[..., 2]
+    batch = np.shape(varpi)[:-2]
+    # every intermediate is a view of one workspace: as seven arrays, a
+    # 1458-frame block faulted in about 360 fresh pages per call (glibc)
+    work = np.empty((53,) + batch, dtype=complex)
+    chi = work[0:4].reshape((2, 2) + batch)  # chi_i[r] at (r, i, ...)
+    bra = work[4:8].reshape((2, 2) + batch)
+    # component c of a = u, v, w at (a, c, ...), complex once: a real factor
+    # would be cast to complex for every entry it multiplies
+    triad = work[8:17].reshape((3, 3) + batch)
+    products = work[17:33].reshape((2, 2, 2, 2) + batch)
+    bilinears = work[41:53].reshape((3, 2, 2) + batch)
+    _frames_first(chi)[...] = varpi
+    rows = _frames_first(triad)
+    rows[..., 0, :], rows[..., 1, :], rows[..., 2, :] = frame.u, frame.v, frame.w
+    # conj(chi_i[r]) chi_j[s] at (r, s, i, j, ...)
+    np.conjugate(chi, out=bra)
+    np.multiply(bra[:, None, :, None], chi[None, :, None, :], out=products)
+    _pauli_components(products[0, 1], products[1, 0], products[0, 0], products[1, 1], *bilinears)
+    # the projection overwrites the products, one component c at a time
+    direct = work[17:29].reshape((3, 2, 2) + batch)
+    term = work[29:41].reshape((3, 2, 2) + batch)
+    factors = triad[:, :, None, None]
+    np.multiply(factors[:, 0], bilinears[0], out=direct)
+    for c in (1, 2):
+        direct += np.multiply(factors[:, c], bilinears[c], out=term)
     return direct
+
+
+def _frames_first(a):
+    """The (k, m, ...) array a viewed as (..., k, m)."""
+    return a.transpose(tuple(range(2, a.ndim)) + (0, 1))
 
 
 def _closed_entries(e):
@@ -96,17 +121,24 @@ def _checked_phase(frame: Frame, ref: ReferenceSpinors):
     """e = exp(i phi0), phi0 and, per frame, the closed forms' deviation from direct conjugation.
 
     The deviation is the worst Frobenius norm of varpi^dag (a.sigma) varpi minus
-    its closed form over a = u, v, w; one beyond rounding raises RuntimeError.
+    its closed form over a = u, v, w, computed on the frames-last entries of
+    _direct; one beyond rounding raises RuntimeError.  Every frame is checked,
+    a single frame by the same code at batch shape ().
     """
     pair = eigen_spinors(frame, ref)
     direct = _direct(frame, pair.mapping)
     e = np.exp(1j * np.asarray(pair.phi0))
     # only the nonzero entries of the closed forms need subtracting
     for (a, i, j), value in _closed_entries(e):
-        direct[..., a, i, j] -= value
-    norms = _norm(direct, axis=_MATRIX)
+        direct[a, i, j, ...] -= value
+    # |d|^2 as the real part of conj(d) d, as algebra._norm takes it: numpy's
+    # complex product may fuse re re + (im im), so re re + im im can differ
+    # in the last bit.  Each matrix's four entries are summed in order.
+    squares = np.multiply(np.conj(direct), direct)
+    norms = np.add.reduce(squares.real.reshape((3, 4) + np.shape(e)), axis=1)
+    np.sqrt(norms, out=norms)
     # worst of u, v, w: pairwise maxima are exact, and 12x faster than a reduce
-    deviation = np.maximum(np.maximum(norms[..., 0], norms[..., 1]), norms[..., 2])
+    deviation = np.maximum(np.maximum(norms[0], norms[1]), norms[2])
     # written so that NaN fails it
     if not np.all(deviation <= _INTERNAL_TOL):
         raise RuntimeError(

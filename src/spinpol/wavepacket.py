@@ -36,9 +36,11 @@ NORM_TOL = 1e-9
 # bytes of one block of complex phase factors in the dense plane-wave sum
 DENSE_BLOCK_BYTES = 32 * 2**20
 # frames (packets x samples) per block of _frame_blocks, which every per-sample
-# pipeline walks, and per total_spin call of a sweep: it bounds their memory, and
-# 729-sample sweeps ran fastest at 2 steps a call (larger blocks outgrow the cache)
-_FRAME_BUDGET = 2048
+# pipeline walks, and per total_spin call of a sweep: it bounds their memory.
+# 8-step sweeps of 729 samples took 7.6, 6.0, 5.1, 5.2 and 5.0 ms at 1024, 2048,
+# 3000 (4 steps a call), 4096 and 8192 frames (p10 of 200 interleaved runs in
+# one process); 8192 raised the benchmark's peak RSS by 5 MB
+_FRAME_BUDGET = 3000
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
 # 4.1 MB however long the table, and 1024 or 4096 rows wrote the default field
 # slower (9.3 and 10.6 ms against 8.3 ms, p10 of 60 writes in one process)

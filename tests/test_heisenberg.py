@@ -13,6 +13,7 @@ from spinpol import (
     rotate_characterization,
     rotation_residual,
 )
+from spinpol.algebra import PAULI, _bilinear
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -227,7 +228,7 @@ def _closed_forms_as_one_array(frame):
     from spinpol.algebra import SIGMA_Z, _norm
 
     pair = heisenberg.eigen_spinors(frame, heisenberg.DEFAULT_REFERENCES)
-    direct = heisenberg._direct(frame, pair.mapping)
+    direct = np.moveaxis(heisenberg._direct(frame, pair.mapping), (0, 1, 2), (-3, -2, -1))
     e = np.exp(1j * np.asarray(pair.phi0))
     closed = np.zeros(e.shape + (3, 2, 2), dtype=complex)
     closed[..., 0, 0, 1] = e
@@ -255,3 +256,179 @@ def test_entrywise_check_keeps_the_matrices_phase_and_deviation_bitwise():
         assert heisenberg_sigma(f).sigma_u.tobytes() == closed[0].tobytes()
         assert heisenberg_sigma(f).phi0 == phi0
         assert closed_form_residual(f) == deviation
+
+
+# Reference kernels for the two under the cross-check: the Pauli bilinear as a
+# matrix product with the (4, 3) table of sigma's entries, and the conjugation
+# on (..., 3, 2, 2) arrays.  The frames-last kernels must reproduce them bit for
+# bit, except for the sign of an exact zero, which the table product takes from
+# the BLAS kernel: a single row and the same row in a batch can get different
+# signs there.
+_PAULI_ENTRIES = PAULI.reshape(3, 4).T
+
+
+def _reference_bilinear(a, b):
+    outer = a.conj()[..., :, None] * b[..., None, :]
+    return (outer.reshape(-1, 4) @ _PAULI_ENTRIES).reshape(outer.shape[:-2] + (3,))
+
+
+def _reference_direct(frame, varpi):
+    chi = varpi.swapaxes(-1, -2)
+    bilinears = _reference_bilinear(chi[..., :, None, :], chi[..., None, :, :])[..., None, :, :, :]
+    triad = np.stack(np.broadcast_arrays(frame.u, frame.v, frame.w), axis=-2)[..., None, None]
+    direct = triad[..., 0, :, :] * bilinears[..., 0]
+    direct += triad[..., 1, :, :] * bilinears[..., 1]
+    direct += triad[..., 2, :, :] * bilinears[..., 2]
+    return direct
+
+
+def _reference_check(frame, monkeypatch):
+    """(entries of _direct, e, phi0, deviation) from the reference kernels."""
+    from spinpol import frames, heisenberg
+    from spinpol.algebra import _norm
+
+    with monkeypatch.context() as m:
+        # phi0 is the angle of a ladder constant, itself a bilinear
+        m.setattr(frames, "_bilinear", _reference_bilinear)
+        pair = heisenberg.eigen_spinors(frame, heisenberg.DEFAULT_REFERENCES)
+    direct = _reference_direct(frame, pair.mapping)
+    entries = direct.copy()
+    e = np.exp(1j * np.asarray(pair.phi0))
+    for (a, i, j), value in heisenberg._closed_entries(e):
+        direct[..., a, i, j] -= value
+    norms = _norm(direct, axis=(-2, -1))
+    deviation = np.maximum(np.maximum(norms[..., 0], norms[..., 1]), norms[..., 2])
+    return entries, e, pair.phi0, deviation
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _equal_but_for_zero_signs(x, y):
+    # compared as values: apart from NaN, only +0 and -0 differ in bits but not in value
+    return np.array_equal(np.real(x), np.real(y)) and np.array_equal(np.imag(x), np.imag(y))
+
+
+def _assert_kernels_match_the_reference(frame, monkeypatch, zero_signs=True):
+    from spinpol import heisenberg
+
+    entries, e, phi0, deviation = _reference_check(frame, monkeypatch)
+    pair = heisenberg.eigen_spinors(frame, heisenberg.DEFAULT_REFERENCES)
+    new = np.moveaxis(heisenberg._direct(frame, pair.mapping), (0, 1, 2), (-3, -2, -1))
+    if zero_signs:
+        assert _bits(new) == _bits(entries)
+    else:
+        assert _equal_but_for_zero_signs(new, entries)
+    new_e, new_phi0, new_deviation = heisenberg._checked_phase(frame, heisenberg.DEFAULT_REFERENCES)
+    assert _bits(new_e) == _bits(e)
+    assert _bits(new_phi0) == _bits(phi0)
+    assert _bits(new_deviation) == _bits(deviation)
+    assert type(new_deviation) is type(deviation)
+    assert _bits(closed_form_residual(frame)) == _bits(deviation)
+
+
+def _unit_rows(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_frames_last_kernels_reproduce_the_reference_on_random_frames(monkeypatch):
+    # 6000 frames: their (..., 3) complex rows pass 256 KiB, above which numpy
+    # may reuse a temporary operand of `*` and swap the operands' order
+    rng = np.random.default_rng(92)
+    w, i_vec = _unit_rows(rng, (6000,)), _unit_rows(rng, (6000,))
+    keep = np.linalg.norm(np.cross(w, i_vec), axis=-1) > 1e-2
+    _assert_kernels_match_the_reference(build_frame(w[keep], i_vec[keep]), monkeypatch)
+    for one_w, one_i in zip(w[keep][:20], i_vec[keep][:20]):
+        _assert_kernels_match_the_reference(build_frame(one_w, one_i), monkeypatch)
+
+
+def test_frames_last_kernels_reproduce_the_reference_on_a_sweep_block(monkeypatch):
+    # one 729-sample spectrum against two characterization vectors: (2, 729) frames
+    rng = np.random.default_rng(93)
+    block = build_frame(_unit_rows(rng, (729,)), _unit_rows(rng, (2, 1)))
+    assert block.u.shape == (2, 729, 3) and block.w.shape == (729, 3)
+    _assert_kernels_match_the_reference(block, monkeypatch)
+
+
+@pytest.mark.parametrize("cross", [1e-3, 1e-6, 2e-8])
+def test_frames_last_kernels_reproduce_the_reference_near_parallel(monkeypatch, cross):
+    from test_frames import _near_parallel_frames
+
+    frame, _ = _near_parallel_frames(cross)
+    _assert_kernels_match_the_reference(frame, monkeypatch)
+
+
+def _exact_zero_frames():
+    """Every non-parallel pair of axes and vectors with exact-zero components, clear of -z."""
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    tilted = np.array([[0.6, 0.0, 0.8], [0.0, -0.8, 0.6], [-0.6, 0.8, 0.0], [0.0, 0.6, -0.8]])
+    vectors = np.concatenate([axes, tilted])
+    w = np.repeat(vectors, len(vectors), axis=0)
+    i_vec = np.tile(vectors, (len(vectors), 1))
+    keep = (np.linalg.norm(np.cross(w, i_vec), axis=-1) > 0.1) & (w[:, 2] > -0.9)
+    return w[keep], i_vec[keep]
+
+
+def test_frames_last_kernels_reproduce_the_reference_on_exact_zeros(monkeypatch):
+    w, i_vec = _exact_zero_frames()
+    _assert_kernels_match_the_reference(build_frame(w, i_vec), monkeypatch, zero_signs=False)
+    for one in zip(w, i_vec):
+        _assert_kernels_match_the_reference(build_frame(*one), monkeypatch, zero_signs=False)
+
+
+def test_component_bilinear_reproduces_the_table_product():
+    rng = np.random.default_rng(94)
+    for shape in [(), (1,), (1458,), (9261,), (3, 5)]:
+        a = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        b = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        for x, y in ((a, b), (a, a)):
+            new = _bilinear(x, y)
+            assert new.shape == shape + (3,)
+            assert _bits(new) == _bits(_reference_bilinear(x, y))
+    a = rng.normal(size=(50, 1, 2)) + 1j * rng.normal(size=(50, 1, 2))
+    b = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    assert _bits(_bilinear(a, b)) == _bits(_reference_bilinear(a, b))
+
+
+def test_component_bilinear_keeps_the_sign_of_zeros_row_by_row():
+    # spinors with exact zeros of both signs: the values are the table
+    # product's, and a row's signed zeros do not depend on the batch around it
+    parts = [1.0, -1.0, 0.0, -0.0]
+    entries = np.array([complex(re, im) for re in parts for im in parts])
+    spinors = np.stack(np.broadcast_arrays(entries[:, None], entries[None, :]), axis=-1)
+    spinors = spinors.reshape(-1, 2)
+    a, b = np.repeat(spinors, len(spinors), axis=0), np.tile(spinors, (len(spinors), 1))
+    batch = _bilinear(a, b)
+    assert _equal_but_for_zero_signs(batch, _reference_bilinear(a, b))
+    for row in range(0, len(a), 97):
+        assert _bits(_bilinear(a[row], b[row])) == _bits(batch[row])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(a, i, j) for a in range(3) for i in range(2) for j in range(2)],
+    ids=lambda entry: "sigma_{}{}{}".format("uvw"[entry[0]], *entry[1:]),
+)
+def test_the_cross_check_reads_every_entry(monkeypatch, entry):
+    # one closed-form entry off by 1e-11, the zero entries included, must fail
+    # the 1e-12 check on a single frame and on a batch
+    from spinpol import heisenberg
+
+    closed_entries = heisenberg._closed_entries
+
+    def one_entry_off(e):
+        entries = dict(closed_entries(e))
+        entries[entry] = entries.get(entry, 0.0) + 1e-11
+        return tuple(entries.items())
+
+    rng = np.random.default_rng(95)
+    batch = build_frame(_unit_rows(rng, (40,)), _unit_rows(rng, (2, 1)))
+    single = random_frame(rng)
+    for frame in (single, batch):
+        assert np.max(closed_form_residual(frame)) <= 1e-12
+    monkeypatch.setattr(heisenberg, "_closed_entries", one_entry_off)
+    for frame in (single, batch):
+        with pytest.raises(RuntimeError, match="closed-form component disagrees"):
+            closed_form_residual(frame)

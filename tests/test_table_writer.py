@@ -26,13 +26,25 @@ def _per_value_csv(header, table):
     return "\n".join([header] + rows) + "\n"
 
 
+def _assert_file_holds(path, expected):
+    """The file's bytes are the text expected, or the first differing line is named.
+
+    pytest would diff two multi-megabyte strings compared with ==, which ran
+    for minutes before a wrong table was reported.
+    """
+    got, want = path.read_bytes().split(b"\n"), expected.encode().split(b"\n")
+    first = next((n for n, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first + 1} is {got[first]!r}, expected {want[first]!r}"
+    assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_bit_patterns_print_as_per_value_text(tmp_path, seed):
     values = np.random.default_rng(seed).integers(0, 2**64, size=200_000, dtype=np.uint64)
     table = values.view(np.float64).reshape(-1, 4)
     header = "a,b,c,d"
     wavepacket.write_table(tmp_path / "t.csv", header, table)
-    assert (tmp_path / "t.csv").read_text() == _per_value_csv(header, table)
+    _assert_file_holds(tmp_path / "t.csv", _per_value_csv(header, table))
 
 
 def _adversarial():
@@ -111,7 +123,7 @@ def test_tables_around_the_block_size_print_as_per_value_text(tmp_path, offset):
         rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, size=rows),
     ])
     wavepacket.write_table(tmp_path / "t.csv", "a,b,c,d", table)
-    assert (tmp_path / "t.csv").read_text() == _per_value_csv("a,b,c,d", table)
+    _assert_file_holds(tmp_path / "t.csv", _per_value_csv("a,b,c,d", table))
 
 
 def _layout_table(rows, rng):
@@ -135,7 +147,7 @@ def test_columns_of_different_widths_print_as_per_value_text(tmp_path, rows):
     header = "a,b,c,d,e,f"
     wavepacket.write_table(tmp_path / "t.csv", header, table)
     # the file is written in binary: every line ends in a bare \n
-    assert (tmp_path / "t.csv").read_bytes() == _per_value_csv(header, table).encode()
+    _assert_file_holds(tmp_path / "t.csv", _per_value_csv(header, table))
 
 
 def test_text_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
