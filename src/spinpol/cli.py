@@ -6,7 +6,9 @@ reaching the zero wave vector, annihilated reference spinors).
 """
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 
 import numpy as np
@@ -182,11 +184,22 @@ def _add_packet_flags(sub):
 
 def build_parser(config=None):
     """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults."""
+    # argparse builds a HelpFormatter for every flag it adds, and each one asks
+    # the terminal for its width; ask once here instead.  With a width given,
+    # argparse does not subtract its own 2 columns, so the texts are the same.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="spinpol",
         description="Spin polarization of a free spin-1/2 particle, characterized by a unit vector.",
+        formatter_class=formatter,
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
+    )
 
     p_verify = subs.add_parser("verify", help="run randomized property suites")
     p_verify.add_argument("--suites", help="comma-separated subset of "

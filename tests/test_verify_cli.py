@@ -1,7 +1,10 @@
 """Verification harness and command line surface."""
 
+import argparse
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -659,3 +662,84 @@ def test_cli_total_spin_rows_match_per_value_formatting(tmp_path):
     phis, spins = total_spin_i_sweep(load_spectrum(spec_path), cfg, [0, 0.6, 0.8], 5)
     rows = [",".join(f"{v:.17g}" for v in (phi, *s)) for phi, s in zip(phis, spins)]
     assert out.read_text() == "\n".join(["phi,Sx,Sy,Sz"] + rows) + "\n"
+
+
+# SHA-256 of each help text (stdout) and of the usage error of `field --grid-n x`
+# (stderr) at COLUMNS = 80 and 50, recorded under Python 3.11 from the parser
+# whose every flag's formatter asked the terminal for its width
+HELP_DIGESTS = {
+    80: {
+        "--help":
+            "e8cfc02e25b2828970c6406bcf3dd4973ae1f9e041b31b5fb8b50be6cdcb5a67",
+        "verify --help":
+            "8b8f747d099835fde59e76af15aec41dfe24500f87bc0bb46dfaccb2d8dd9a47",
+        "spectrum-gen --help":
+            "ed783e40e613014b5205c59e2962b9b7fd76835ca48d9b83e7feb50d07890a3b",
+        "field --help":
+            "dbff3148b75ef88266fd005a73d80113c56d9dc32aaf3225a849f80ddb792679",
+        "total-spin --help":
+            "1859944a18d80448b2d95d0c114874a3cb7aeef1732bc84696f2334003702e23",
+        "field --grid-n x":
+            "f14357aa8d930e41d74c8b8d31b9603e761cd18533f5117d9c9a90451733a8e0",
+    },
+    50: {
+        "--help":
+            "15b3f5c2bbfc2eeb9c3c5ef6d36cc3797d1fa298e4c4b5dabf35e2bc61c7190b",
+        "verify --help":
+            "c7dbe8e63a28bf3a11f42a0f400c5b5622f73800d588778e9db8db9c25e3a4d2",
+        "spectrum-gen --help":
+            "6827a74d08a9b3f35e4b21dc98f6827008d132adf613250d859daf845df954f6",
+        "field --help":
+            "69e5a9a77d661e28189fcaba7e5a9eae3e1a3884df45218ed048b546b8ad005e",
+        "total-spin --help":
+            "6abbb6c5795ce9780f9ed74138ac4ea627482c1d2dfdceef032c96055a35b668",
+        "field --grid-n x":
+            "53c13c29af0b61a38a71e7e65b6d9f46a9286ed41879e7d7e46b4e5160fe6c2f",
+    },
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse lays its texts out differently across Python releases; "
+    "the digests are from 3.11",
+)
+@pytest.mark.parametrize("columns", [80, 50])
+def test_cli_help_and_usage_texts_are_pinned(columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for argv, digest in HELP_DIGESTS[columns].items():
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv.split())
+        out, err = capsys.readouterr()
+        usage_error = argv == "field --grid-n x"
+        text, other = (err, out) if usage_error else (out, err)
+        assert (stop.value.code, other) == (2 if usage_error else 0, ""), argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (argv, text)
+
+
+@pytest.mark.parametrize("columns", [80, 50])
+def test_cli_texts_equal_argparse_default_formatter(columns, monkeypatch):
+    # every Python release: the width build_parser fixes lays the texts out as
+    # a formatter that asks the terminal itself does
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in [parser, *subs.choices.values()]:
+        pinned = p.format_help(), p.format_usage()
+        p.formatter_class = argparse.HelpFormatter
+        assert (p.format_help(), p.format_usage()) == pinned, p.prog
+
+
+def test_build_parser_asks_the_terminal_width_once(monkeypatch):
+    # argparse's default formatter asks once per flag added: 47 times a build
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args):
+        calls.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    parser = cli.build_parser()
+    parser.format_help()
+    assert len(calls) == 1

@@ -647,6 +647,100 @@ def test_spectrum_file_parsing_edge_cases(tmp_path, newline):
         load_spectrum(path)
 
 
+def _per_field_rows(path):
+    """A spectrum file's body as float() reads each field, one row per nonblank line."""
+    with open(path) as fh:
+        body = [ln for ln in map(str.strip, fh) if ln][1:]
+    return np.array([[float(t) for t in ln.split(",")] for ln in body]).reshape(-1, 6)
+
+
+def _assert_reads_as_float(path):
+    spec = load_spectrum(path)
+    rows = _per_field_rows(path)
+    expected = rows[:, :3], rows[:, 3] + 1j * rows[:, 4], rows[:, 5]
+    for got, want in zip((spec.k, spec.amplitude, spec.weight), expected):
+        assert got.shape == want.shape
+        bits = [np.ascontiguousarray(a).view(np.int64) for a in (got, want)]
+        assert np.array_equal(*bits)
+    return spec
+
+
+@pytest.mark.parametrize("k0, n_k", [([0.0, 0.0, 5.0], 9), ([0.3, -0.2, 4.0], 15)])
+@pytest.mark.parametrize("permuted", [False, True], ids=["in-order", "permuted"])
+def test_saved_spectra_read_as_float_reads_each_field(tmp_path, k0, n_k, permuted):
+    path = tmp_path / "spec.csv"
+    save_spectrum(gaussian_spectrum(k0, 0.5, n_k, 4.0), path)
+    if permuted:
+        header, *body = path.read_text().splitlines()
+        order = np.random.default_rng(n_k).permutation(len(body))
+        path.write_text("\n".join([header, *(body[i] for i in order)]) + "\n")
+    _assert_reads_as_float(path)
+
+
+def test_spectrum_columns_read_as_float_reads_each_field(tmp_path):
+    n = 200
+    rng = np.random.default_rng(18)
+    re_a = rng.uniform(0.5, 1.5, size=n).tolist()
+    columns = [
+        # first repeat at row 130, past the 64 rows that choose the dict path
+        [repr(j % 130 + 0.25) for j in range(n)],
+        # equal values under different texts; "-0" must stay -0.0
+        ["0", "-0", "0.0", "1_0", " 2.5 "] * (n // 5),
+        # the only repeat is rows 0 and 1
+        [repr(3.0 + max(j, 1) / 7) for j in range(n)],
+        [repr(a) for a in re_a],
+        ["0", "-0"] * (n // 2),
+        [repr(1.0 / (n * a * a)) for a in re_a],
+    ]
+    path = tmp_path / "spec.csv"
+    rows = (",".join(fields) for fields in zip(*columns))
+    path.write_text("\n".join(["kx,ky,kz,re_A,im_A,weight", *rows]) + "\n")
+    spec = _assert_reads_as_float(path)
+    assert list(np.signbit(spec.k[:5, 1])) == [False, True, False, False, False]
+    assert spec.k[:5, 1].tolist() == [0.0, 0.0, 0.0, 10.0, 2.5]
+
+
+@pytest.mark.parametrize("kx", ["1", "distinct"])
+def test_a_bad_field_is_reported_first_in_row_order(tmp_path, kx):
+    # kx (a repeating or a distinct column) holds a bad text in row 6, and
+    # weight (a repeating column) one in row 3: the error names row 3's, as one
+    # conversion of the whole body does, though kx's column converts first
+    rows = [[kx if kx != "distinct" else str(j + 1), "0", "5", "1", "0", "0.125"]
+            for j in range(8)]
+    rows[5][0] = "xyz"
+    rows[2][5] = "abc"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["kx,ky,kz,re_A,im_A,weight", *map(",".join, rows)]) + "\n")
+    with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        load_spectrum(path)
+
+
+def test_load_spectrum_memory_is_bounded_by_its_arrays(tmp_path):
+    import tracemalloc
+
+    # 21^3 samples whose values are all distinct; reading them peaked at about
+    # 17.5 times the arrays returned when the lines, the joined body and the
+    # fields were all held at once
+    rng = np.random.default_rng(21)
+    n = 21**3
+    amplitude = rng.normal(size=n) + 1j * rng.normal(size=n)
+    weight = rng.uniform(0.5, 1.5, size=n)
+    weight /= np.sum(weight * np.abs(amplitude) ** 2)
+    path = tmp_path / "spec.csv"
+    save_spectrum(Spectrum(rng.normal(size=(n, 3)) + [0.0, 0.0, 5.0], amplitude, weight), path)
+    # a first call leaves numpy's one-time allocations out of the peak
+    spec = load_spectrum(path)
+    own = spec.k.nbytes + spec.amplitude.nbytes + spec.weight.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_spectrum(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * own, (peak, own)
+
+
 def test_spin_field_file_format(tmp_path):
     fld = spin_field(single_wave(), packet(), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 0.5)
     path = tmp_path / "field.csv"
