@@ -1,6 +1,6 @@
 """Seeded randomized property sweeps over every module, with a tabular report."""
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,114 +24,110 @@ class SuiteResult:
     passed: bool
 
 
-def _length(v):
-    # np.linalg.norm of one real vector, sqrt(v.v), without its per-call overhead
-    return math.sqrt(v.dot(v))
-
-
-def _unit_vector(rng):
-    while True:
-        v = rng.normal(size=3)
-        n = _length(v)
-        if n > 1e-3:
-            return v / n
-
-
-def _spinor(rng):
-    while True:
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        # np.linalg.norm of a complex vector sums the real and imaginary dot products
-        n = math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
-        if n > 1e-3:
-            return z / n
-
-
-def _frame(rng):
-    # keep comfortably away from the degenerate axis so 1e-12 contracts are
-    # tested on well-conditioned inputs
-    w = _unit_vector(rng)
-    while True:
-        i_vec = _unit_vector(rng)
-        if _length(frames._cross(w, i_vec)) > 1e-2:
-            return w, i_vec
-
-
-def _direction_clear_of(rng, avoid):
-    # unit vector staying away from -avoid (default references) and +-avoid
-    while True:
-        d = _unit_vector(rng)
-        if 1.0 + d[2] > 1e-4 and _length(frames._cross(d, avoid)) > 1e-2:
-            return d
-
-
 def _dots(v):
     """v.v of each row of an (m, k) block: one BLAS ddot per row, the one v.dot(v) calls."""
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _units(v):
-    """The rows of v as _unit_vector returns them, and whether it accepts each."""
-    n = np.sqrt(_dots(v))
-    return v / n[:, None], n > 1e-3
+# A suite's draw is a list of steps (name, kind, k, make): each case takes k
+# numbers from the generator method `kind`, and make(x, fields) maps an
+# (m, k) block of them to the step's values and a mask of the cases it
+# accepts; it may read the earlier fields.  A case that is not accepted draws
+# that step again.  standard_normal gives the numbers of rng.normal, and
+# takes an `out` array as random does.
+_NORMAL, _UNIFORM = "standard_normal", "random"
 
 
-def _spinors(x):
-    """Rows of 4 normals (re, re, im, im) as _spinor returns them, and whether it accepts each."""
+def _unit(x, fields):
+    # np.linalg.norm of a real vector, sqrt(v.v)
+    n = np.sqrt(_dots(x))
+    return x / n[:, None], n > 1e-3
+
+
+def _unit_spinor(x, fields):
     z = x[:, :2] + 1j * x[:, 2:]
-    # the stride-2 .real and .imag views take the BLAS ddot that _spinor's do
+    # np.linalg.norm of a complex vector sums the real and imaginary dot
+    # products; the stride-2 .real and .imag views take the same BLAS ddot
     n = np.sqrt(_dots(z.real) + _dots(z.imag))
     return z / n[:, None], n > 1e-3
 
 
-def _frames(x):
-    """Rows of 6 normals as _frame returns them, and whether it accepts each."""
-    (w, w_ok), (i_vec, i_ok) = _units(x[:, :3]), _units(x[:, 3:])
-    return w, i_vec, w_ok & i_ok & (np.sqrt(_dots(frames._cross(w, i_vec))) > 1e-2)
+def _clear_of(name, pole=False):
+    # a unit vector with |v x fields[name]| > 1e-2: frames stay comfortably
+    # away from the degenerate axis so the 1e-12 contracts are tested on
+    # well-conditioned inputs; with `pole` also 1 + v_z > 1e-4, off the south
+    # pole where the default references fail
+    def make(x, fields):
+        d, ok = _unit(x, fields)
+        ok = ok & (np.sqrt(_dots(frames._cross(d, fields[name]))) > 1e-2)
+        if pole:
+            ok = ok & (1.0 + d[:, 2] > 1e-4)
+        return d, ok
+
+    return make
 
 
-def _directions_clear_of(x, avoid):
-    """Rows of 3 normals as _direction_clear_of returns them, and whether it accepts each."""
-    d, ok = _units(x)
-    return d, ok & (1.0 + d[:, 2] > 1e-4) & (np.sqrt(_dots(frames._cross(d, avoid))) > 1e-2)
+def _normals(name, k):
+    return name, _NORMAL, k, lambda x, fields: (x, True)
 
 
-def _take(rng, count, layout):
-    """The random numbers of `count` cases, in stream order, with no rejection test.
+def _complex(name, k=None):
+    """k complex normals per case, the real parts first (one scalar when k is None)."""
+    n = k or 1
 
-    `layout` lists one case's generator calls: an int k for k normals, a tuple
-    of (low, high) pairs for one uniform each.  Returns the (count, .) blocks
-    of normals and of uniforms, lo + (hi - lo) * random() being exactly
-    rng.uniform(lo, hi).
+    def make(x, fields):
+        z = x[:, :n] + 1j * x[:, n:]
+        return z if k else z[:, 0], True
+
+    return name, _NORMAL, 2 * n, make
+
+
+def _uniform(name, lo, hi, k=None):
+    """k uniforms per case (one scalar when k is None): lo + (hi - lo) * random() is rng.uniform(lo, hi)."""
+    return name, _UNIFORM, k or 1, lambda x, fields: (lo + (hi - lo) * (x if k else x[:, 0]), True)
+
+
+def _read_block(rng, count, steps):
+    """A block of `count` cases drawn in one pass: (fields, whether every case accepts every step).
+
+    The numbers are taken in stream order, one generator call per row for each
+    run of consecutive same-kind steps, or one call for the block when there
+    is one run (neither normals nor uniforms depend on how they are chunked);
+    each make then runs once on the block.  False means some case would draw
+    a step again, so the fields do not hold that block.
     """
-    n_normals = sum(c for c in layout if isinstance(c, int))
-    bounds = np.array([b for c in layout if not isinstance(c, int) for b in c]).reshape(-1, 2)
-    if not len(bounds):
-        # normals do not depend on how they are chunked
-        return rng.normal(size=(count, n_normals)), np.empty((count, 0))
-    normals, unit = np.empty((count, n_normals)), np.empty((count, len(bounds)))
-    calls, n, u = [], 0, 0
-    for c in layout:
-        if isinstance(c, int):
-            calls.append((rng.normal, normals[:, n : n + c], c))
-            n += c
-        else:
-            calls.append((rng.random, unit[:, u : u + len(c)], len(c)))
-            u += len(c)
-    for row in range(count):
-        for call, out, k in calls:
-            out[row] = call(size=k)
-    lo, hi = bounds.T
-    return normals, lo + (hi - lo) * unit
+    runs, width = [], 0
+    for kind, run in itertools.groupby(steps, key=lambda step: step[1]):
+        k = sum(step[2] for step in run)
+        runs.append((getattr(rng, kind), width, width + k))
+        width += k
+    x = np.empty((count, width))
+    if len(runs) == 1:
+        runs[0][0](out=x)
+    else:
+        for row in x:
+            for call, lo, hi in runs:
+                call(out=row[lo:hi])
+    fields, accepted, at = {}, True, 0
+    for name, _, k, make in steps:
+        fields[name], ok = make(x[:, at : at + k], fields)
+        accepted = accepted & ok
+        at += k
+    return {name: np.ascontiguousarray(f) for name, f in fields.items()}, bool(np.all(accepted))
 
 
-def _block_draw(rng, count, layout, stack):
-    """A block of `count` cases taken in one pass: (stacked fields, whether every case drew once).
-
-    False means some case of the per-case draw rejects a vector and draws it
-    again, so the fields do not hold that block.
-    """
-    fields, ok = stack(*_take(rng, count, layout))
-    return [np.ascontiguousarray(f) for f in fields], bool(ok.all())
+def _read_cases(rng, count, steps):
+    """`count` cases drawn one at a time, each step drawn again until the case accepts it."""
+    cases = []
+    for _ in range(count):
+        fields = {}
+        for name, kind, k, make in steps:
+            while True:
+                fields[name], ok = make(getattr(rng, kind)(size=(1, k)), fields)
+                if np.all(ok):
+                    break
+        cases.append(fields)
+    return {name: np.concatenate([case[name] for case in cases]) for name in cases[0]}
 
 
 def _norms(x):
@@ -143,28 +139,12 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
-# Each suite is a draw, which takes one case's random numbers from the suite's
-# stream, and a check, which takes the stacked draws of a block of cases and
-# returns per-case residual arrays.  The layout lists the draw's generator
-# calls when no vector is rejected, and the stack builds a block's fields from
-# them (see _take and _block_draw).
+# Each suite is a list of draw steps, which take one case's random numbers
+# from the suite's stream, and a check, which takes the stacked fields of a
+# block of cases by name and returns per-case residual arrays.
 
-
-def _draw_algebra(rng):
-    a, b = _unit_vector(rng), _unit_vector(rng)
-    chi = _spinor(rng)
-    ca, cb = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-    return a, b, chi, ca, cb
-
-
-_ALGEBRA_LAYOUT = (14,)
-
-
-def _stack_algebra(x, u):
-    (a, a_ok), (b, b_ok) = _units(x[:, 0:3]), _units(x[:, 3:6])
-    chi, chi_ok = _spinors(x[:, 6:10])
-    fields = (a, b, chi, x[:, 10] + 1j * x[:, 11], x[:, 12] + 1j * x[:, 13])
-    return fields, a_ok & b_ok & chi_ok
+_ALGEBRA = (("a", _NORMAL, 3, _unit), ("b", _NORMAL, 3, _unit), ("chi", _NORMAL, 4, _unit_spinor),
+            _complex("ca"), _complex("cb"))
 
 
 def _check_algebra(a, b, chi, ca, cb):
@@ -184,18 +164,9 @@ def _check_algebra(a, b, chi, ca, cb):
     )
 
 
-def _draw_frames(rng):
-    w, i_vec = _frame(rng)
-    theta = rng.uniform(0.1, np.pi - 0.1)
-    return w, i_vec, theta, rng.uniform(0, 2 * np.pi)
-
-
-_FRAMES_LAYOUT = (6, ((0.1, np.pi - 0.1), (0, 2 * np.pi)))
-
-
-def _stack_frames(x, u):
-    w, i_vec, ok = _frames(x)
-    return (w, i_vec, u[:, 0], u[:, 1]), ok
+_FRAME = (("w", _NORMAL, 3, _unit), ("i_vec", _NORMAL, 3, _clear_of("w")))
+_ALPHA = ("alpha", _NORMAL, 4, _unit_spinor)
+_FRAMES = (*_FRAME, _uniform("theta", 0.1, np.pi - 0.1), _uniform("phi", 0, 2 * np.pi))
 
 
 def _check_frames(w, i_vec, theta, phi):
@@ -237,24 +208,8 @@ def _check_frames(w, i_vec, theta, phi):
     )
 
 
-def _draw_rotations(rng):
-    axis = _unit_vector(rng)
-    phi1, phi2 = rng.uniform(0, 4 * np.pi, size=2)
-    a = rng.normal(size=3)
-    w, i_vec = _frame(rng)
-    phi = rng.uniform(0, 4 * np.pi)
-    return axis, phi1, phi2, a, w, i_vec, phi, _spinor(rng)
-
-
-_ROTATIONS_LAYOUT = (3, ((0, 4 * np.pi),) * 2, 9, ((0, 4 * np.pi),), 4)
-
-
-def _stack_rotations(x, u):
-    axis, axis_ok = _units(x[:, 0:3])
-    w, i_vec, frame_ok = _frames(x[:, 6:12])
-    alpha, alpha_ok = _spinors(x[:, 12:16])
-    fields = (axis, u[:, 0], u[:, 1], x[:, 3:6], w, i_vec, u[:, 2], alpha)
-    return fields, axis_ok & frame_ok & alpha_ok
+_ROTATIONS = (("axis", _NORMAL, 3, _unit), _uniform("phi1", 0, 4 * np.pi), _uniform("phi2", 0, 4 * np.pi),
+              _normals("a", 3), *_FRAME, _uniform("phi", 0, 4 * np.pi), _ALPHA)
 
 
 def _check_rotations(axis, phi1, phi2, a, w, i_vec, phi, alpha):
@@ -269,19 +224,7 @@ def _check_rotations(axis, phi1, phi2, a, w, i_vec, phi, alpha):
     )
 
 
-def _draw_heisenberg(rng):
-    w, i_vec = _frame(rng)
-    phi = rng.uniform(0, 4 * np.pi)
-    return w, i_vec, phi, _spinor(rng)
-
-
-_HEISENBERG_LAYOUT = (6, ((0, 4 * np.pi),), 4)
-
-
-def _stack_heisenberg(x, u):
-    w, i_vec, frame_ok = _frames(x[:, 0:6])
-    alpha, alpha_ok = _spinors(x[:, 6:10])
-    return (w, i_vec, u[:, 0], alpha), frame_ok & alpha_ok
+_HEISENBERG = (*_FRAME, _uniform("phi", 0, 4 * np.pi), _ALPHA)
 
 
 def _check_heisenberg(w, i_vec, phi, alpha):
@@ -308,47 +251,27 @@ def _check_heisenberg(w, i_vec, phi, alpha):
     )
 
 
-def _collinear_draw(rng, n_samples=3):
-    mags = np.sort(rng.uniform(1.0, 3.0, size=n_samples))
-    amp = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    weight = rng.uniform(0.5, 1.5, size=n_samples)
-    amp /= np.sqrt(np.sum(weight * np.abs(amp) ** 2))
-    return mags, amp, weight
-
-
-def _draw_wavepacket(rng):
-    i_vec = _unit_vector(rng)
-    direction = _direction_clear_of(rng, i_vec)
-    alpha = _spinor(rng)
-    x = rng.normal(size=3)
-    t = rng.uniform(0, 2.0)
-    d2 = _direction_clear_of(rng, i_vec)
-    phase = rng.uniform(0, 2 * np.pi)
-    mags, amp, weight = _collinear_draw(rng)
-    return i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, rng.uniform(0, 2 * np.pi)
-
-
-_WAVEPACKET_LAYOUT = (
-    13,  # i_vec, direction, alpha, x
-    ((0, 2.0),),  # t
-    3,  # d2
-    ((0, 2 * np.pi),) + ((1.0, 3.0),) * 3,  # phase, mags
-    6,  # amp
-    ((0.5, 1.5),) * 3 + ((0, 2 * np.pi),),  # weight, phi
+_WAVEPACKET = (
+    ("i_vec", _NORMAL, 3, _unit),
+    ("direction", _NORMAL, 3, _clear_of("i_vec", pole=True)),
+    _ALPHA,
+    _normals("x", 3),
+    _uniform("t", 0, 2.0),
+    ("d2", _NORMAL, 3, _clear_of("i_vec", pole=True)),
+    _uniform("phase", 0, 2 * np.pi),
+    # a collinear spectrum of 3 samples, sorted and normalized by _collinear
+    _uniform("mags", 1.0, 3.0, 3),
+    _complex("amp", 3),
+    _uniform("weight", 0.5, 1.5, 3),
+    _uniform("phi", 0, 2 * np.pi),
 )
 
 
-def _stack_wavepacket(x, u):
-    i_vec, i_ok = _units(x[:, 0:3])
-    direction, d_ok = _directions_clear_of(x[:, 3:6], i_vec)
-    alpha, alpha_ok = _spinors(x[:, 6:10])
-    d2, d2_ok = _directions_clear_of(x[:, 13:16], i_vec)
-    # _collinear_draw on each row
-    amp, weight = x[:, 16:19] + 1j * x[:, 19:22], u[:, 5:8]
-    amp /= np.sqrt(np.sum(weight * np.abs(amp) ** 2, axis=1))[:, None]
-    mags = np.sort(u[:, 2:5])
-    fields = (i_vec, direction, alpha, x[:, 10:13], u[:, 0], d2, u[:, 1], mags, amp, weight, u[:, 8])
-    return fields, i_ok & d_ok & alpha_ok & d2_ok
+def _collinear(fields):
+    """Sort each case's magnitudes and normalize its amplitudes to sum(weight |amp|^2) = 1."""
+    amp, weight = fields["amp"], fields["weight"]
+    fields["mags"] = np.sort(fields["mags"])
+    fields["amp"] = amp / np.sqrt(np.sum(weight * np.abs(amp) ** 2, axis=1))[:, None]
 
 
 def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, phi):
@@ -397,13 +320,13 @@ def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weigh
     return _norms(s_single - algebra._spv(chi)), linearity, unit, _norms(law)
 
 
-# name: (draw, layout, stack, check, tolerance, suite id)
+# name: (draw steps, finish on the stacked fields, check, tolerance, suite id)
 _SUITES = {
-    "algebra": (_draw_algebra, _ALGEBRA_LAYOUT, _stack_algebra, _check_algebra, 1e-12, 0),
-    "frames": (_draw_frames, _FRAMES_LAYOUT, _stack_frames, _check_frames, 1e-12, 1),
-    "rotations": (_draw_rotations, _ROTATIONS_LAYOUT, _stack_rotations, _check_rotations, 1e-12, 2),
-    "heisenberg": (_draw_heisenberg, _HEISENBERG_LAYOUT, _stack_heisenberg, _check_heisenberg, 1e-12, 3),
-    "wavepacket": (_draw_wavepacket, _WAVEPACKET_LAYOUT, _stack_wavepacket, _check_wavepacket, 1e-9, 4),
+    "algebra": (_ALGEBRA, None, _check_algebra, 1e-12, 0),
+    "frames": (_FRAMES, None, _check_frames, 1e-12, 1),
+    "rotations": (_ROTATIONS, None, _check_rotations, 1e-12, 2),
+    "heisenberg": (_HEISENBERG, None, _check_heisenberg, 1e-12, 3),
+    "wavepacket": (_WAVEPACKET, _collinear, _check_wavepacket, 1e-9, 4),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -413,18 +336,19 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     """Run one named suite; n_cases = 0 passes vacuously with zero residual.
 
     The cases come from the (seed, suite) stream in case order, a block of up
-    to CASE_BLOCK at a time.  A block is drawn in one pass: each case's random
-    numbers are taken with one generator call per run of normals or uniforms,
-    then the block's vectors and spinors are normalized and their rejection
-    tests evaluated at once, with the arithmetic of the per-case draw.  If a
-    case would have redrawn a rejected vector, the block is drawn again case
-    by case from its start.  Either way the stream and the draws are the same
-    bits.  The laws are checked on the stacked block, and the worst residual
-    over all cases is reported.  A NaN residual fails the suite.
+    to CASE_BLOCK at a time.  The suite's draw is one list of steps, read in
+    one of two ways with the same make arithmetic.  _read_block takes the
+    block's numbers in one pass and runs each make once on the block; if a
+    case would redraw a rejected vector, the block is drawn again from its
+    start by _read_cases, the reference, which draws case by case and redraws
+    each step until the case accepts it.  Either way the stream and the fields
+    are the same bits.  The suite's finish then runs on the stacked fields,
+    the laws are checked on the block, and the worst residual over all cases
+    is reported.  A NaN residual fails the suite.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    draw, layout, stack, check, default_tol, suite_id = _SUITES[name]
+    steps, finish, check, default_tol, suite_id = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
     # written so that a NaN tolerance fails it
     if not (n_cases >= 0 and 0 <= tol < np.inf):
@@ -438,12 +362,14 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     for start in range(0, n_cases, CASE_BLOCK):
         count = min(CASE_BLOCK, n_cases - start)
         state = rng.bit_generator.state
-        fields, drawn = _block_draw(rng, count, layout, stack)
+        fields, drawn = _read_block(rng, count, steps)
         if not drawn:
             # a case redraws a rejected vector: replay the block case by case
             rng.bit_generator.state = state
-            fields = [np.array(field) for field in zip(*(draw(rng) for _ in range(count)))]
-        for residual in check(*fields):
+            fields = _read_cases(rng, count, steps)
+        if finish:
+            finish(fields)
+        for residual in check(**fields):
             # np.maximum, not max: a NaN residual must fail the suite
             worst = np.maximum(worst, np.max(residual))
     worst = float(worst)

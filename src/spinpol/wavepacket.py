@@ -686,9 +686,10 @@ def load_spectrum(path) -> Spectrum:
         # raises for the first bad field in row order, not in column order
         np.array(fields, dtype=float)
         raise
-    return Spectrum(
-        k=rows[:, :3], amplitude=rows[:, 3] + 1j * rows[:, 4], weight=rows[:, 5]
-    )
+    # filled part by part: re + 1j * im would turn a -0 part into +0
+    amplitude = np.empty(n_rows, complex)
+    amplitude.real, amplitude.imag = rows[:, 3], rows[:, 4]
+    return Spectrum(k=rows[:, :3], amplitude=amplitude, weight=rows[:, 5])
 
 
 def save_spin_field(fld: SpinField, path) -> None:

@@ -116,51 +116,62 @@ def test_draws_equal_the_np_linalg_norm_and_np_cross_draws():
             if 1.0 + d[2] > 1e-4 and np.linalg.norm(np.cross(d, avoid)) > 1e-2:
                 return d
 
-    pairs = [(verify._unit_vector, unit_vector), (verify._spinor, spinor), (verify._frame, frame)]
     avoid = np.array([0.0, 0.6, 0.8])
-    pairs.append((lambda rng: verify._direction_clear_of(rng, avoid),
-                  lambda rng: direction_clear_of(rng, avoid)))
-    for fast, slow in pairs:
+    clear_of_avoid = verify._clear_of("avoid", pole=True)
+    cases = [
+        ([("v", verify._NORMAL, 3, verify._unit)], unit_vector),
+        ([("z", verify._NORMAL, 4, verify._unit_spinor)], spinor),
+        ([("w", verify._NORMAL, 3, verify._unit), ("i_vec", verify._NORMAL, 3, verify._clear_of("w"))],
+         frame),
+        ([("d", verify._NORMAL, 3, lambda x, fields: clear_of_avoid(x, {"avoid": avoid[None]}))],
+         lambda rng: direction_clear_of(rng, avoid)),
+    ]
+    for steps, slow in cases:
         rng_fast, rng_slow = np.random.default_rng(97), np.random.default_rng(97)
-        for _ in range(500):
-            assert np.array(fast(rng_fast)).tobytes() == np.array(slow(rng_slow)).tobytes()
+        fields = verify._read_cases(rng_fast, 500, steps)
+        ref = [slow(rng_slow) for _ in range(500)]
+        ref = [np.array(field) for field in zip(*ref)] if len(steps) > 1 else [np.array(ref)]
+        for f, r in zip(fields.values(), ref, strict=True):
+            assert (f.dtype, f.shape, f.tobytes()) == (r.dtype, r.shape, r.tobytes())
         assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
 
 
 def _per_case_blocks(name, seed, n_cases):
-    """Each block's stacked fields drawn case by case, and the stream's end state."""
-    draw, *_, suite_id = verify._SUITES[name]
+    """Each block's fields drawn by the per-case reader, and the stream's end state."""
+    steps, finish, *_, suite_id = verify._SUITES[name]
     rng = np.random.default_rng([seed, suite_id])
     blocks = []
     for start in range(0, n_cases, verify.CASE_BLOCK):
-        cases = [draw(rng) for _ in range(min(verify.CASE_BLOCK, n_cases - start))]
-        blocks.append([np.array(field) for field in zip(*cases)])
+        fields = verify._read_cases(rng, min(verify.CASE_BLOCK, n_cases - start), steps)
+        if finish:
+            finish(fields)
+        blocks.append(fields)
     return blocks, rng.bit_generator.state
 
 
 def _suite_blocks(name, seed, n_cases, monkeypatch):
-    """The fields run_suite checks on each block, its stream's end state and its block draws' flags."""
-    draw, layout, stack, check, tol, suite_id = verify._SUITES[name]
+    """The fields run_suite checks on each block, its stream's end state and its block reads' flags."""
+    steps, finish, check, tol, suite_id = verify._SUITES[name]
     blocks, made, drawn = [], [], []
-    default_rng, block_draw = np.random.default_rng, verify._block_draw
+    default_rng, read_block = np.random.default_rng, verify._read_block
 
     def recording_rng(*args, **kwargs):
         made.append(default_rng(*args, **kwargs))
         return made[-1]
 
-    def recording_draw(*args):
-        fields, ok = block_draw(*args)
+    def recording_read(*args):
+        fields, ok = read_block(*args)
         drawn.append(ok)
         return fields, ok
 
-    def recording_check(*fields):
+    def recording_check(**fields):
         blocks.append(fields)
         return ()
 
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", recording_rng)
-        m.setattr(verify, "_block_draw", recording_draw)
-        m.setitem(verify._SUITES, name, (draw, layout, stack, recording_check, tol, suite_id))
+        m.setattr(verify, "_read_block", recording_read)
+        m.setitem(verify._SUITES, name, (steps, finish, recording_check, tol, suite_id))
         verify.run_suite(name, seed=seed, n_cases=n_cases)
     return blocks, made[0].bit_generator.state, drawn
 
@@ -170,10 +181,10 @@ def _assert_same_draws(name, seed, n_cases, monkeypatch):
     ref_blocks, ref_state = _per_case_blocks(name, seed, n_cases)
     assert len(blocks) == len(ref_blocks)
     for fields, ref in zip(blocks, ref_blocks):
-        assert len(fields) == len(ref)
-        for f, r in zip(fields, ref):
+        assert list(fields) == list(ref)
+        for f, r in zip(fields.values(), ref.values()):
             assert (f.dtype, f.shape, f.tobytes()) == (r.dtype, r.shape, r.tobytes())
-            # as np.array stacks them: a check's ufuncs may round otherwise on strided input
+            # as the per-case reader stacks them: a check's ufuncs may round otherwise on strided input
             assert f.flags.c_contiguous
     assert state == ref_state
     return drawn
@@ -192,7 +203,7 @@ def test_block_draws_equal_the_per_case_draws(name, monkeypatch):
                                         ("wavepacket", 232), ("wavepacket", 301)])
 def test_a_rejected_case_replays_its_block_case_by_case(name, seed, monkeypatch):
     # at these seeds a case of the 100-case block redraws a rejected vector, so
-    # the block draw reports it and the block is drawn again from its start;
+    # the block read reports it and the block is drawn again from its start;
     # at 232 and 301 the rejection is a direction within 1e-4 of -z
     drawn = _assert_same_draws(name, seed, 100, monkeypatch)
     assert drawn == [False]

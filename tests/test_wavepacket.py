@@ -599,6 +599,14 @@ def test_spectrum_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.k, spec.k)
     assert np.array_equal(loaded.amplitude, spec.amplitude)
     assert np.array_equal(loaded.weight, spec.weight)
+    # signed zeros in either part of an amplitude keep their sign
+    amplitude = [complex(-0.0, 1.0), complex(-1.0, -0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    signed = Spectrum(k=[[0.0, 0.0, 2.0]] * 4, amplitude=amplitude, weight=[0.5, 0.5, 1.0, 1.0])
+    save_spectrum(signed, path)
+    loaded = load_spectrum(path).amplitude
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(loaded, part)), np.signbit(getattr(signed.amplitude, part)))
+    assert loaded.tobytes() == signed.amplitude.tobytes()
 
 
 def test_spectrum_file_validation(tmp_path):
@@ -657,7 +665,8 @@ def _per_field_rows(path):
 def _assert_reads_as_float(path):
     spec = load_spectrum(path)
     rows = _per_field_rows(path)
-    expected = rows[:, :3], rows[:, 3] + 1j * rows[:, 4], rows[:, 5]
+    # each amplitude part as read: re + 1j * im would turn a -0 part into +0
+    expected = rows[:, :3], np.ascontiguousarray(rows[:, 3:5]).view(complex)[:, 0], rows[:, 5]
     for got, want in zip((spec.k, spec.amplitude, spec.weight), expected):
         assert got.shape == want.shape
         bits = [np.ascontiguousarray(a).view(np.int64) for a in (got, want)]
