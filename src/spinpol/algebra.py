@@ -35,20 +35,39 @@ def _item(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _rows(a, ndim=None):
+    """The (..., n) array a as an (n, ...) view: one row per component of the last axis.
+
+    Given ndim, a first gets leading unit axes up to ndim, so that the rows of
+    arrays that broadcast together broadcast together.  np.add.reduce adds an
+    axis of at most 7 entries in index order from +0.0, whichever axis it is;
+    summing components as the leading axis of rows made contiguous (products
+    with order="C") makes each addition one pass over the whole batch, where
+    over the last axis of (..., n) arrays it is a loop of n per vector.
+    """
+    if ndim is not None and ndim > a.ndim:
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    return a.transpose((-1, *range(a.ndim - 1))) if a.ndim > 1 else a
+
+
 def _norm(a, axis=-1):
     # Frobenius norm over any tuple of axes: np.linalg.norm refuses more than
     # two, and heisenberg reduces the (3, 2, 2) components at once
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+    if axis != -1:
+        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+    rows = _rows(a)
+    return np.sqrt(np.add.reduce(np.multiply(rows.conj(), rows, order="C").real, axis=0))
 
 
 def _off_unit(a):
     """(where, |row|) of the first (..., n) row whose norm is off 1 by more than EPS_INPUT, or None."""
     # written so that NaN fails it
-    if a.ndim == 1:
-        # one vector in Python floats: the array path costs about 7 us more,
-        # and acceptance criterion 1's single-frame loop 1.3-1.5x the time
-        norm = math.hypot(*map(abs, a.tolist()))
-        return None if abs(norm - 1.0) <= EPS_INPUT else ("", norm)
+    if a.ndim == 1 or a.size == a.shape[-1]:
+        # one vector, whatever its leading shape, in Python floats: the array
+        # path costs about 7 us more, and acceptance criterion 1's single-frame
+        # loop 1.3-1.5x the time; a block of one frame pays it per block
+        norm = math.hypot(*map(abs, (a if a.ndim == 1 else a.reshape(-1)).tolist()))
+        return None if abs(norm - 1.0) <= EPS_INPUT else (_where((0,) * (a.ndim - 1)), norm)
     # inf * 0 in an infinite complex entry's product would warn; the norm is inf
     with np.errstate(invalid="ignore"):
         norm = _norm(a)
@@ -81,7 +100,8 @@ def _check_spinor(name, chi):
 
 def _vdot(a, b):
     """Inner product a^dag b over the last axis, broadcast over the rest."""
-    return np.add.reduce(a.conj() * b, axis=-1)
+    ndim = max(a.ndim, b.ndim)
+    return np.add.reduce(np.multiply(_rows(a, ndim).conj(), _rows(b, ndim), order="C"), axis=0)
 
 
 def _apply(m, chi):

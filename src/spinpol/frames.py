@@ -10,6 +10,15 @@ Every function here works on one frame or on a whole batch at once: vectors
 are (..., 3) arrays and spinors (..., 2) arrays, and a single frame is the
 batch whose leading shape is ().  A single frame gets plain Python scalars
 where a batch gets arrays of them.
+
+The arithmetic runs on components.  A (..., 3) array is viewed as (3, ...)
+rows (algebra._rows), so each product, difference or quotient is one
+elementwise pass over the whole block, and a sum over the components reduces
+the leading axis of rows made contiguous.  np.add.reduce adds an axis of at
+most 7 entries in index order from +0.0 whichever axis it is, so the sums
+keep the bits of sums over the last axis, which ran a loop of three per
+frame.  The results are written back into (..., 3) and (..., 2) arrays, and
+one frame gets the bits it gets inside a block.
 """
 
 from dataclasses import dataclass
@@ -17,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
-from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _first, _item, _norm, _single
-from .algebra import _mul, _vdot, _where
+from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _first, _item, _mul, _norm
+from .algebra import _rows, _single, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -26,12 +35,8 @@ EPS_PARALLEL = 1e-8
 EPS_LADDER = 1e-8
 
 SQRT2 = np.sqrt(2.0)
-
-# Levi-Civita symbol flattened so that (a x b)_i = sum_jk a_j b_k _EPS3[3 j + k, i]
-_EPS3 = np.zeros((3, 3, 3))
-_EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
-_EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
-_EPS3 = _EPS3.reshape(9, 3)
+# z / SQRT2 is z times this reciprocal in numpy's complex division
+_INV_SQRT2 = 1.0 / SQRT2
 
 
 class _FrameError(ValueError):
@@ -51,11 +56,22 @@ class ReferenceAnnihilated(_FrameError):
 
 
 def _cross(a, b):
-    # np.cross costs tens of microseconds per call: the acceptance tests' loops
-    # over single frames took 1.3-1.4x as long with it.  The products are
-    # exact multiples of +-1 or 0, so this equals np.cross bit for bit.
-    outer = a[..., :, None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (9,)) @ _EPS3
+    """a x b of (..., 3) vectors that broadcast together, bit for bit as np.cross computes it."""
+    out = np.empty(np.broadcast(a, b).shape)
+    _cross_rows(_rows(a, out.ndim), _rows(b, out.ndim), out=_rows(out, out.ndim))
+    return out
+
+
+# row k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], as np.cross computes it:
+# the rows of a and b that enter the six products
+_LEFT, _RIGHT = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
+
+
+def _cross_rows(a, b, out=None):
+    # a x b of (3, ...) rows: the six products in one pass over the whole
+    # block, then their three differences in another
+    products = a.take(_LEFT, 0) * b.take(_RIGHT, 0)
+    return np.subtract(products[:3], products[3:], out=out)
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,9 @@ class ReferenceSpinors:
     def __post_init__(self):
         for name in ("chi1", "chi2"):
             object.__setattr__(self, name, _single(name, _check_spinor(name, getattr(self, name))))
+        # sigma_c chi1 and sigma_c chi2 as rows (0, c) and (1, c), for eigen_spinors
+        chis = np.stack((self.chi1, self.chi2))[:, None, :, None]
+        object.__setattr__(self, "_images", (PAULI @ chis)[..., 0])
 
 
 DEFAULT_REFERENCES = ReferenceSpinors(
@@ -117,7 +136,9 @@ class EigenPair:
     @property
     def mapping(self) -> np.ndarray:
         """Unitary with columns (chi+, chi-), shape (..., 2, 2)."""
-        return np.stack((self.chi_plus, self.chi_minus), axis=-1)
+        varpi = np.empty(self.chi_plus.shape + (2,), dtype=complex)
+        varpi[..., 0], varpi[..., 1] = self.chi_plus, self.chi_minus
+        return varpi
 
 
 def build_frame(w, i_vec) -> Frame:
@@ -130,30 +151,49 @@ def build_frame(w, i_vec) -> Frame:
     """
     w = _check_unit("w", w)
     i_vec = _check_unit("i_vec", i_vec)
-    cross = _cross(w, i_vec)
+    # on (3, ...) rows; the dot product and the norm reduce the leading axis
+    ndim = max(w.ndim, i_vec.ndim)
+    w_rows = _rows(w, ndim)
+    cross = _cross_rows(w_rows, _rows(i_vec, ndim))
     # one Gram-Schmidt step: w x I is normal to w only to 1e-16, so v.w would be 1e-16/|w x I|
-    cross -= _vdot(w, cross)[..., None] * w
-    norm = _norm(cross)
+    cross -= np.add.reduce(np.multiply(w_rows, cross, order="C"), axis=0) * w_rows
+    norm = np.sqrt(np.add.reduce(cross * cross, axis=0))
     ok = norm >= EPS_PARALLEL
+    shape = norm.shape + (3,)
     if not ok.all():
         index = _first(~ok)
-        w_bad = np.broadcast_to(w, cross.shape)[index]
-        i_bad = np.broadcast_to(i_vec, cross.shape)[index]
+        w_bad = np.broadcast_to(w, shape)[index]
+        i_bad = np.broadcast_to(i_vec, shape)[index]
         raise DegenerateFrame(
             f"characterization vector {i_bad.tolist()} is (anti)parallel to the "
             f"quantization axis {w_bad.tolist()}: |w x I| = {norm[index]}",
             index,
         )
-    v = cross / norm[..., None]
-    u = _cross(v, w)
+    cross /= norm
+    u, v = np.empty(shape), np.empty(shape)
+    _rows(v, ndim)[...] = cross
+    _cross_rows(cross, w_rows, out=_rows(u, ndim))
     return Frame(w=w, i_vec=i_vec, u=u, v=v)
 
 
 def complex_basis(frame: Frame):
     """Complex unit vectors w+ = (u + iv)/sqrt2 and w- = (v + iu)/sqrt2."""
-    w_plus = (frame.u + 1j * frame.v) / SQRT2
-    w_minus = (frame.v + 1j * frame.u) / SQRT2
+    w_plus, w_minus = _basis(frame)
     return w_plus, w_minus
+
+
+def _basis(frame: Frame):
+    """w+ and w- stacked as one (2, ..., 3) array."""
+    # the bits of numpy's (u + 1j v) / SQRT2, signed zeros included, written
+    # part by part for both vectors at once: the imaginary part is v/sqrt2 + 0
+    # and the real part u/sqrt2 + 0 * (imaginary part)
+    basis = np.empty((2,) + frame.u.shape, dtype=complex)
+    re, im = basis.real, basis.imag
+    np.multiply(frame.u, _INV_SQRT2, out=re[0])
+    np.multiply(frame.v, _INV_SQRT2, out=re[1])
+    np.add(re[::-1], 0.0, out=im)
+    re += 0.0 * im
+    return basis
 
 
 def ladder_operators(frame: Frame):
@@ -179,25 +219,29 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     operator annihilates; the caller must then supply a different pair, e.g.
     FALLBACK_REFERENCES.
     """
-    # (a.sigma) chi = a . (sigma chi) with sigma chi computed once per reference
-    w_plus, w_minus = complex_basis(frame)
-    raised = w_plus @ (PAULI @ ref.chi1)
-    lowered = w_minus @ (PAULI @ ref.chi2)
-    norm_plus, norm_minus = _norm(raised), _norm(lowered)
-    for norm, name, op, sign in ((norm_plus, "chi1", "sigma+", "+"), (norm_minus, "chi2", "sigma-", "-")):
-        ok = norm >= EPS_LADDER
-        if not ok.all():
-            index = _first(~ok)
-            raise ReferenceAnnihilated(
-                f"{name} is annihilated by {op} for this axis{_where(index)} ({name} is "
-                f"already the {sign}1 eigenspinor); supply references valid for this "
-                "axis, e.g. FALLBACK_REFERENCES",
-                index,
-            )
-    n_plus, n_minus = 1.0 / norm_plus, 1.0 / norm_minus
-    chi_plus = n_plus[..., None] * raised
-    chi_minus = n_minus[..., None] * lowered
-    c = _ladder_constant(w_plus, chi_plus, chi_minus)
+    basis = _basis(frame)
+    # both references at once: (a.sigma) chi = a . (sigma chi) for a = w+ with
+    # chi1 and a = w- with chi2.  np.matmul takes other BLAS routines for one
+    # frame than for a block, which may give an exact zero opposite signs;
+    # adding +0.0 makes it +0 either way
+    images = np.matmul(basis.reshape(2, -1, 3), ref._images).reshape(basis.shape[:-1] + (2,))
+    images += 0.0
+    norms = _norm(images)
+    ok = norms >= EPS_LADDER
+    if not ok.all():
+        # chi1's failure first, as the references are checked in order
+        which, *index = _first(~ok)
+        name, op, sign = (("chi1", "sigma+", "+"), ("chi2", "sigma-", "-"))[which]
+        index = tuple(index)
+        raise ReferenceAnnihilated(
+            f"{name} is annihilated by {op} for this axis{_where(index)} ({name} is "
+            f"already the {sign}1 eigenspinor); supply references valid for this "
+            "axis, e.g. FALLBACK_REFERENCES",
+            index,
+        )
+    n_plus, n_minus = scales = 1.0 / norms
+    chi_plus, chi_minus = scales[..., None] * images
+    c = _ladder_constant(basis[0], chi_plus, chi_minus)
     return EigenPair(
         chi_plus=chi_plus,
         chi_minus=chi_minus,
@@ -212,7 +256,7 @@ def _ladder_constant(a, chi_to, chi_from):
     # np.multiply, not `*`: above 256 KiB numpy may compute `a * temporary` in
     # place as temporary * a, and a complex product with fused multiply-adds
     # is not bitwise commutative
-    return np.add.reduce(np.multiply(a, _bilinear(chi_to, chi_from)), axis=-1)
+    return np.add.reduce(np.multiply(_rows(a), _rows(_bilinear(chi_to, chi_from)), order="C"), axis=0)
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):

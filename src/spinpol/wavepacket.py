@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _g17
-from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item, _single
+from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item, _norm, _single
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -263,7 +263,7 @@ def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn):
     for lo in range(0, len(spec), per):
         k = spec.k[..., lo : lo + per, :]
         try:
-            block = fn(build_frame(k / np.linalg.norm(k, axis=-1, keepdims=True), i_vec), cfg.ref)
+            block = fn(build_frame(k / _norm(k)[..., None], i_vec), cfg.ref)
         except (DegenerateFrame, ReferenceAnnihilated) as exc:
             # the frames may broadcast one spectrum over many packets
             k = np.broadcast_to(k, np.broadcast_shapes(k.shape, i_vec.shape))[exc.index]
@@ -500,12 +500,13 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     run in blocks of _FRAME_BUDGET frames (packets x samples), bounding memory.
     """
     a1, a2 = cfg.alpha[..., None, 0], cfg.alpha[..., None, 1]
+    along_w = (np.abs(a1) ** 2 - np.abs(a2) ** 2)[..., None]
     total = 0.0
     # the cross-check runs on every frame; only its phase is read here
     for samples, (frame, e) in _frame_blocks(spec, cfg, lambda f, ref: (f, _checked_phase(f, ref)[0])):
         z = e * (a1.conj() * a2)
         expect = 2.0 * z.real[..., None] * frame.u + 2.0 * z.imag[..., None] * frame.v
-        expect += (np.abs(a1) ** 2 - np.abs(a2) ** 2)[..., None] * frame.w
+        expect += along_w * frame.w
         prob = spec.weight[..., samples] * np.abs(spec.amplitude[..., samples]) ** 2
         rows = prob[..., None] * expect
         # the carried total joins the block's first row: summed over samples

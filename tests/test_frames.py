@@ -1,5 +1,7 @@
 """Triad construction, ladder operators, eigenspinors, phase bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -297,9 +299,29 @@ def test_ladder_constants_have_fixed_modulus_and_pairing():
         assert phase_factor(f) == np.angle(c)
 
 
+def _signed_axis_vectors():
+    """+-x, +-y and +-z with each sign of their two zero entries: 24 vectors."""
+    vectors = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            for zeros in itertools.product((0.0, -0.0), repeat=2):
+                vec = list(zeros)
+                vec.insert(axis, sign)
+                vectors.append(vec)
+    return np.array(vectors)
+
+
 def test_cross_product_equals_np_cross_bit_for_bit():
     rng = np.random.default_rng(37)
     a, b = rng.normal(size=(2, 1000, 3))
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    for a_row, b_row in zip(a, b):
+        assert _cross(a_row, b_row).tobytes() == np.cross(a_row, b_row).tobytes()
+    # exact zeros keep np.cross's signs: (0, -1, 0) x (1, 0, 0) is (-0, 0, 1)
+    axes = _signed_axis_vectors()
+    assert np.signbit(_cross(np.array([0.0, -1.0, 0.0]), X)).tolist() == [True, False, False]
+    assert _cross(axes[:, None, :], axes).tobytes() == np.cross(axes[:, None, :], axes).tobytes()
+    a, b = (x.reshape(-1, 3) for x in np.broadcast_arrays(axes[:, None, :], axes))
     assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
     for a_row, b_row in zip(a, b):
         assert _cross(a_row, b_row).tobytes() == np.cross(a_row, b_row).tobytes()
