@@ -10,6 +10,7 @@ import functools
 import json
 import shutil
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -135,9 +136,14 @@ def _cmd_field(args):
     spec = _spectrum(args)
     cfg = _packet_config(args)
     points, spacing = wp.position_grid(args.grid_n, args.grid_span)
+    # the probability on the grid sums rho over cells of volume spacing^3
+    try:
+        cell = spacing**3
+    except OverflowError:
+        raise ConfigError(f"grid spacing {spacing} is too large: its cell volume overflows") from None
     fld = wp.spin_field(spec, cfg, points, args.time)
     wp.save_spin_field(fld, args.out)
-    prob = float(np.sum(fld.rho)) * spacing**3
+    prob = float(np.sum(fld.rho)) * cell
     ok = ~fld.node
     mean_s = (fld.rho[ok, None] * fld.s[ok]).sum(axis=0) / fld.rho[ok].sum()
     print(f"wrote {args.out}: {len(fld.rho)} rows ({int(fld.node.sum())} node points)")
@@ -182,8 +188,56 @@ def _add_packet_flags(sub):
                      help="reference spinor pair (default: default)")
 
 
-def build_parser(config=None):
-    """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults."""
+def _add_verify_flags(sub):
+    sub.add_argument("--suites", help="comma-separated subset of " + ",".join(verify_mod.SUITE_NAMES))
+    sub.add_argument("--n-cases", dest="n_cases", type=int, default=verify_mod.DEFAULT_CASES,
+                     help="cases per suite (default 100)")
+    sub.add_argument("--tolerance", type=float, help="override every suite tolerance")
+
+
+def _add_grid_flags(sub):
+    sub.add_argument("--grid-n", dest="grid_n", type=int, default=21,
+                     help="points per position axis (default 21)")
+    sub.add_argument("--grid-span", dest="grid_span", type=float, default=6.0,
+                     help="position grid half-width (default 6)")
+    sub.add_argument("--time", type=float, default=0.0, help="evaluation time (default 0)")
+
+
+def _add_sweep_flags(sub):
+    sub.add_argument("--axis", default="0,0,1", help="sweep axis x,y,z (default 0,0,1)")
+    sub.add_argument("--steps", type=int, default=8, help="sweep points on [0, 2pi) (default 8)")
+
+
+class _Subcommand(NamedTuple):
+    run: Callable
+    help: str
+    flags: tuple  # functions adding the subcommand's own flags, in order
+    out: str | None  # default --out
+
+
+_SUBCOMMANDS = {
+    "verify": _Subcommand(_cmd_verify, "run randomized property suites", (_add_verify_flags,), None),
+    "spectrum-gen": _Subcommand(
+        _cmd_spectrum_gen, "generate a Gaussian spectrum CSV", (_add_spectrum_flags,), "spectrum.csv"
+    ),
+    "field": _Subcommand(
+        _cmd_field, "evaluate the local polarization field on a grid",
+        (_add_spectrum_flags, _add_packet_flags, _add_grid_flags), "spin_field.csv",
+    ),
+    "total-spin": _Subcommand(
+        _cmd_total_spin, "sweep the characterization vector and tabulate total spin",
+        (_add_spectrum_flags, _add_packet_flags, _add_sweep_flags), "total_spin.csv",
+    ),
+}
+
+
+def build_parser(config=None, command=None):
+    """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults.
+
+    Given a subcommand name, only that subcommand's parser is built: its argv
+    parses to the same namespace, and its help, usage and error texts are the
+    same as with every subcommand built.
+    """
     # argparse builds a HelpFormatter for every flag it adds, and each one asks
     # the terminal for its width; ask once here instead.  With a width given,
     # argparse does not subtract its own 2 columns, so the texts are the same.
@@ -195,43 +249,25 @@ def build_parser(config=None):
         description="Spin polarization of a free spin-1/2 particle, characterized by a unit vector.",
         formatter_class=formatter,
     )
+    # the top-level usage names every subcommand, also when one is built.  Only
+    # then is the metavar given: argparse names the positional by its metavar
+    # in errors, and the full parser's "invalid choice" error says "command"
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
     subs = parser.add_subparsers(
         dest="command",
         required=True,
+        metavar=choices,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
     )
-
-    p_verify = subs.add_parser("verify", help="run randomized property suites")
-    p_verify.add_argument("--suites", help="comma-separated subset of "
-                          + ",".join(verify_mod.SUITE_NAMES))
-    p_verify.add_argument("--n-cases", dest="n_cases", type=int, default=verify_mod.DEFAULT_CASES,
-                          help="cases per suite (default 100)")
-    p_verify.add_argument("--tolerance", type=float, help="override every suite tolerance")
-
-    p_gen = subs.add_parser("spectrum-gen", help="generate a Gaussian spectrum CSV")
-    _add_spectrum_flags(p_gen)
-
-    p_field = subs.add_parser("field", help="evaluate the local polarization field on a grid")
-    _add_spectrum_flags(p_field)
-    _add_packet_flags(p_field)
-    p_field.add_argument("--grid-n", dest="grid_n", type=int, default=21,
-                         help="points per position axis (default 21)")
-    p_field.add_argument("--grid-span", dest="grid_span", type=float, default=6.0,
-                         help="position grid half-width (default 6)")
-    p_field.add_argument("--time", type=float, default=0.0, help="evaluation time (default 0)")
-
-    p_total = subs.add_parser("total-spin", help="sweep the characterization vector and tabulate total spin")
-    _add_spectrum_flags(p_total)
-    _add_packet_flags(p_total)
-    p_total.add_argument("--axis", default="0,0,1", help="sweep axis x,y,z (default 0,0,1)")
-    p_total.add_argument("--steps", type=int, default=8, help="sweep points on [0, 2pi) (default 8)")
-
-    outs = {p_verify: None, p_gen: "spectrum.csv", p_field: "spin_field.csv", p_total: "total_spin.csv"}
-    for sub, out in outs.items():
+    for name in [command] if command else _SUBCOMMANDS:
+        spec = _SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=spec.help)
+        for add_flags in spec.flags:
+            add_flags(sub)
         sub.add_argument("--config", help="flat JSON config; flags override file values")
         sub.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
                          help="random seed (default 1729)")
-        sub.add_argument("--out", default=out, help="output path")
+        sub.add_argument("--out", default=spec.out, help="output path")
         if config:
             sub.set_defaults(**_typed(sub, config))
     return parser
@@ -269,7 +305,11 @@ def _typed(sub, config):
 
 
 def _parse(argv):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # an argv led by a subcommand builds that subcommand alone; any other
+    # (help, an unknown command, none) takes the full parser and its texts
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command=command).parse_args(argv)
     if args.config is None:
         return args
     file_cfg = _load_config(args.config)
@@ -277,21 +317,13 @@ def _parse(argv):
     unknown = sorted(set(file_cfg) - (set(vars(args)) - {"command", "config"}))
     if unknown:
         raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
-    return build_parser(file_cfg).parse_args(argv)
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "spectrum-gen": _cmd_spectrum_gen,
-    "field": _cmd_field,
-    "total-spin": _cmd_total_spin,
-}
+    return build_parser(file_cfg, command).parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command].run(args)
     except (DegenerateFrame, SpectrumNearOrigin, ReferenceAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY

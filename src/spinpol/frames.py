@@ -21,7 +21,7 @@ frame.  The results are written back into (..., 3) and (..., 2) arrays, and
 one frame gets the bits it gets inside a block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,13 +110,32 @@ class Frame:
 
     For a batch, w and i_vec keep the shapes they were given (one of them may
     be a single 3-vector shared by every frame); u and v have the broadcast
-    shape (..., 3).
+    shape (..., 3).  The frame computes its eigenpair and cross-checked phase
+    for a reference pair once, on first use, and keeps them.
     """
 
     w: np.ndarray
     i_vec: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    # what the frame derives for each reference pair, computed on first use:
+    # (compute, id(ref)) -> (ref, result)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _derived(self, ref, compute):
+        """compute(self, ref), computed once per reference pair object and then looked up.
+
+        The entry holds ref itself, so its id cannot be reused while the entry
+        lives, and the `is` test rejects an entry of any other object.  A
+        compute that raises stores nothing.
+        """
+        key = (compute, id(ref))
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] is ref:
+            return hit[1]
+        result = compute(self, ref)
+        self._cache[key] = (ref, result)
+        return result
 
 
 @dataclass(frozen=True)
@@ -218,7 +237,14 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     when a reference spinor is (numerically) the eigenspinor its ladder
     operator annihilates; the caller must then supply a different pair, e.g.
     FALLBACK_REFERENCES.
+
+    The pair is computed once per frame and reference pair; later calls
+    return the same EigenPair, whose arrays are read-only.
     """
+    return frame._derived(ref, _eigen_pair)
+
+
+def _eigen_pair(frame: Frame, ref: ReferenceSpinors) -> EigenPair:
     basis = _basis(frame)
     # both references at once: (a.sigma) chi = a . (sigma chi) for a = w+ with
     # chi1 and a = w- with chi2.  np.matmul takes other BLAS routines for one
@@ -242,13 +268,16 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
     n_plus, n_minus = scales = 1.0 / norms
     chi_plus, chi_minus = scales[..., None] * images
     c = _ladder_constant(basis[0], chi_plus, chi_minus)
-    return EigenPair(
-        chi_plus=chi_plus,
-        chi_minus=chi_minus,
-        n_plus=_item(n_plus),
-        n_minus=_item(n_minus),
-        phi0=_item(np.angle(c)),
-    )
+    results = chi_plus, chi_minus, _item(n_plus), _item(n_minus), _item(np.angle(c))
+    return EigenPair(*_read_only(*results))
+
+
+def _read_only(*results):
+    """The results, each array among them made read-only: frames hand the same arrays to every caller."""
+    for x in results:
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return results
 
 
 def _ladder_constant(a, chi_to, chi_from):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import _apply, _item, _mul, _norm, _pauli_components, _spv, _vdot
 from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
-from .frames import mapping_matrix
+from .frames import _read_only, mapping_matrix
 from .rotations import _so3, _su2, rotate_characterization
 
 # rotations about w, represented on the eigenspinor coefficients where
@@ -67,13 +67,15 @@ def _conjugate(m, unitary) -> np.ndarray:
     return _mul(_mul(unitary.conj().swapaxes(-1, -2), m), unitary)
 
 
-def _direct(frame: Frame, varpi) -> np.ndarray:
+def _direct(frame: Frame, varpi):
     """varpi^dag (a.sigma) varpi for a = u, v, w, as one (3, 2, 2, ...) array with the frames last.
 
     Entry (a, i, j) is a.(chi_i^dag sigma chi_j), chi_i column i of varpi.  All
     twelve entries are computed; none is inferred from Hermiticity.  The
     bilinears come from algebra._pauli_components and are projected on u, v
-    and w by adding their x, y and z parts in that order.
+    and w by adding their x, y and z parts in that order.  Returns the array
+    and a scratch array of the same shape in the same workspace, free for the
+    caller.
     """
     batch = np.shape(varpi)[:-2]
     # every intermediate is a view of one workspace: as seven arrays, a
@@ -100,7 +102,7 @@ def _direct(frame: Frame, varpi) -> np.ndarray:
     np.multiply(factors[:, 0], bilinears[0], out=direct)
     for c in (1, 2):
         direct += np.multiply(factors[:, c], bilinears[c], out=term)
-    return direct
+    return direct, term
 
 
 def _frames_first(a):
@@ -123,19 +125,30 @@ def _checked_phase(frame: Frame, ref: ReferenceSpinors):
     The deviation is the worst Frobenius norm of varpi^dag (a.sigma) varpi minus
     its closed form over a = u, v, w, computed on the frames-last entries of
     _direct; one beyond rounding raises RuntimeError.  Every frame is checked,
-    a single frame by the same code at batch shape ().
+    a single frame by the same code at batch shape (), once per frame and
+    reference pair: later calls return the same read-only results.
     """
+    return frame._derived(ref, _cross_check)
+
+
+def _cross_check(frame: Frame, ref: ReferenceSpinors):
     pair = eigen_spinors(frame, ref)
-    direct = _direct(frame, pair.mapping)
-    e = np.exp(1j * np.asarray(pair.phi0))
+    direct, scratch = _direct(frame, pair.mapping)
+    # the bits of np.exp(1j * phi0): the imaginary part of its argument is
+    # phi0 + 0, which is +0 where phi0 is -0
+    phi0 = np.asarray(pair.phi0)
+    e = np.empty(phi0.shape, dtype=complex)
+    np.cos(phi0, out=e.real)
+    np.sin(np.add(phi0, 0.0, out=e.imag), out=e.imag)
     # only the nonzero entries of the closed forms need subtracting
     for (a, i, j), value in _closed_entries(e):
         direct[a, i, j, ...] -= value
     # |d|^2 as the real part of conj(d) d, as algebra._norm takes it: numpy's
     # complex product may fuse re re + (im im), so re re + im im can differ
-    # in the last bit.  Each matrix's four entries are summed in order.
-    squares = np.multiply(np.conj(direct), direct)
-    norms = np.add.reduce(squares.real.reshape((3, 4) + np.shape(e)), axis=1)
+    # in the last bit.  The squares overwrite d; each matrix's four entries
+    # are summed in order.
+    np.multiply(np.conjugate(direct, out=scratch), direct, out=direct)
+    norms = np.add.reduce(direct.real.reshape((3, 4) + e.shape), axis=1)
     np.sqrt(norms, out=norms)
     # worst of u, v, w: pairwise maxima are exact, and 12x faster than a reduce
     deviation = np.maximum(np.maximum(norms[0], norms[1]), norms[2])
@@ -145,7 +158,7 @@ def _checked_phase(frame: Frame, ref: ReferenceSpinors):
             "closed-form component disagrees with direct conjugation; "
             "this is an internal error, not a tolerance issue"
         )
-    return e, pair.phi0, deviation
+    return _read_only(e, pair.phi0, deviation)
 
 
 def heisenberg_sigma(

@@ -555,9 +555,9 @@ def position_grid(n_per_axis: int, half_span: float):
     """
     if n_per_axis < 2:
         raise BadGrid(f"position grid needs at least 2 points per axis, got {n_per_axis}")
-    # written so that NaN fails it
-    if not 0 < half_span < math.inf:
-        raise BadGrid(f"position grid half-span must be positive and finite, got {half_span}")
+    # written so that NaN fails it; np.linspace needs the width as a finite float
+    if not 0 < 2.0 * half_span < math.inf:
+        raise BadGrid(f"position grid half-span must be positive and twice it finite, got {half_span}")
     ax = np.linspace(-half_span, half_span, n_per_axis)
     points = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     return points, float(ax[1] - ax[0])

@@ -12,10 +12,12 @@ axis-aligned frames with exact zeros, and with either reference pair.  The
 one exception is the sign of an exact zero in the images sigma+ chi1 and
 sigma- chi2: np.matmul gives one frame and a block opposite signs there, and
 eigen_spinors makes it +0 either way, so that one frame alone gets the bits it
-gets inside a block.
+gets inside a block.  The cross-check's phase e and deviation keep the bits of
+np.exp(1j phi0) and of squares taken into a new array.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from spinpol import (
     complex_basis,
     eigen_spinors,
     gaussian_spectrum,
+    heisenberg,
     total_spin,
     wavepacket,
 )
@@ -201,13 +204,61 @@ def test_one_frame_alone_equals_its_place_in_a_block(name, ref_name):
     block = build_frame(w, i_vec)
     pair = eigen_spinors(block, ref)
     deviation = closed_form_residual(block, ref)
+    e = _checked_phase(block, ref)[0]
     for s, j in itertools.product(range(2), range(n)):
         f = build_frame(w[s, j], i_vec[s, j])
         one = eigen_spinors(f, ref)
         assert _bits(f.u, f.v, one.chi_plus, one.chi_minus, one.n_plus, one.n_minus, one.phi0,
-                     closed_form_residual(f, ref)) == _bits(
+                     _checked_phase(f, ref)[0], closed_form_residual(f, ref)) == _bits(
             block.u[s, j], block.v[s, j], pair.chi_plus[s, j], pair.chi_minus[s, j],
-            pair.n_plus[s, j], pair.n_minus[s, j], pair.phi0[s, j], deviation[s, j]), (s, j)
+            pair.n_plus[s, j], pair.n_minus[s, j], pair.phi0[s, j], e[s, j], deviation[s, j]), (s, j)
+
+
+def _reference_checked_phase(frame, ref):
+    """(e, deviation) of the cross-check with np.exp(1j phi0) and the squares in a new array."""
+    pair = eigen_spinors(frame, ref)
+    direct = heisenberg._direct(frame, pair.mapping)[0]
+    e = np.exp(1j * np.asarray(pair.phi0))
+    for (a, i, j), value in heisenberg._closed_entries(e):
+        direct[a, i, j, ...] -= value
+    squares = np.multiply(np.conj(direct), direct)
+    norms = np.sqrt(np.add.reduce(squares.real.reshape((3, 4) + np.shape(e)), axis=1))
+    return e, np.maximum(np.maximum(norms[0], norms[1]), norms[2])
+
+
+@pytest.mark.parametrize("ref_name", REFERENCES)
+@pytest.mark.parametrize("name", SETS)
+def test_checked_phase_keeps_the_exp_and_product_bits(name, ref_name):
+    ref = REFERENCES[ref_name]
+    w, i_vec = _accepted(*SETS[name](), ref)
+    f = build_frame(w, i_vec)
+    e, _, deviation = _checked_phase(f, ref)
+    assert _bits(e, deviation) == _bits(*_reference_checked_phase(f, ref))
+    for j in range(0, len(w), 5):
+        one = build_frame(w[j], i_vec[j])
+        e_one, _, deviation_one = _checked_phase(one, ref)
+        assert _bits(e_one, deviation_one) == _bits(*_reference_checked_phase(one, ref)), j
+
+
+def test_checked_phase_keeps_the_exp_bits_at_a_negative_zero_phase(monkeypatch):
+    # the sets' zero phases are all +0, but np.exp(1j * -0.0) is 1+0j where
+    # the cosine and sine of -0 give 1-0j: phi0 = -0 is given by hand here
+    w, i_vec = _accepted(*_axis_pairs(), DEFAULT_REFERENCES)
+    eigen = heisenberg.eigen_spinors
+
+    def negative_zero(frame, ref):
+        pair = eigen(frame, ref)
+        return replace(pair, phi0=np.where(pair.phi0 == 0.0, -0.0, pair.phi0))
+
+    monkeypatch.setattr(heisenberg, "eigen_spinors", negative_zero)
+    phi0 = eigen_spinors(build_frame(w, i_vec)).phi0
+    phi0 = np.where(phi0 == 0.0, -0.0, phi0)
+    assert np.count_nonzero(phi0 == 0.0) == 80
+    e = _checked_phase(build_frame(w, i_vec), DEFAULT_REFERENCES)[0]
+    assert _bits(e) == _bits(np.exp(1j * phi0))
+    for j in np.flatnonzero(phi0 == 0.0):
+        e_one = _checked_phase(build_frame(w[j], i_vec[j]), DEFAULT_REFERENCES)[0]
+        assert _bits(e_one) == _bits(np.exp(1j * phi0[j])), j
 
 
 def _reference_total_spin(spec, cfg):

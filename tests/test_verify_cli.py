@@ -590,12 +590,24 @@ def test_cli_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("span", ["-6", "0", "inf", "nan"])
+@pytest.mark.parametrize("span", ["-6", "0", "inf", "nan", "1e308"])
 def test_cli_non_positive_grid_span_is_config_error(tmp_path, capsys, span):
     out = tmp_path / "field.csv"
     code = cli.main(["field", "--n-k", "3", "--grid-span", span, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert "half-span must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span, spacing", [("3e102", "6e+102"), ("1e200", "2e+200")])
+def test_cli_grid_whose_cell_volume_overflows_is_config_error(tmp_path, capsys, span, spacing):
+    # the probability on the grid sums rho over cells of volume spacing^3
+    out = tmp_path / "field.csv"
+    code = cli.main(["field", "--n-k", "3", "--grid-n", "2", "--grid-span", span, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid spacing {spacing} is too large: its cell volume overflows\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -675,9 +687,13 @@ def test_cli_total_spin_rows_match_per_value_formatting(tmp_path):
     assert out.read_text() == "\n".join(["phi,Sx,Sy,Sz"] + rows) + "\n"
 
 
-# SHA-256 of each help text (stdout) and of the usage error of `field --grid-n x`
-# (stderr) at COLUMNS = 80 and 50, recorded under Python 3.11 from the parser
-# whose every flag's formatter asked the terminal for its width
+# SHA-256 of each help text (stdout) and of each usage error (stderr) at
+# COLUMNS = 80 and 50, recorded under Python 3.11: the help texts and the error
+# of `field --grid-n x` from the parser whose every flag's formatter asked the
+# terminal for its width, the other errors (an unknown command, no command,
+# unrecognized arguments after a subcommand) from the parser that built every
+# subcommand for every argv
+USAGE_ERRORS = ("field --grid-n x", "bogus", "", "field --bogus", "total-spin --steps 2 extra")
 HELP_DIGESTS = {
     80: {
         "--help":
@@ -692,6 +708,14 @@ HELP_DIGESTS = {
             "1859944a18d80448b2d95d0c114874a3cb7aeef1732bc84696f2334003702e23",
         "field --grid-n x":
             "f14357aa8d930e41d74c8b8d31b9603e761cd18533f5117d9c9a90451733a8e0",
+        "bogus":
+            "5a0f9e49d8eb3cf681ae68de206b38f5651d79fc537199b45d30bc17f030ac2c",
+        "":
+            "a41a6ab0e2ca9ecf9e2d284647c497a38484eb240b14aeeb7af37f2d107e9d3f",
+        "field --bogus":
+            "a3bc90ca36f12a86aea5d53102c56afc1a54c8396e0bfc5ad31b0ea8d3e6d4b2",
+        "total-spin --steps 2 extra":
+            "89a228f6593d3a2d284e97255d8d4679c62afab8c39657633e493ddb5331ba1c",
     },
     50: {
         "--help":
@@ -706,6 +730,14 @@ HELP_DIGESTS = {
             "6abbb6c5795ce9780f9ed74138ac4ea627482c1d2dfdceef032c96055a35b668",
         "field --grid-n x":
             "53c13c29af0b61a38a71e7e65b6d9f46a9286ed41879e7d7e46b4e5160fe6c2f",
+        "bogus":
+            "1ec761b0849cb0724044bb2997a1fce3e40b55513925cc33b89c19f7b9b078d7",
+        "":
+            "5f395b31fb2ff3e3875970184f9c5c67ea8b456b2d2e31054072917a77f8cd03",
+        "field --bogus":
+            "14b15e652d4e7e108e7fe4a1718859a7b5fc835cd8b19068a6324b846b069c85",
+        "total-spin --steps 2 extra":
+            "60548997915085bd4ae8e1fc4f6e8436931f43bb9e709494dba9438844514989",
     },
 }
 
@@ -722,7 +754,7 @@ def test_cli_help_and_usage_texts_are_pinned(columns, monkeypatch, capsys):
         with pytest.raises(SystemExit) as stop:
             cli.main(argv.split())
         out, err = capsys.readouterr()
-        usage_error = argv == "field --grid-n x"
+        usage_error = argv in USAGE_ERRORS
         text, other = (err, out) if usage_error else (out, err)
         assert (stop.value.code, other) == (2 if usage_error else 0, ""), argv
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (argv, text)
@@ -754,3 +786,78 @@ def test_build_parser_asks_the_terminal_width_once(monkeypatch):
     parser = cli.build_parser()
     parser.format_help()
     assert len(calls) == 1
+
+
+# each subcommand's own flags, every one given; a config file for each
+# subcommand, its vector flags as lists and its numbers as JSON numbers or
+# text; and a key of another subcommand, unknown to it
+OWN_FLAGS = {
+    "verify": ["--suites", "algebra,frames", "--n-cases", "7", "--tolerance", "1e-6"],
+    "spectrum-gen": ["--spectrum", "s.csv", "--k0", "0,0,4", "--sigma-k", "0.4", "--n-k", "5",
+                     "--span", "3"],
+    "field": ["--k0", "0,0,4", "--n-k", "5", "--i-vec", "0,1,0", "--alpha", "0,0,1,0",
+              "--ref", "fallback", "--grid-n", "7", "--grid-span", "2.5", "--time", "1.5"],
+    "total-spin": ["--sigma-k", "0.4", "--i-vec", "0,1,0", "--alpha", "0.6,0,0,0.8",
+                   "--axis", "1,0,0", "--steps", "3", "--ref", "fallback"],
+}
+CONFIGS = {
+    "verify": {"suites": "algebra", "n_cases": 5, "tolerance": "1e-3", "out": "r.csv"},
+    "spectrum-gen": {"k0": [0, 0, 4], "sigma_k": 0.4, "n_k": "5", "span": 3, "seed": 11},
+    "field": {"spectrum": "s.csv", "i_vec": [0, 1, 0], "alpha": "0,0,1,0", "ref": "fallback",
+              "grid_n": 7, "grid_span": 2.5, "time": "1.5"},
+    "total-spin": {"axis": [1, 0, 0], "steps": 3, "sigma_k": "0.4", "out": "t.csv"},
+}
+FOREIGN_KEYS = {"verify": "grid_n", "spectrum-gen": "alpha", "field": "steps", "total-spin": "suites"}
+
+
+@pytest.fixture
+def subparsers_built(monkeypatch):
+    """The names of the subcommand parsers built, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    return names
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parse_builds_only_the_invoked_subcommand(command, subparsers_built):
+    for argv in ([command], [command, *OWN_FLAGS[command], "--seed", "3", "--out", "x.csv"]):
+        full = cli.build_parser().parse_args(argv)
+        assert subparsers_built == list(cli._SUBCOMMANDS)
+        subparsers_built.clear()
+        assert cli._parse(argv) == full
+        assert subparsers_built == [command]
+        subparsers_built.clear()
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parse_builds_only_the_invoked_subcommand_with_a_config(command, tmp_path, subparsers_built):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]))
+    for argv in ([command, "--config", str(cfg_path)],
+                 [command, "--config", str(cfg_path), *OWN_FLAGS[command], "--seed", "3"]):
+        # the namespace of the full parser built with the config's defaults
+        full = cli.build_parser(CONFIGS[command]).parse_args(argv)
+        subparsers_built.clear()
+        assert cli._parse(argv) == full
+        assert subparsers_built == [command, command]
+        subparsers_built.clear()
+    # an unknown key, and a key of another subcommand, stop before the rebuild
+    foreign = FOREIGN_KEYS[command]
+    cfg_path.write_text(json.dumps({**CONFIGS[command], "bogus": 1, foreign: "1"}))
+    with pytest.raises(cli.ConfigError) as error:
+        cli._parse([command, "--config", str(cfg_path)])
+    assert str(error.value) == f"unknown keys in config {cfg_path}: {sorted(['bogus', foreign])}"
+    assert subparsers_built == [command]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["-h", "field"]])
+def test_parse_builds_every_subcommand_for_any_other_argv(argv, subparsers_built, capsys):
+    with pytest.raises(SystemExit):
+        cli._parse(argv)
+    assert subparsers_built == list(cli._SUBCOMMANDS)
