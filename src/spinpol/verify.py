@@ -1,6 +1,5 @@
 """Seeded randomized property sweeps over every module, with a tabular report."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,92 +23,99 @@ class SuiteResult:
     passed: bool
 
 
-def _dots(v):
-    """v.v of each row of an (m, k) block: one BLAS ddot per row, the one v.dot(v) calls."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+# A suite's draw is a list of steps (name, k, make): each case takes k
+# uniforms from rng.random, and make(x, fields) maps an (m, k) block of them
+# to the step's values and a mask of the cases it accepts; it may read the
+# earlier fields.  A case that is not accepted draws that step again.
 
 
-# A suite's draw is a list of steps (name, kind, k, make): each case takes k
-# numbers from the generator method `kind`, and make(x, fields) maps an
-# (m, k) block of them to the step's values and a mask of the cases it
-# accepts; it may read the earlier fields.  A case that is not accepted draws
-# that step again.  standard_normal gives the numbers of rng.normal, and
-# takes an `out` array as random does.
-_NORMAL, _UNIFORM = "standard_normal", "random"
+def _cis(u):
+    """e^(2 pi i u)."""
+    angle = 2.0 * np.pi * u
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def _ring(cos_t, u):
+    # the part normal to an axis of a unit vector at cosine cos_t to it, at azimuth 2 pi u
+    sin_t, angle = np.sqrt((1.0 - cos_t) * (1.0 + cos_t)), 2.0 * np.pi * u
+    return sin_t * np.cos(angle), sin_t * np.sin(angle)
 
 
 def _unit(x, fields):
-    # np.linalg.norm of a real vector, sqrt(v.v)
-    n = np.sqrt(_dots(x))
-    return x / n[:, None], n > 1e-3
+    # uniform on the sphere (Archimedes' hat-box theorem): z = 2u - 1 and an azimuth 2 pi u'
+    z = 2.0 * x[:, 0] - 1.0
+    return np.stack([*_ring(z, x[:, 1]), z], axis=1), True
 
 
-def _unit_spinor(x, fields):
-    z = x[:, :2] + 1j * x[:, 2:]
-    # np.linalg.norm of a complex vector sums the real and imaginary dot
-    # products; the stride-2 .real and .imag views take the same BLAS ddot
-    n = np.sqrt(_dots(z.real) + _dots(z.imag))
-    return z / n[:, None], n > 1e-3
+def _about(axis, cos_t, u):
+    # unit vectors at cosine cos_t to the unit rows of `axis` and azimuth 2 pi u on the
+    # basis normal to them of Duff et al., "Building an Orthonormal Basis, Revisited" (2017)
+    x, y, z = axis.T
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    p, q = _ring(cos_t, u)
+    return np.stack([cos_t * x + p * (1.0 + sign * x * x * a) + q * b,
+                     cos_t * y + p * sign * b + q * (sign + y * y * a),
+                     cos_t * z - p * sign * x - q * y], axis=1)
+
+
+# |cos| < c to a unit vector is |v x it| > 1e-2
+_CLEAR = np.sqrt(1.0 - 1e-4)
+
+
+def _jones(x, fields):
+    # (sqrt(1 - u) e^(2 pi i u'), sqrt(u) e^(2 pi i u'')): uniform on the unit sphere of C^2
+    return np.sqrt(np.stack([1.0 - x[:, 0], x[:, 0]], axis=1)) * _cis(x[:, 1:]), True
 
 
 def _clear_of(name, pole=False):
-    # a unit vector with |v x fields[name]| > 1e-2: frames stay comfortably
+    # a unit vector uniform on |v x fields[name]| > 1e-2: frames stay comfortably
     # away from the degenerate axis so the 1e-12 contracts are tested on
-    # well-conditioned inputs; with `pole` also 1 + v_z > 1e-4, off the south
-    # pole where the default references fail
+    # well-conditioned inputs.  The cosine is c t, t = 2u - 1 + 2^-53 on a grid
+    # symmetric in (-1, 1), so |cos| < c holds at u = 0 too.  With `pole` a case
+    # is accepted only if 1 + v_z > 1e-4, off the south pole where the default
+    # references fail (the only rejection of any step)
     def make(x, fields):
-        d, ok = _unit(x, fields)
-        ok = ok & (np.sqrt(_dots(frames._cross(d, fields[name]))) > 1e-2)
-        if pole:
-            ok = ok & (1.0 + d[:, 2] > 1e-4)
-        return d, ok
+        d = _about(fields[name], _CLEAR * (2.0 * x[:, 0] - 1.0 + 2.0**-53), x[:, 1])
+        return d, (1.0 + d[:, 2] > 1e-4) if pole else True
 
     return make
 
 
+def _gauss(x):
+    # complex standard normals by Box-Muller, radii from the first half of the uniforms
+    # and angles from the second: the real and imaginary parts are independent normals
+    n = x.shape[1] // 2
+    return np.sqrt(-2.0 * np.log(1.0 - x[:, :n])) * _cis(x[:, n:])
+
+
 def _normals(name, k):
-    return name, _NORMAL, k, lambda x, fields: (x, True)
+    """k standard normals per case: the parts of (k + 1) // 2 complex normals, real first."""
+    return name, 2 * ((k + 1) // 2), lambda x, fields: (_gauss(x).view(float)[:, :k], True)
 
 
 def _complex(name, k=None):
-    """k complex normals per case, the real parts first (one scalar when k is None)."""
-    n = k or 1
-
-    def make(x, fields):
-        z = x[:, :n] + 1j * x[:, n:]
-        return z if k else z[:, 0], True
-
-    return name, _NORMAL, 2 * n, make
+    """k complex standard normals per case (one scalar when k is None)."""
+    return name, 2 * (k or 1), lambda x, fields: (_gauss(x) if k else _gauss(x)[:, 0], True)
 
 
 def _uniform(name, lo, hi, k=None):
     """k uniforms per case (one scalar when k is None): lo + (hi - lo) * random() is rng.uniform(lo, hi)."""
-    return name, _UNIFORM, k or 1, lambda x, fields: (lo + (hi - lo) * (x if k else x[:, 0]), True)
+    return name, k or 1, lambda x, fields: (lo + (hi - lo) * (x if k else x[:, 0]), True)
 
 
 def _read_block(rng, count, steps):
     """A block of `count` cases drawn in one pass: (fields, whether every case accepts every step).
 
-    The numbers are taken in stream order, one generator call per row for each
-    run of consecutive same-kind steps, or one call for the block when there
-    is one run (neither normals nor uniforms depend on how they are chunked);
-    each make then runs once on the block.  False means some case would draw
-    a step again, so the fields do not hold that block.
+    Every step takes a fixed number of uniforms per case, so the block is one
+    rng.random call, the cases' numbers in stream order; each make then runs
+    once on the block.  False means some case would draw a step again, so
+    the fields do not hold that block.
     """
-    runs, width = [], 0
-    for kind, run in itertools.groupby(steps, key=lambda step: step[1]):
-        k = sum(step[2] for step in run)
-        runs.append((getattr(rng, kind), width, width + k))
-        width += k
-    x = np.empty((count, width))
-    if len(runs) == 1:
-        runs[0][0](out=x)
-    else:
-        for row in x:
-            for call, lo, hi in runs:
-                call(out=row[lo:hi])
+    x = rng.random((count, sum(step[1] for step in steps)))
     fields, accepted, at = {}, True, 0
-    for name, _, k, make in steps:
+    for name, k, make in steps:
         fields[name], ok = make(x[:, at : at + k], fields)
         accepted = accepted & ok
         at += k
@@ -121,9 +127,9 @@ def _read_cases(rng, count, steps):
     cases = []
     for _ in range(count):
         fields = {}
-        for name, kind, k, make in steps:
+        for name, k, make in steps:
             while True:
-                fields[name], ok = make(getattr(rng, kind)(size=(1, k)), fields)
+                fields[name], ok = make(rng.random((1, k)), fields)
                 if np.all(ok):
                     break
         cases.append(fields)
@@ -143,8 +149,7 @@ def _dagger(m):
 # from the suite's stream, and a check, which takes the stacked fields of a
 # block of cases by name and returns per-case residual arrays.
 
-_ALGEBRA = (("a", _NORMAL, 3, _unit), ("b", _NORMAL, 3, _unit), ("chi", _NORMAL, 4, _unit_spinor),
-            _complex("ca"), _complex("cb"))
+_ALGEBRA = (("a", 2, _unit), ("b", 2, _unit), ("chi", 3, _jones), _complex("ca"), _complex("cb"))
 
 
 def _check_algebra(a, b, chi, ca, cb):
@@ -164,8 +169,8 @@ def _check_algebra(a, b, chi, ca, cb):
     )
 
 
-_FRAME = (("w", _NORMAL, 3, _unit), ("i_vec", _NORMAL, 3, _clear_of("w")))
-_ALPHA = ("alpha", _NORMAL, 4, _unit_spinor)
+_FRAME = (("w", 2, _unit), ("i_vec", 2, _clear_of("w")))
+_ALPHA = ("alpha", 3, _jones)
 _FRAMES = (*_FRAME, _uniform("theta", 0.1, np.pi - 0.1), _uniform("phi", 0, 2 * np.pi))
 
 
@@ -208,7 +213,7 @@ def _check_frames(w, i_vec, theta, phi):
     )
 
 
-_ROTATIONS = (("axis", _NORMAL, 3, _unit), _uniform("phi1", 0, 4 * np.pi), _uniform("phi2", 0, 4 * np.pi),
+_ROTATIONS = (("axis", 2, _unit), _uniform("phi1", 0, 4 * np.pi), _uniform("phi2", 0, 4 * np.pi),
               _normals("a", 3), *_FRAME, _uniform("phi", 0, 4 * np.pi), _ALPHA)
 
 
@@ -252,12 +257,12 @@ def _check_heisenberg(w, i_vec, phi, alpha):
 
 
 _WAVEPACKET = (
-    ("i_vec", _NORMAL, 3, _unit),
-    ("direction", _NORMAL, 3, _clear_of("i_vec", pole=True)),
+    ("i_vec", 2, _unit),
+    ("direction", 2, _clear_of("i_vec", pole=True)),
     _ALPHA,
     _normals("x", 3),
     _uniform("t", 0, 2.0),
-    ("d2", _NORMAL, 3, _clear_of("i_vec", pole=True)),
+    ("d2", 2, _clear_of("i_vec", pole=True)),
     _uniform("phase", 0, 2 * np.pi),
     # a collinear spectrum of 3 samples, sorted and normalized by _collinear
     _uniform("mags", 1.0, 3.0, 3),
@@ -336,20 +341,20 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     """Run one named suite; n_cases = 0 passes vacuously with zero residual.
 
     The cases come from the (seed, suite) stream in case order, a block of up
-    to CASE_BLOCK at a time.  The suite's draw is one list of steps, read in
-    one of two ways with the same make arithmetic.  _read_block takes the
-    block's numbers in one pass and runs each make once on the block; if a
-    case would redraw a rejected vector, the block is drawn again from its
-    start by _read_cases, the reference, which draws case by case and redraws
-    each step until the case accepts it.  Either way the stream and the fields
-    are the same bits.  The suite's finish then runs on the stacked fields,
-    the laws are checked on the block, and the worst residual over all cases
-    is reported.  A NaN residual fails the suite.
+    to CASE_BLOCK at a time.  _read_block draws a block's uniforms in one call
+    and runs each make once on the block; if a case would redraw a direction
+    at the south pole, the block is drawn again from its start by _read_cases,
+    the reference, which draws case by case.  Either way the stream and the
+    fields are the same bits.  The suite's finish then runs on the stacked
+    fields, the laws are checked on the block, and the worst residual over
+    all cases is reported.  A NaN residual fails the suite.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     steps, finish, check, default_tol, suite_id = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # written so that a NaN tolerance fails it
     if not (n_cases >= 0 and 0 <= tol < np.inf):
         raise ValueError(f"n_cases must be >= 0 and tolerance finite and >= 0, got {n_cases}, {tol}")
@@ -373,13 +378,7 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
             # np.maximum, not max: a NaN residual must fail the suite
             worst = np.maximum(worst, np.max(residual))
     worst = float(worst)
-    return SuiteResult(
-        suite=name,
-        cases=n_cases,
-        max_residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+    return SuiteResult(suite=name, cases=n_cases, max_residual=worst, tolerance=tol, passed=worst <= tol)
 
 
 def run_suites(names=SUITE_NAMES, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):

@@ -55,7 +55,11 @@ class SpectrumNearOrigin(ValueError):
 
 
 class BadGrid(ValueError):
-    """Grid parameters are unusable (even sample count, non-finite k0, span not finite and positive)."""
+    """Grid parameters are unusable.
+
+    An even sample count, a non-finite k0, a span or sigma_k not finite and
+    positive, or a cell volume or 4 sigma_k^2 that overflows or underflows.
+    """
 
 
 class NodePoint(ValueError):
@@ -183,6 +187,14 @@ class SpinField:
     node: np.ndarray = field(repr=False, default=None)
 
 
+def _power(x, p):
+    """x**p of a float, inf where it overflows (a float ** raises OverflowError there)."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spectrum:
     """Gaussian weighting sampled on a cubic midpoint grid around k0.
 
@@ -219,10 +231,17 @@ def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spect
         )
     half = span * sigma_k
     h = 2.0 * half / n_per_axis
+    volume, scale = _power(h, 3), 4.0 * _power(sigma_k, 2)
+    # written so that NaN fails it
+    if not (0 < volume < math.inf and 0 < scale < math.inf):
+        raise BadGrid(
+            f"span {span} and sigma_k {sigma_k} give a cell volume of {volume} and 4 sigma_k^2 = "
+            f"{scale}; both must be finite and positive"
+        )
     axes = [k0[i] - half + (np.arange(n_per_axis) + 0.5) * h for i in range(3)]
     k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    weight = np.full(len(k), h**3)
-    amp = np.exp(-np.sum((k - k0) ** 2, axis=1) / (4.0 * sigma_k**2)).astype(complex)
+    weight = np.full(len(k), volume)
+    amp = np.exp(-np.sum((k - k0) ** 2, axis=1) / scale).astype(complex)
     amp /= np.sqrt(np.sum(weight * np.abs(amp) ** 2))
     return Spectrum(k=k, amplitude=amp, weight=weight)
 
