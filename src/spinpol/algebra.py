@@ -4,6 +4,7 @@ The unit-vector and spinor checks that every module uses live here; they take
 one vector or an (..., n) array of them and fail on NaN.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -56,43 +57,51 @@ def _norm(a, axis=-1):
     if axis != -1:
         return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
     rows = _rows(a)
-    return np.sqrt(np.add.reduce(np.multiply(rows.conj(), rows, order="C").real, axis=0))
+    bra = rows.conj() if rows.dtype.kind == "c" else rows
+    return np.sqrt(np.add.reduce(np.multiply(bra, rows, order="C").real, axis=0))
 
 
 def _off_unit(a):
-    """(where, |row|) of the first (..., n) row whose norm is off 1 by more than EPS_INPUT, or None."""
+    """||row| - 1| of each (..., n) row, and (where, |row|) of the first beyond EPS_INPUT or None."""
     # written so that NaN fails it
     if a.ndim == 1 or a.size == a.shape[-1]:
         # one vector, whatever its leading shape, in Python floats: the array
         # path costs about 7 us more, and acceptance criterion 1's single-frame
-        # loop 1.3-1.5x the time; a block of one frame pays it per block
-        norm = math.hypot(*map(abs, (a if a.ndim == 1 else a.reshape(-1)).tolist()))
-        return None if abs(norm - 1.0) <= EPS_INPUT else (_where((0,) * (a.ndim - 1)), norm)
+        # loop 1.3-1.5x the time; a block of one frame pays it per block.  A real
+        # vector's squares summed in order have the bits of _norm's
+        norm = math.sqrt(sum([(x * x.conjugate()).real for x in a.reshape(-1).tolist()]))
+        off = abs(norm - 1.0)
+        return off, None if off <= EPS_INPUT else (_where((0,) * (a.ndim - 1)), norm)
     # inf * 0 in an infinite complex entry's product would warn; the norm is inf
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore") if a.dtype.kind == "c" else contextlib.nullcontext():
         norm = _norm(a)
-    ok = np.abs(norm - 1.0) <= EPS_INPUT
-    if ok.all():
-        return None
-    index = _first(~ok)
-    return _where(index), norm[index]
+    off = np.abs(norm - 1.0)
+    if off.max(initial=0.0) <= EPS_INPUT:
+        return off, None
+    index = _first(~(off <= EPS_INPUT))
+    return off, (_where(index), norm[index])
 
 
 def _check_unit(name, vec):
+    return _checked_unit(name, vec)[0]
+
+
+def _checked_unit(name, vec):
+    """vec as a float array checked to hold unit 3-vectors, and ||row| - 1| of each row."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim == 0 or vec.shape[-1] != 3:
         raise ValueError(f"{name} must be a 3-vector or an array of 3-vectors")
-    bad = _off_unit(vec)
+    off, bad = _off_unit(vec)
     if bad:
         raise ValueError(f"{name}{bad[0]} must be a unit vector, |{name}| = {bad[1]}")
-    return vec
+    return vec, off
 
 
 def _check_spinor(name, chi):
     chi = np.asarray(chi, dtype=complex)
     if chi.ndim == 0 or chi.shape[-1] != 2:
         raise ValueError(f"{name} must be a 2-spinor or an array of 2-spinors")
-    bad = _off_unit(chi)
+    bad = _off_unit(chi)[1]
     if bad:
         raise ValueError(f"{name}{bad[0]} is not normalized: |{name}| = {bad[1]}")
     return chi

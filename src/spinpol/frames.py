@@ -25,14 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import EPS_INPUT, IDENTITY2, PAULI, dot_sigma
-from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _first, _item, _mul, _norm
-from .algebra import _rows, _single, _where
+from .algebra import EPS_INPUT, IDENTITY2, dot_sigma
+from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _checked_unit, _first, _item
+from .algebra import _mul, _norm, _rows, _single, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
 # below this ||sigma_pm chi_ref|| the reference spinor carries no usable phase
 EPS_LADDER = 1e-8
+# |w| of a w normalized in floating point is within 2 ulps of 1
+_UNIT_OFF = 4.0 * np.finfo(float).eps
 
 SQRT2 = np.sqrt(2.0)
 # z / SQRT2 is z times this reciprocal in numpy's complex division
@@ -87,9 +89,8 @@ class ReferenceSpinors:
     def __post_init__(self):
         for name in ("chi1", "chi2"):
             object.__setattr__(self, name, _single(name, _check_spinor(name, getattr(self, name))))
-        # sigma_c chi1 and sigma_c chi2 as rows (0, c) and (1, c), for eigen_spinors
-        chis = np.stack((self.chi1, self.chi2))[:, None, :, None]
-        object.__setattr__(self, "_images", (PAULI @ chis)[..., 0])
+        # (chi1, i chi2) for the overlaps that eigen_spinors takes
+        object.__setattr__(self, "_kets", np.stack((self.chi1, 1j * self.chi2)))
 
 
 DEFAULT_REFERENCES = ReferenceSpinors(
@@ -142,8 +143,8 @@ class Frame:
 class EigenPair:
     """Normalized +1/-1 eigenspinors of w.sigma, their normalization constants and phase.
 
-    phi0 in (-pi, pi] is the phase of the ladder constant c = sqrt2 exp(i phi0);
-    it moves with the azimuth of the characterization vector about w.
+    c = chi+^dag sigma+ chi- = sqrt2 exp(i phi0) is the pair's ladder constant;
+    phi0 in (-pi, pi] moves with the azimuth of the characterization vector about w.
     """
 
     chi_plus: np.ndarray
@@ -151,6 +152,7 @@ class EigenPair:
     n_plus: float
     n_minus: float
     phi0: float
+    c: complex
 
     @property
     def mapping(self) -> np.ndarray:
@@ -163,12 +165,15 @@ class EigenPair:
 def build_frame(w, i_vec) -> Frame:
     """Build the triad: v = (w x I)/|w x I|, u = v x w.
 
-    w and i_vec are 3-vectors or broadcastable (..., 3) arrays of them.  Only
-    the azimuth of I about w matters; its polar angle is degenerate.  The triad
-    is orthonormal to rounding for every accepted pair.  Raises DegenerateFrame,
-    with the first offending frame in `index`, when |w x I| < EPS_PARALLEL.
+    w and i_vec are 3-vectors or broadcastable (..., 3) arrays of them, unit to
+    within EPS_INPUT; the frame keeps w / |w| where |w| is off 1 beyond rounding.
+    Only the azimuth of I about w matters; its polar angle is degenerate.  The triad
+    is orthonormal to rounding for every accepted pair.  Raises DegenerateFrame, with
+    the first offending frame in `index`, when |w x I| < EPS_PARALLEL.
     """
-    w = _check_unit("w", w)
+    w, off = _checked_unit("w", w)
+    if np.count_nonzero(off > _UNIT_OFF):
+        w = w / np.where(off > _UNIT_OFF, _norm(w), 1.0)[..., None]
     i_vec = _check_unit("i_vec", i_vec)
     # on (3, ...) rows; the dot product and the norm reduce the leading axis
     ndim = max(w.ndim, i_vec.ndim)
@@ -197,12 +202,6 @@ def build_frame(w, i_vec) -> Frame:
 
 def complex_basis(frame: Frame):
     """Complex unit vectors w+ = (u + iv)/sqrt2 and w- = (v + iu)/sqrt2."""
-    w_plus, w_minus = _basis(frame)
-    return w_plus, w_minus
-
-
-def _basis(frame: Frame):
-    """w+ and w- stacked as one (2, ..., 3) array."""
     # the bits of numpy's (u + 1j v) / SQRT2, signed zeros included, written
     # part by part for both vectors at once: the imaginary part is v/sqrt2 + 0
     # and the real part u/sqrt2 + 0 * (imaginary part)
@@ -212,7 +211,7 @@ def _basis(frame: Frame):
     np.multiply(frame.v, _INV_SQRT2, out=re[1])
     np.add(re[::-1], 0.0, out=im)
     re += 0.0 * im
-    return basis
+    return basis[0], basis[1]
 
 
 def ladder_operators(frame: Frame):
@@ -224,19 +223,18 @@ def ladder_operators(frame: Frame):
 def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> EigenPair:
     """Normalized eigenspinors chi+ = N+ sigma+ chi1 and chi- = N- sigma- chi2.
 
-    The normalization constants N+ = [chi1^dag (1 - w.sigma) chi1]^(-1/2) and
-    N- = [chi2^dag (1 + w.sigma) chi2]^(-1/2) depend on w and the references
-    only, not on the characterization vector.  They are computed as
-    1/|sigma+ chi1| and 1/|sigma- chi2| (sigma+-^dag sigma+- = 1 -+ w.sigma),
-    which, unlike the bracketed forms, does not cancel as w approaches the
-    axis that annihilates a reference.  phi0 is the angle of
-    c = chi+^dag sigma+ chi- of ladder_constants; read from unit vectors, it
-    keeps its precision where both reference images are small.
+    For any eigenpair (chi_s+, chi_s-) of w.sigma, sigma+ = c_s chi_s+ chi_s-^dag
+    and sigma- = i conj(c_s) chi_s- chi_s+^dag, c_s = chi_s+^dag sigma+ chi_s-.  So
+    chi+- = (g/|g|) chi_s+- and N+- = 1/|g| with g1 = c_s chi_s-^dag chi1 and
+    g2 = i conj(c_s) chi_s+^dag chi2, whatever the pair's phases.  The pair
+    comes from the chart of w whose denominator is at least sqrt2, so nothing
+    cancels, at the poles included.  N+- depend on w and the references only;
+    phi0 is the angle of c = chi+^dag sigma+ chi- (EigenPair.c).
 
     Raises ReferenceAnnihilated, with the first offending frame in `index`,
-    when a reference spinor is (numerically) the eigenspinor its ladder
-    operator annihilates; the caller must then supply a different pair, e.g.
-    FALLBACK_REFERENCES.
+    when |g1| or |g2| < EPS_LADDER: within about 1e-8 rad of the axis whose
+    ladder operator annihilates a reference (-z for DEFAULT_REFERENCES, +z for
+    FALLBACK_REFERENCES); the caller must then supply the other pair.
 
     The pair is computed once per frame and reference pair; later calls
     return the same EigenPair, whose arrays are read-only.
@@ -245,30 +243,55 @@ def eigen_spinors(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> E
 
 
 def _eigen_pair(frame: Frame, ref: ReferenceSpinors) -> EigenPair:
-    basis = _basis(frame)
-    # both references at once: (a.sigma) chi = a . (sigma chi) for a = w+ with
-    # chi1 and a = w- with chi2.  np.matmul takes other BLAS routines for one
-    # frame than for a block, which may give an exact zero opposite signs;
-    # adding +0.0 makes it +0 either way
-    images = np.matmul(basis.reshape(2, -1, 3), ref._images).reshape(basis.shape[:-1] + (2,))
-    images += 0.0
-    norms = _norm(images)
-    ok = norms >= EPS_LADDER
-    if not ok.all():
-        # chi1's failure first, as the references are checked in order
-        which, *index = _first(~ok)
-        name, op, sign = (("chi1", "sigma+", "+"), ("chi2", "sigma-", "-"))[which]
-        index = tuple(index)
+    # w and u as (3, ...) rows; w keeps its own frames, which may be fewer than u's
+    w, u = _rows(frame.w, frame.u.ndim), _rows(frame.u)
+    t = np.abs(w[2]) + 1.0
+    signed_t = np.copysign(t, w[2])
+    # the chart pair (t, w_x + i w_y) n and (-(w_x - i w_y), t) n, n = 1/sqrt(2t), for
+    # w_z >= 0 and those of -w swapped for w_z < 0; the parts (re0, im0, re1, im1) of s w's,
+    # s = sign(w_z), are (tn, 0, x', y') and (-x', y', tn, 0): tn = sqrt(t/2), (x', y') = q tn
+    q = w[:2] / signed_t
+    chart = np.zeros((2,) + t.shape + (2,), dtype=complex)
+    parts = _rows(chart.view(float))
+    tn = np.sqrt(0.5 * t, out=parts[0, 0, ...])
+    np.multiply(q, tn, out=parts[2:, 0])
+    np.negative(parts[2, 0, ...], out=parts[0, 1, ...])
+    parts[1, 1, ...], parts[2, 1, ...] = parts[3, 0, ...], tn
+    south = np.signbit(signed_t)
+    if south.any():
+        np.copyto(chart, chart[::-1].copy(), where=south[..., None])
+    # chi_s-^dag chi1 and chi_s+^dag (i chi2): g1 / c_s and g2 / conj(c_s), |c_s| = sqrt2
+    products = np.conj(chart[::-1])
+    products *= ref._kets.reshape((2,) + (1,) * t.ndim + (2,))
+    overlaps = products[..., 0] + products[..., 1]
+    norms = np.abs(overlaps)
+    # a NaN minimum fails; chi1's failure first, as the references are checked in order
+    if not norms.min(initial=np.inf) >= EPS_LADDER / SQRT2:
+        bad = _first(~(norms >= EPS_LADDER / SQRT2))
+        name, op, sign = (("chi1", "sigma+", "+"), ("chi2", "sigma-", "-"))[bad[0]]
         raise ReferenceAnnihilated(
-            f"{name} is annihilated by {op} for this axis{_where(index)} ({name} is "
+            f"{name} is annihilated by {op} for this axis{_where(bad[1:])} ({name} is "
             f"already the {sign}1 eigenspinor); supply references valid for this "
             "axis, e.g. FALLBACK_REFERENCES",
-            index,
+            bad[1:],
         )
-    n_plus, n_minus = scales = 1.0 / norms
-    chi_plus, chi_minus = scales[..., None] * images
-    c = _ladder_constant(basis[0], chi_plus, chi_minus)
-    results = chi_plus, chi_minus, _item(n_plus), _item(n_minus), _item(np.angle(c))
+    overlaps /= norms
+    # chi_s+^dag sigma chi_s- = b1 - i b2 on the basis of w of Duff et al., "Building
+    # an Orthonormal Basis, Revisited", JCGT 6(1), 2017: for u normal to w, c_s / sqrt2
+    # = u.b1 - i u.b2 = e = d0 - i s d1, d = (u_x, u_y) - q u_z.  With (p1, p2) the
+    # overlaps' phases, chi+- take the phases (e p1, conj(e) p2)
+    d = q * u[2]
+    np.subtract(u[:2], d, out=d)
+    np.negative(d[1], out=d[1, ...], where=south)
+    phases = np.empty(d.shape, dtype=complex)
+    phases.real, phases.imag[1, ...] = d[0], d[1]
+    np.negative(d[1], out=phases.imag[0, ...])
+    phases *= overlaps
+    chi_plus, chi_minus = phases[..., None] * chart
+    n_plus, n_minus = np.divide(_INV_SQRT2, norms, out=np.empty(phases.shape))
+    # c = conj(e p1) conj(e) p2 sqrt2 e; np.multiply, as numpy scalars' `*` rounds otherwise
+    c = np.multiply(np.multiply(phases[1], np.conj(overlaps[0])), SQRT2)
+    results = chi_plus, chi_minus, *map(_item, (n_plus, n_minus, np.arctan2(c.imag, c.real), c))
     return EigenPair(*_read_only(*results))
 
 
@@ -291,13 +314,11 @@ def _ladder_constant(a, chi_to, chi_from):
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
     """Constants (c, c') defined by sigma+ chi- = c chi+ and sigma- chi+ = c' chi-.
 
-    Both have modulus sqrt2 and satisfy c = i conj(c').
+    Both have modulus sqrt2 and satisfy c = i conj(c'); c is EigenPair.c, c' is chi-^dag sigma- chi+.
     """
     pair = eigen_spinors(frame, ref)
-    w_plus, w_minus = complex_basis(frame)
-    c = _ladder_constant(w_plus, pair.chi_plus, pair.chi_minus)
-    c_prime = _ladder_constant(w_minus, pair.chi_minus, pair.chi_plus)
-    return _item(c), _item(c_prime)
+    c_prime = _ladder_constant(complex_basis(frame)[1], pair.chi_minus, pair.chi_plus)
+    return pair.c, _item(c_prime)
 
 
 def phase_factor(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> float:

@@ -25,8 +25,7 @@ class SuiteResult:
 
 # A suite's draw is a list of steps (name, k, make): each case takes k
 # uniforms from rng.random, and make(x, fields) maps an (m, k) block of them
-# to the step's values and a mask of the cases it accepts; it may read the
-# earlier fields.  A case that is not accepted draws that step again.
+# to the step's values; it may read the earlier fields.
 
 
 def _cis(u):
@@ -44,7 +43,7 @@ def _ring(cos_t, u):
 def _unit(x, fields):
     # uniform on the sphere (Archimedes' hat-box theorem): z = 2u - 1 and an azimuth 2 pi u'
     z = 2.0 * x[:, 0] - 1.0
-    return np.stack([*_ring(z, x[:, 1]), z], axis=1), True
+    return np.stack([*_ring(z, x[:, 1]), z], axis=1)
 
 
 def _about(axis, cos_t, u):
@@ -66,21 +65,14 @@ _CLEAR = np.sqrt(1.0 - 1e-4)
 
 def _jones(x, fields):
     # (sqrt(1 - u) e^(2 pi i u'), sqrt(u) e^(2 pi i u'')): uniform on the unit sphere of C^2
-    return np.sqrt(np.stack([1.0 - x[:, 0], x[:, 0]], axis=1)) * _cis(x[:, 1:]), True
+    return np.sqrt(np.stack([1.0 - x[:, 0], x[:, 0]], axis=1)) * _cis(x[:, 1:])
 
 
-def _clear_of(name, pole=False):
-    # a unit vector uniform on |v x fields[name]| > 1e-2: frames stay comfortably
-    # away from the degenerate axis so the 1e-12 contracts are tested on
-    # well-conditioned inputs.  The cosine is c t, t = 2u - 1 + 2^-53 on a grid
-    # symmetric in (-1, 1), so |cos| < c holds at u = 0 too.  With `pole` a case
-    # is accepted only if 1 + v_z > 1e-4, off the south pole where the default
-    # references fail (the only rejection of any step)
-    def make(x, fields):
-        d = _about(fields[name], _CLEAR * (2.0 * x[:, 0] - 1.0 + 2.0**-53), x[:, 1])
-        return d, (1.0 + d[:, 2] > 1e-4) if pole else True
-
-    return make
+def _clear_of(name):
+    # a unit vector uniform on |v x fields[name]| > 1e-2, away from the degenerate
+    # axis so the 1e-12 contracts are tested on well-conditioned inputs.  The cosine
+    # is c t, t = 2u - 1 + 2^-53 on a grid symmetric in (-1, 1): |cos| < c at u = 0 too
+    return lambda x, fields: _about(fields[name], _CLEAR * (2.0 * x[:, 0] - 1.0 + 2.0**-53), x[:, 1])
 
 
 def _gauss(x):
@@ -92,48 +84,31 @@ def _gauss(x):
 
 def _normals(name, k):
     """k standard normals per case: the parts of (k + 1) // 2 complex normals, real first."""
-    return name, 2 * ((k + 1) // 2), lambda x, fields: (_gauss(x).view(float)[:, :k], True)
+    return name, 2 * ((k + 1) // 2), lambda x, fields: _gauss(x).view(float)[:, :k]
 
 
 def _complex(name, k=None):
     """k complex standard normals per case (one scalar when k is None)."""
-    return name, 2 * (k or 1), lambda x, fields: (_gauss(x) if k else _gauss(x)[:, 0], True)
+    return name, 2 * (k or 1), lambda x, fields: _gauss(x) if k else _gauss(x)[:, 0]
 
 
 def _uniform(name, lo, hi, k=None):
     """k uniforms per case (one scalar when k is None): lo + (hi - lo) * random() is rng.uniform(lo, hi)."""
-    return name, k or 1, lambda x, fields: (lo + (hi - lo) * (x if k else x[:, 0]), True)
+    return name, k or 1, lambda x, fields: lo + (hi - lo) * (x if k else x[:, 0])
 
 
 def _read_block(rng, count, steps):
-    """A block of `count` cases drawn in one pass: (fields, whether every case accepts every step).
+    """The fields of a block of `count` cases, drawn in one pass.
 
-    Every step takes a fixed number of uniforms per case, so the block is one
-    rng.random call, the cases' numbers in stream order; each make then runs
-    once on the block.  False means some case would draw a step again, so
-    the fields do not hold that block.
+    Each step takes a fixed number of uniforms per case, so one rng.random call
+    draws the block in stream order, and each make runs once on it.
     """
     x = rng.random((count, sum(step[1] for step in steps)))
-    fields, accepted, at = {}, True, 0
+    fields, at = {}, 0
     for name, k, make in steps:
-        fields[name], ok = make(x[:, at : at + k], fields)
-        accepted = accepted & ok
+        fields[name] = make(x[:, at : at + k], fields)
         at += k
-    return {name: np.ascontiguousarray(f) for name, f in fields.items()}, bool(np.all(accepted))
-
-
-def _read_cases(rng, count, steps):
-    """`count` cases drawn one at a time, each step drawn again until the case accepts it."""
-    cases = []
-    for _ in range(count):
-        fields = {}
-        for name, k, make in steps:
-            while True:
-                fields[name], ok = make(rng.random((1, k)), fields)
-                if np.all(ok):
-                    break
-        cases.append(fields)
-    return {name: np.concatenate([case[name] for case in cases]) for name in cases[0]}
+    return {name: np.ascontiguousarray(f) for name, f in fields.items()}
 
 
 def _norms(x):
@@ -258,11 +233,11 @@ def _check_heisenberg(w, i_vec, phi, alpha):
 
 _WAVEPACKET = (
     ("i_vec", 2, _unit),
-    ("direction", 2, _clear_of("i_vec", pole=True)),
+    ("direction", 2, _clear_of("i_vec")),
     _ALPHA,
     _normals("x", 3),
     _uniform("t", 0, 2.0),
-    ("d2", 2, _clear_of("i_vec", pole=True)),
+    ("d2", 2, _clear_of("i_vec")),
     _uniform("phase", 0, 2 * np.pi),
     # a collinear spectrum of 3 samples, sorted and normalized by _collinear
     _uniform("mags", 1.0, 3.0, 3),
@@ -341,13 +316,10 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     """Run one named suite; n_cases = 0 passes vacuously with zero residual.
 
     The cases come from the (seed, suite) stream in case order, a block of up
-    to CASE_BLOCK at a time.  _read_block draws a block's uniforms in one call
-    and runs each make once on the block; if a case would redraw a direction
-    at the south pole, the block is drawn again from its start by _read_cases,
-    the reference, which draws case by case.  Either way the stream and the
-    fields are the same bits.  The suite's finish then runs on the stacked
-    fields, the laws are checked on the block, and the worst residual over
-    all cases is reported.  A NaN residual fails the suite.
+    to CASE_BLOCK at a time: _read_block draws a block's uniforms in one call
+    and runs each make once on the block.  The suite's finish then runs on the
+    stacked fields, the laws are checked on the block, and the worst residual
+    over all cases is reported.  A NaN residual fails the suite.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -365,13 +337,7 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     # blocks are drawn in case order, so neither the stream nor the result
     # depends on CASE_BLOCK, which only bounds the memory of a large run
     for start in range(0, n_cases, CASE_BLOCK):
-        count = min(CASE_BLOCK, n_cases - start)
-        state = rng.bit_generator.state
-        fields, drawn = _read_block(rng, count, steps)
-        if not drawn:
-            # a case redraws a rejected vector: replay the block case by case
-            rng.bit_generator.state = state
-            fields = _read_cases(rng, count, steps)
+        fields = _read_block(rng, min(CASE_BLOCK, n_cases - start), steps)
         if finish:
             finish(fields)
         for residual in check(**fields):

@@ -120,12 +120,15 @@ class Spectrum:
                 "spectrum arrays must have matching lengths, k of shape (..., n, 3), "
                 "amplitude and weight of shape (..., n)"
             )
-        for name in ("k", "amplitude", "weight"):
-            bad = ~np.isfinite(getattr(self, name))
+        # |k|^2, which dispersion and every k_hat take, must not overflow either
+        with np.errstate(over="ignore"):
+            squares = np.sum(self.k * self.k, axis=-1)
+        for name in ("k", "amplitude", "weight", "|k|^2"):
+            bad = ~np.isfinite(squares if name == "|k|^2" else getattr(self, name))
             if bad.any():
                 index = _first(bad)[: len(shape)]
                 raise ValueError(f"spectrum {name} of {_sample(index)} is not finite")
-        norms = np.linalg.norm(self.k, axis=-1)
+        norms = np.sqrt(squares)
         # each packet's floor scales with its own largest |k|
         scale = norms.max(axis=-1, initial=0.0)
         small = norms < EPS_K * np.maximum(scale, 1e-300)[..., None]
@@ -224,9 +227,9 @@ def gaussian_spectrum(k0, sigma_k: float, n_per_axis: int, span: float) -> Spect
         raise BadGrid(
             f"k0 must be finite, span and sigma_k finite and positive; got {k0.tolist()}, {span}, {sigma_k}"
         )
-    if np.linalg.norm(k0) <= 3.0 * sigma_k + EPS_K:
+    if math.hypot(*k0) <= 3.0 * sigma_k + EPS_K:
         raise SpectrumNearOrigin(
-            f"|k0| = {np.linalg.norm(k0)} is within 3 sigma_k = {3 * sigma_k} of "
+            f"|k0| = {math.hypot(*k0)} is within 3 sigma_k = {3 * sigma_k} of "
             "the origin; samples would reach the zero wave vector"
         )
     half = span * sigma_k

@@ -1,19 +1,17 @@
 """The frame chain's kernels against the array formulas they replace, bit for bit.
 
-build_frame, complex_basis, algebra._norm, algebra._vdot and the ladder
-constant compute their (..., 3) and (..., 2) components as (n, ...) rows, one
-elementwise pass per operation over the whole batch, and sum the components
-by reducing the leading axis.  The references are the earlier formulas:
-np.cross, np.add.reduce over the last axis, the complex division by sqrt2,
-np.matmul for the reference images and total_spin's broadcast (..., 3)
-expectation rows.  Every result keeps their bits, signed zeros included, on
-random frames, on the near-parallel shell down to |w x I| = 2e-8, on
-axis-aligned frames with exact zeros, and with either reference pair.  The
-one exception is the sign of an exact zero in the images sigma+ chi1 and
-sigma- chi2: np.matmul gives one frame and a block opposite signs there, and
-eigen_spinors makes it +0 either way, so that one frame alone gets the bits it
-gets inside a block.  The cross-check's phase e and deviation keep the bits of
-np.exp(1j phi0) and of squares taken into a new array.
+build_frame, complex_basis, eigen_spinors, algebra._norm, algebra._vdot and
+the ladder constant compute their (..., 3) and (..., 2) components as (n, ...)
+rows, one elementwise pass per operation over the whole batch, and sum the
+components by reducing the leading axis.  The references are array formulas
+on the last axis: np.cross, np.add.reduce over the last axis, the complex
+division by sqrt2, the chart eigenspinors of w.sigma written for every frame
+and picked with np.where, and total_spin's broadcast (..., 3) expectation
+rows.  Every result keeps their bits, signed zeros included, on random
+frames, on the near-parallel shell down to |w x I| = 2e-8, on axis-aligned
+frames with exact zeros, and with either reference pair, and one frame alone
+gets the bits it gets inside a block.  The cross-check's phase e and deviation
+keep the bits of np.exp(1j phi0) and of squares taken into a new array.
 """
 
 import itertools
@@ -71,18 +69,40 @@ def _reference_ladder_constant(a, chi_to, chi_from):
     return np.add.reduce(np.multiply(a, _bilinear(chi_to, chi_from)), axis=-1)
 
 
-def _reference_pair(u, v, ref, plus_zero=True):
-    """(chi+, chi-, N+, N-, phi0) by the array formulas; plus_zero makes exact zeros of the images +0."""
-    w_plus, w_minus = _reference_basis(u, v)
-    raised = w_plus @ (PAULI @ ref.chi1)
-    lowered = w_minus @ (PAULI @ ref.chi2)
-    if plus_zero:
-        raised, lowered = raised + 0.0, lowered + 0.0
-    n_plus, n_minus = 1.0 / _reduce_norm(raised), 1.0 / _reduce_norm(lowered)
-    chi_plus = n_plus[..., None] * raised
-    chi_minus = n_minus[..., None] * lowered
-    c = _reference_ladder_constant(w_plus, chi_plus, chi_minus)
-    return chi_plus, chi_minus, n_plus, n_minus, np.angle(c)
+def _complex(re, im):
+    """The complex array with these parts, signed zeros included."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _reference_pair(w, u, ref):
+    """(chi+, chi-, N+, N-, phi0, c) by the array formulas on the last axis.
+
+    The chart pair (chi_s+, chi_s-) of w.sigma is (t, w_x + i w_y) n and
+    (-(w_x - i w_y), t) n at w_z >= 0, else those of -w swapped; its ladder
+    constant is sqrt2 (d0 - i s d1) with d = (u_x, u_y) - (w_x, w_y) u_z / (s t).
+    """
+    z = w[..., 2]
+    t = 1.0 + np.abs(z)
+    signed_t = np.copysign(t, z)
+    q = w[..., :2] / signed_t[..., None]
+    tn = np.sqrt(0.5 * t)
+    x, y = q[..., 0] * tn, q[..., 1] * tn
+    plus = np.stack([_complex(tn, 0.0), _complex(x, y)], axis=-1)
+    minus = np.stack([_complex(-x, y), _complex(tn, 0.0)], axis=-1)
+    south = np.signbit(z)[..., None]
+    chi_s_plus, chi_s_minus = np.where(south, minus, plus), np.where(south, plus, minus)
+    first, second = np.conj(chi_s_minus) * ref.chi1, np.conj(chi_s_plus) * (1j * ref.chi2)
+    overlaps = np.stack([first[..., 0] + first[..., 1], second[..., 0] + second[..., 1]], axis=-1)
+    norms = np.abs(overlaps)
+    overlaps = overlaps / norms
+    d = u[..., :2] - q * u[..., 2:]
+    sd1 = np.where(np.signbit(z), -d[..., 1], d[..., 1])
+    phases = _complex(d[..., :1], np.stack([-sd1, sd1], axis=-1)) * overlaps
+    n_plus, n_minus = (1.0 / SQRT2) / norms[..., 0], (1.0 / SQRT2) / norms[..., 1]
+    c = phases[..., 1] * np.conj(overlaps[..., 0]) * SQRT2
+    return phases[..., :1] * chi_s_plus, phases[..., 1:] * chi_s_minus, n_plus, n_minus, np.angle(c), c
 
 
 def _unit(x):
@@ -177,20 +197,16 @@ def test_eigen_pair_keeps_the_array_formula_bits(name, ref_name):
     w, i_vec = _accepted(*SETS[name](), ref)
     f = build_frame(w, i_vec)
     pair = eigen_spinors(f, ref)
-    expected = _reference_pair(f.u, f.v, ref)
-    got = (pair.chi_plus, pair.chi_minus, pair.n_plus, pair.n_minus, pair.phi0)
+    expected = _reference_pair(np.broadcast_to(f.w, f.u.shape), f.u, ref)
+    got = (pair.chi_plus, pair.chi_minus, pair.n_plus, pair.n_minus, pair.phi0, pair.c)
     assert _bits(*got) == _bits(*expected)
-    # without the +0.0 only the sign of an exact zero of chi+- can differ
-    plain = _reference_pair(f.u, f.v, ref, plus_zero=False)
-    assert np.array_equal(got[0], plain[0]) and np.array_equal(got[1], plain[1])
-    assert _bits(*got[2:]) == _bits(*plain[2:])
     w_plus, _ = complex_basis(f)
     assert _bits(_ladder_constant(w_plus, pair.chi_plus, pair.chi_minus)) == _bits(
         _reference_ladder_constant(w_plus, pair.chi_plus, pair.chi_minus)
     )
     for j in range(0, len(w), 5):
         one = eigen_spinors(build_frame(w[j], i_vec[j]), ref)
-        got = (one.chi_plus, one.chi_minus, one.n_plus, one.n_minus, one.phi0)
+        got = (one.chi_plus, one.chi_minus, one.n_plus, one.n_minus, one.phi0, one.c)
         assert _bits(*got) == _bits(*(x[j] for x in expected)), j
 
 

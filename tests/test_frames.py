@@ -90,8 +90,6 @@ def _near_parallel_frames(cross, seed=24):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(300, 3))
     w /= np.linalg.norm(w, axis=-1, keepdims=True)
-    # clear of the south pole, whose own precision loss is a separate matter
-    w[w[:, 2] < -0.9] *= -1.0
     p = np.cross(w, rng.normal(size=(300, 3)))
     p /= np.linalg.norm(p, axis=-1, keepdims=True)
     i_vec = np.sqrt(1.0 - cross**2) * w + cross * p
@@ -485,3 +483,70 @@ def test_eigenspinors_stay_normalized_near_the_annihilating_axis():
         for chi, lam in ((pair.chi_plus, +1), (pair.chi_minus, -1)):
             assert abs(np.linalg.norm(chi) - 1.0) <= 1e-12
             assert eigen_residual(f.w, chi, lam) <= 1e-12
+
+
+def _pole_shell(eps, pole):
+    """64 unit axes eps rad from pole * z, at equally spaced azimuths."""
+    azimuth = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    return np.stack((np.sin(eps) * np.cos(azimuth), np.sin(eps) * np.sin(azimuth),
+                     np.full(64, pole * np.cos(eps))), axis=-1)
+
+
+# each reference pair and the pole at which its ladder operators annihilate it
+ANNIHILATING_POLES = [(DEFAULT_REFERENCES, -1.0), (FALLBACK_REFERENCES, 1.0)]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("ref, pole", ANNIHILATING_POLES, ids=["default", "fallback"])
+def test_eigenspinors_keep_the_laws_near_the_annihilating_pole(eps, ref, pole):
+    # the chart eigenspinors cancel nowhere, so the laws hold at rounding down
+    # to 1e-6 rad from the pole, in a block and frame by frame
+    f = build_frame(_pole_shell(eps, pole), X)
+    pair = eigen_spinors(f, ref)
+    axis = dot_sigma(f.w)
+    for chi, lam in ((pair.chi_plus, 1.0), (pair.chi_minus, -1.0)):
+        assert np.abs((axis @ chi[..., None])[..., 0] - lam * chi).max() <= 1e-12
+        assert np.abs(np.linalg.norm(chi, axis=-1) - 1.0).max() <= 1e-12
+    assert np.abs(np.sum(pair.chi_plus.conj() * pair.chi_minus, axis=-1)).max() <= 1e-12
+    assert closed_form_residual(f, ref).max() <= 1e-12
+    for j in range(0, 64, 9):
+        one = eigen_spinors(build_frame(f.w[j], X), ref)
+        assert eigen_residual(f.w[j], one.chi_plus, +1) <= 1e-12
+        assert eigen_residual(f.w[j], one.chi_minus, -1) <= 1e-12
+
+
+@pytest.mark.parametrize("ref, pole", ANNIHILATING_POLES, ids=["default", "fallback"])
+def test_references_are_rejected_only_within_about_1e8_rad_of_their_pole(ref, pole):
+    for w in (pole * Z, _pole_shell(1e-8, pole)):
+        with pytest.raises(ReferenceAnnihilated, match="chi1 is annihilated"):
+            eigen_spinors(build_frame(w, X), ref)
+    f = build_frame(_pole_shell(1e-7, pole), X)
+    assert closed_form_residual(f, ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10])
+def test_an_accepted_off_unit_axis_gives_a_unit_triad_and_the_laws(scale):
+    # |w| within EPS_INPUT = 1e-9 of 1 passes the input check; the frame keeps
+    # w / |w|, alone and 5.2e-3 rad from -z, where the two zones compound
+    for w in (np.array([0.6, 0.0, 0.8]) * scale, _pole_shell(5.2e-3, -1.0) * (scale + 7e-11)):
+        assert np.abs(np.linalg.norm(w, axis=-1) - 1.0).min() >= 8e-10
+        f = build_frame(w, X)
+        assert np.abs(f.w - w / np.linalg.norm(w, axis=-1, keepdims=True)).max() <= 1e-15
+        triad = np.stack((f.u, f.v, f.w), axis=-2)
+        assert np.abs(triad @ triad.swapaxes(-1, -2) - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.cross(f.u, f.v) - f.w).max() <= 1e-12
+        pair = eigen_spinors(f)
+        axis = dot_sigma(f.w)
+        for chi, lam in ((pair.chi_plus, 1.0), (pair.chi_minus, -1.0)):
+            assert np.abs((axis @ chi[..., None])[..., 0] - lam * chi).max() <= 1e-12
+        assert np.max(closed_form_residual(f)) <= 1e-12
+
+
+def test_a_unit_axis_keeps_its_bits():
+    # w divided by its norm again would move by an ulp: a frame's own w must
+    # build the same frame, so a w unit to rounding is kept as given
+    rng = np.random.default_rng(37)
+    w = _random_units(rng, 1000)
+    f = build_frame(w, X)
+    assert f.w.tobytes() == w.tobytes()
+    assert build_frame(f.w, X).u.tobytes() == f.u.tobytes()

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinpol import (
+    DEFAULT_REFERENCES,
+    FALLBACK_REFERENCES,
     build_frame,
     closed_form_residual,
     equivalence_residual,
@@ -168,6 +170,28 @@ def test_closed_forms_hold_near_the_annihilating_axis(eps):
         axis=-1,
     )
     assert np.max(closed_form_residual(build_frame(shell, X))) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("pole", [-1.0, 1.0], ids=["default-south", "fallback-north"])
+def test_closed_forms_and_rotation_laws_hold_at_the_annihilating_pole(eps, pole):
+    # DEFAULT_REFERENCES are annihilated at -z and FALLBACK_REFERENCES at +z;
+    # down to 1e-6 rad from the pole the chart eigenspinors keep every law at 1e-12
+    ref = DEFAULT_REFERENCES if pole < 0 else FALLBACK_REFERENCES
+    azimuth = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    shell = np.stack(
+        (np.sin(eps) * np.cos(azimuth), np.sin(eps) * np.sin(azimuth), np.full(64, pole * np.cos(eps))),
+        axis=-1,
+    )
+    f = build_frame(shell, X)
+    phi = np.random.default_rng(72).uniform(0.0, 4.0 * np.pi, 64)
+    assert np.max(closed_form_residual(f, ref)) <= 1e-12
+    assert np.max(rotation_residual(f, phi, ref)) <= 1e-12
+    assert np.max(equivalence_residual(f, phi, ref)) <= 1e-12
+    for j in range(0, 64, 7):
+        one = build_frame(shell[j], X)
+        assert closed_form_residual(one, ref) <= 1e-12
+        assert rotation_residual(one, phi[j], ref) <= 1e-12
 
 
 def test_batched_residuals_equal_stacked_single_frames():
