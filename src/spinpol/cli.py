@@ -1,8 +1,9 @@
 """Command line front end: verification sweeps, spectrum generation, field and spin tables.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 degenerate geometry (axis parallel to the characterization vector, spectrum
-reaching the zero wave vector, annihilated reference spinors).
+Exit codes: 0 success, 1 verification failure, 2 configuration error (one
+too large to allocate included), 3 degenerate geometry (axis parallel to the
+characterization vector, spectrum reaching the zero wave vector, annihilated
+reference spinors).
 """
 
 import argparse
@@ -141,6 +142,8 @@ def _cmd_field(args):
         cell = spacing**3
     except OverflowError:
         raise ConfigError(f"grid spacing {spacing} is too large: its cell volume overflows") from None
+    if not cell > 0.0:
+        raise ConfigError(f"grid spacing {spacing} is too small: its cell volume underflows")
     fld = wp.spin_field(spec, cfg, points, args.time)
     wp.save_spin_field(fld, args.out)
     prob = float(np.sum(fld.rho)) * cell
@@ -329,6 +332,10 @@ def main(argv=None) -> int:
         return EXIT_GEOMETRY
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's message names the size of the array that did not fit
+        print(f"error: the configuration is too large to run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

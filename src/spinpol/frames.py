@@ -120,7 +120,8 @@ class Frame:
     u: np.ndarray
     v: np.ndarray
     # what the frame derives for each reference pair, computed on first use:
-    # (compute, id(ref)) -> (ref, result)
+    # (compute, id(ref)) -> (ref, result); and "rotation" -> a _Last holding
+    # the frame that rotations.rotate_characterization last built from this one
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _derived(self, ref, compute):
@@ -137,6 +138,32 @@ class Frame:
         result = compute(self, ref)
         self._cache[key] = (ref, result)
         return result
+
+
+def _bits(*arrays):
+    """A key for the exact contents of arrays: the dtype, shape and bytes of each."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
+
+
+class _Last:
+    """The last result of one computation, kept with the key it was computed for.
+
+    get(key, compute) returns the kept result while key equals the kept key;
+    otherwise it drops the kept entry before it calls compute(), and keeps
+    the new result under key, so at most one result is held.  A compute that
+    raises keeps nothing.  Every memo of built frames goes through get, so a
+    test or a CI step can bypass them all with one patch.
+    """
+
+    def __init__(self):
+        self._entry = None
+
+    def get(self, key, compute):
+        entry = self._entry
+        if entry is None or entry[0] != key:
+            self._entry = None
+            entry = self._entry = (key, compute())
+        return entry[1]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from .frames import (
     DEFAULT_REFERENCES,
     Frame,
     ReferenceSpinors,
+    _Last,
+    _bits,
     build_frame,
     compose_spinor,
     eigen_spinors,
@@ -89,10 +91,16 @@ def correspondence_residual(axis, angle, a):
 def rotate_characterization(frame: Frame, phi) -> Frame:
     """Frame rebuilt after rotating the characterization vector by phi about w.
 
-    phi may be a (...) array of angles, one per frame of a batch.
+    phi may be a (...) array of angles, one per frame of a batch.  The source
+    frame keeps the frame of its last rotation, keyed by the shape and bits
+    of phi: a call with the same angles returns the same Frame, so the laws
+    that rotate one frame by one angle share its eigenpair and cross-check.
     """
-    i_rot = _apply(_so3(frame.w, phi), frame.i_vec)
-    return build_frame(frame.w, i_rot)
+
+    def rotated():
+        return build_frame(frame.w, _apply(_so3(frame.w, phi), frame.i_vec))
+
+    return frame._cache.setdefault("rotation", _Last()).get(_bits(phi), rotated)
 
 
 def eigenspinor_rotation_residuals(

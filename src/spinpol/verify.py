@@ -281,21 +281,23 @@ def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weigh
     psi_minus = wavepacket.eigen_component(spec, cfg, -1, x, t)
     linearity = _norms(psi - alpha[:, :1] * psi_plus - alpha[:, 1:] * psi_minus)
     rows = _norms(psi) ** 2 > 1e-6
-    s2 = wavepacket.local_spv(
+    # with every row kept, cfg's frames of spec serve local_spv too
+    kept = (spec, cfg, x, t) if rows.all() else (
         wavepacket.Spectrum(k=spec.k[rows], amplitude=spec.amplitude[rows], weight=spec.weight[rows]),
         wavepacket.PacketConfig(i_vec=i_vec[rows], alpha=alpha[rows]),
         x[rows],
         t[rows],
-    )[1]
+    )
+    s2 = wavepacket.local_spv(*kept)[1]
     unit = np.zeros(n)
     # each |s| as the dot product s.s that np.linalg.norm takes for one vector
     unit[rows] = abs(np.sqrt((s2[:, None, :] @ s2[:, :, None])[:, 0, 0]) - 1.0)
 
     # collinear spectra: rotating I about the common axis rotates the total
-    # spin through twice the angle
+    # spin through twice the angle; I and R I as one (2, n) batch of packets
     coll = wavepacket.Spectrum(k=mags[:, :, None] * direction[:, None, :], amplitude=amp, weight=weight)
-    spin0 = wavepacket.total_spin(coll, cfg)
-    spin1 = wavepacket.total_spin(coll, wavepacket.PacketConfig(i_vec=i_rot, alpha=alpha))
+    both = wavepacket.PacketConfig(i_vec=np.stack([i_vec, i_rot]), alpha=alpha)
+    spin0, spin1 = wavepacket.total_spin(coll, both)
     law = spin1 - algebra._apply(rotations._so3(direction, 2.0 * phi), spin0)
     return _norms(s_single - algebra._spv(chi)), linearity, unit, _norms(law)
 

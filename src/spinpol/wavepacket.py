@@ -22,6 +22,8 @@ from .frames import (
     DegenerateFrame,
     ReferenceAnnihilated,
     ReferenceSpinors,
+    _bits,
+    _Last,
     build_frame,
     compose_spinor,
     mapping_matrix,
@@ -166,6 +168,8 @@ class PacketConfig:
     ref: ReferenceSpinors = DEFAULT_REFERENCES
     hbar: float = 1.0
     mu: float = 1.0
+    # the frames of the last spectrum that sample_spinors walked in one block
+    _frames: _Last = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # written so that NaN fails it
@@ -272,20 +276,30 @@ def _batch_shape(spec: Spectrum, cfg: PacketConfig):
         ) from None
 
 
-def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn):
+def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn, keep=False):
     """Yield (samples, fn(frames of the samples, cfg.ref)), _FRAME_BUDGET frames at a time.
 
     Each sample takes its own direction k_hat as quantization axis and shares
     its packet's characterization vector cfg.i_vec.  Blocks run in sample order,
-    and errors name a sample by its index in the whole spectrum.
+    and errors name a sample by its index in the whole spectrum.  With keep,
+    the frames of a spectrum that fits in one block stay in cfg, keyed by the
+    bits of k_hat and cfg.i_vec, so the next such call on them reuses the
+    frames and what they computed; a larger spectrum keeps nothing.
     """
-    per = max(1, _FRAME_BUDGET // max(1, math.prod(_batch_shape(spec, cfg))))
+    packets = math.prod(_batch_shape(spec, cfg))
+    per = max(1, _FRAME_BUDGET // max(1, packets))
+    keep = keep and packets * len(spec) <= _FRAME_BUDGET
     # each packet's (..., 3) vector as (..., 1, 3), to broadcast over samples
     i_vec = cfg.i_vec[..., None, :]
     for lo in range(0, len(spec), per):
         k = spec.k[..., lo : lo + per, :]
+        k_hat = k / _norm(k)[..., None]
         try:
-            block = fn(build_frame(k / _norm(k)[..., None], i_vec), cfg.ref)
+            if keep:
+                frame = cfg._frames.get(_bits(k_hat, cfg.i_vec), lambda: build_frame(k_hat, i_vec))
+            else:
+                frame = build_frame(k_hat, i_vec)
+            block = fn(frame, cfg.ref)
         except (DegenerateFrame, ReferenceAnnihilated) as exc:
             # the frames may broadcast one spectrum over many packets
             k = np.broadcast_to(k, np.broadcast_shapes(k.shape, i_vec.shape))[exc.index]
@@ -305,7 +319,9 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
     branch +1/-1 selects the corresponding eigenspinor instead of the
     superposition varpi alpha.  A batch of packets gives (..., n, 2), each
     packet's samples composed with its own alpha.  Frames are built and freed
-    _FRAME_BUDGET at a time, so only the result grows with the spectrum.
+    _FRAME_BUDGET at a time, so only the result grows with the spectrum; the
+    frames of a spectrum that fits in one block stay in cfg for the next call
+    on the same spectrum (see _frame_blocks).
     Raises DegenerateFrame naming the offending sample when some k is parallel
     to the characterization vector, and ReferenceAnnihilated when the
     references fail on the spectrum's support.
@@ -314,7 +330,7 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
         raise ValueError(f"branch must be 0, +1 or -1, got {branch!r}")
     out = np.empty(_batch_shape(spec, cfg) + (len(spec), 2), dtype=complex)
     alpha = cfg.alpha[..., None, :]
-    for samples, varpi in _frame_blocks(spec, cfg, mapping_matrix):
+    for samples, varpi in _frame_blocks(spec, cfg, mapping_matrix, keep=True):
         # branch +1 and -1 take the columns 0 and 1 of varpi, chi+ and chi-
         out[..., samples, :] = varpi[..., (1 - branch) // 2] if branch else compose_spinor(varpi, alpha)
     return out
@@ -499,7 +515,9 @@ def spin_field(spec: Spectrum, cfg: PacketConfig, points, t: float) -> SpinField
             f"spin_field takes one packet at one time, got a batch of shape {batch} "
             f"and t of shape {np.shape(t)}"
         )
-    spinors = sample_spinors(spec, cfg)
+    # through a copy of cfg, which keeps the frames (_frame_blocks) only for
+    # this call: a field walks them once, and they would add to its peak
+    spinors = sample_spinors(spec, replace(cfg))
     psi = _plane_wave_sum(spec, cfg, spinors, points, t)
     rho, sdens = _density_and_spin(psi)
     peak = rho.max(initial=0.0)
@@ -524,7 +542,8 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
     a1, a2 = cfg.alpha[..., None, 0], cfg.alpha[..., None, 1]
     along_w = (np.abs(a1) ** 2 - np.abs(a2) ** 2)[..., None]
     total = 0.0
-    # the cross-check runs on every frame; only its phase is read here
+    # the cross-check runs on every frame; only its phase is read here.  No
+    # frames are kept (keep): the sweep and verify walk each config's once
     for samples, (frame, e) in _frame_blocks(spec, cfg, lambda f, ref: (f, _checked_phase(f, ref)[0])):
         z = e * (a1.conj() * a2)
         expect = 2.0 * z.real[..., None] * frame.u + 2.0 * z.imag[..., None] * frame.v

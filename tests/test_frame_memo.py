@@ -3,6 +3,11 @@
 Frame._derived keeps each result under the reference pair object that gave it.
 Every later call with that object returns the same read-only result, and no
 other object, equal or not, can reach it.  A call that raises stores nothing.
+
+Two memos of built frames (frames._Last) let callers share those results: a
+frame keeps the frame of its last rotate_characterization, keyed by the bits
+of the angles, and a PacketConfig keeps the frames of the last spectrum that
+sample_spinors walked in one block, keyed by the bits of k_hat and i_vec.
 """
 
 import itertools
@@ -14,20 +19,29 @@ import pytest
 from spinpol import (
     DEFAULT_REFERENCES,
     FALLBACK_REFERENCES,
+    PacketConfig,
     ReferenceAnnihilated,
     ReferenceSpinors,
+    Spectrum,
     build_frame,
     closed_form_residual,
+    eigen_component,
     eigen_spinors,
     expectation_spv_residual,
     frames,
     heisenberg,
     heisenberg_sigma,
     ladder_constants,
+    local_spv,
     mapping_matrix,
     phase_factor,
+    position_grid,
     rotate_characterization,
+    rotations,
+    sample_spinors,
+    spin_field,
     verify,
+    wavepacket,
 )
 from spinpol.heisenberg import _checked_phase
 
@@ -182,22 +196,43 @@ def test_a_heisenberg_block_checks_each_distinct_frame_once(counted):
     verify.run_suite("heisenberg", n_cases=verify.CASE_BLOCK)
     checked = [frame for name, frame in counted if name == "_cross_check"]
     paired = [frame for name, frame in counted if name == "_eigen_pair"]
-    # the drawn frame and the two frames rotate_characterization builds from it
-    # (one in the suite's phase-shift law, one in rotation_residual)
-    assert len(checked) == 3
+    # the drawn frame and the one frame rotate_characterization builds from
+    # it, which the suite's phase-shift law and rotation_residual share
+    assert len(checked) == 2
     for computed in (checked, paired):
-        assert len({id(f) for f in computed}) == len(computed) == 3
+        assert len({id(f) for f in computed}) == len(computed) == 2
     assert {id(f) for f in checked} == {id(f) for f in paired}
 
 
-def test_bypassing_the_cache_leaves_every_result_unchanged(monkeypatch):
-    cached = verify.report_lines(verify.run_suites(seed=2, n_cases=100))
+def _residuals(seed, n_cases):
+    """Every suite's per-case residual arrays on one block, as bytes."""
+    out = []
+    for steps, finish, check, _, suite_id in verify._SUITES.values():
+        fields = verify._read_block(np.random.default_rng([seed, suite_id]), n_cases, steps)
+        if finish:
+            finish(fields)
+        out += [np.asarray(r).tobytes() for r in check(**fields)]
+    return out
+
+
+def _bypass_frame_memos(monkeypatch):
+    # every rotation and block memo computes afresh, as in the CI step
+    monkeypatch.setattr(frames._Last, "get", lambda self, key, compute: compute())
+
+
+@pytest.mark.parametrize("bypass", ["cache", "memos", "cache and memos"])
+def test_bypassing_the_cache_leaves_every_result_unchanged(bypass, monkeypatch):
+    # 300 cases: the reports span a full and a partial block
+    kept = verify.report_lines(verify.run_suites(seed=2, n_cases=300)), _residuals(2, 100)
     expect = _bits(_results(build_frame(*FRAMES["block"]), DEFAULT_REFERENCES))
-    monkeypatch.setattr(frames.Frame, "_derived", lambda self, ref, compute: compute(self, ref))
-    assert verify.report_lines(verify.run_suites(seed=2, n_cases=100)) == cached
+    if "cache" in bypass:
+        monkeypatch.setattr(frames.Frame, "_derived", lambda self, ref, compute: compute(self, ref))
+    if "memos" in bypass:
+        _bypass_frame_memos(monkeypatch)
+    assert (verify.report_lines(verify.run_suites(seed=2, n_cases=300)), _residuals(2, 100)) == kept
     frame = build_frame(*FRAMES["block"])
     assert _bits(_results(frame, DEFAULT_REFERENCES)) == expect
-    assert frame._cache == {}
+    assert (frame._cache == {}) == ("cache" in bypass)
 
 
 def test_the_residuals_share_the_frames_check(counted):
@@ -208,3 +243,122 @@ def test_the_residuals_share_the_frames_check(counted):
         closed_form_residual(frame, ref)
         expectation_spv_residual(frame, alpha, ref)
     assert sorted(name for name, _ in counted) == ["_cross_check"] * 2 + ["_eigen_pair"] * 2
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Frames passed out of build_frame, under each name the library calls it by."""
+    calls = []
+    build = frames.build_frame
+
+    def recorded(w, i_vec):
+        calls.append(build(w, i_vec))
+        return calls[-1]
+
+    for module in (frames, rotations, wavepacket):
+        monkeypatch.setattr(module, "build_frame", recorded)
+    return calls
+
+
+# (build_frame, _eigen_pair, _cross_check) calls per suite in a 100-case run at
+# seed 3, where the wavepacket suite keeps every row.  Each distinct frame is
+# built, paired and checked once; without the rotation and block memos the
+# rotations and heisenberg suites build a second rotated frame and the
+# wavepacket suite's eigen components and local_spv build theirs again
+SHARED = {"frames": (3, 2, 0), "rotations": (2, 2, 0), "heisenberg": (2, 2, 2), "wavepacket": (4, 4, 1)}
+UNSHARED = {"frames": (3, 2, 0), "rotations": (3, 3, 0), "heisenberg": (3, 3, 3), "wavepacket": (7, 7, 1)}
+
+
+@pytest.mark.parametrize("memos", ["kept", "bypassed"])
+@pytest.mark.parametrize("suite", SHARED)
+def test_each_suite_builds_pairs_and_checks_each_distinct_frame_once(
+    suite, memos, built, counted, monkeypatch
+):
+    if memos == "bypassed":
+        _bypass_frame_memos(monkeypatch)
+    verify.run_suite(suite, seed=3, n_cases=100)
+    paired = [frame for name, frame in counted if name == "_eigen_pair"]
+    checked = [frame for name, frame in counted if name == "_cross_check"]
+    assert (len(built), len(paired), len(checked)) == (SHARED if memos == "kept" else UNSHARED)[suite]
+    for computed in (paired, checked):
+        assert len({id(f) for f in computed}) == len(computed)
+
+
+def test_the_same_angles_give_the_same_rotated_frame():
+    frame = build_frame(*FRAMES["block"])
+    phi = np.random.default_rng(5).uniform(0.0, 4.0 * np.pi, size=(2, 50))
+    rotated = rotate_characterization(frame, phi)
+    # equal bits in another array
+    assert rotate_characterization(frame, phi.copy()) is rotated
+    fresh = rotate_characterization(build_frame(*FRAMES["block"]), phi)
+    assert _bits(_results(rotated, DEFAULT_REFERENCES)) == _bits(_results(fresh, DEFAULT_REFERENCES))
+    # other angles, and the same array changed in place, give new frames
+    other = rotate_characterization(frame, phi + 1e-3)
+    assert other is not rotated
+    assert rotate_characterization(frame, phi) is not rotated
+    moved = phi.copy()
+    before = rotate_characterization(frame, moved)
+    moved[1, 7] += 0.25
+    after = rotate_characterization(frame, moved)
+    assert after is not before
+    expect = rotate_characterization(build_frame(*FRAMES["block"]), moved.copy())
+    assert _bits([after.u, after.v, after.w]) == _bits([expect.u, expect.v, expect.w])
+    # a scalar angle is keyed by its shape too: broadcast to the batch it is a new key
+    single = rotate_characterization(frame, 0.7)
+    assert rotate_characterization(frame, np.float64(0.7)) is single
+    assert rotate_characterization(frame, np.full((2, 50), 0.7)) is not single
+
+
+def test_a_kept_block_answers_only_its_own_spectrum_i_vec_and_references(built):
+    rng = np.random.default_rng(41)
+    k = rng.normal(size=(2, 5, 3)) + [0.0, 0.0, 4.0]
+    amplitude = np.full(5, 1.0 / np.sqrt(5.0))
+    specs = [Spectrum(k=k[j], amplitude=amplitude, weight=np.ones(5)) for j in range(2)]
+    i_vec = np.array([0.6, 0.0, 0.8])
+    cfg = PacketConfig(i_vec=i_vec, alpha=np.array([0.6, 0.8j]))
+
+    def fresh(i_vec, ref=DEFAULT_REFERENCES):
+        # a new config keeps nothing yet
+        return PacketConfig(i_vec=i_vec.copy(), alpha=cfg.alpha, ref=ref)
+
+    def outputs(spec, cfg):
+        return _bits([sample_spinors(spec, cfg, branch) for branch in (0, +1, -1)])
+
+    first = outputs(specs[0], cfg)
+    assert len(built) == 1
+    # the eigen components and local_spv walk the same frames
+    eigen_component(specs[0], cfg, +1, [0.1, 0.2, 0.3], 0.5)
+    local_spv(specs[0], cfg, [0.1, 0.2, 0.3], 0.5)
+    assert len(built) == 1
+    assert first == outputs(specs[0], fresh(i_vec)) and len(built) == 2
+    # another spectrum
+    assert outputs(specs[1], cfg) == outputs(specs[1], fresh(i_vec))
+    assert len(built) == 4
+    # the same i_vec array changed in place
+    i_vec[:] = [0.0, 0.6, 0.8]
+    assert outputs(specs[1], cfg) == outputs(specs[1], fresh(i_vec))
+    assert len(built) == 6
+    # other references: the kept frames hold no reference pair's results, so a
+    # config that shares them gets its own pair's eigenspinors
+    other = replace(cfg, ref=FALLBACK_REFERENCES)
+    object.__setattr__(other, "_frames", cfg._frames)
+    assert outputs(specs[1], other) == outputs(specs[1], fresh(i_vec, FALLBACK_REFERENCES))
+    assert outputs(specs[1], other) != outputs(specs[1], cfg)
+    assert len(built) == 7
+
+
+def test_a_spectrum_beyond_one_block_or_a_field_keeps_no_frames(built, monkeypatch):
+    k = [[0.0, 0.3, 2.0], [0.2, 0.0, 3.0], [0.0, 0.0, 4.0]]
+    spec = Spectrum(k=k, amplitude=np.full(3, 0.5), weight=np.full(3, 4.0 / 3.0))
+    cfg = PacketConfig(i_vec=np.array([1.0, 0.0, 0.0]), alpha=np.array([1.0, 0.0]))
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", 2)
+    sample_spinors(spec, cfg)
+    sample_spinors(spec, cfg)
+    assert len(built) == 4
+    # a field walks its frames once and keeps none in cfg
+    spin_field(spec, cfg, position_grid(3, 2.0)[0], 0.0)
+    monkeypatch.setattr(wavepacket, "_FRAME_BUDGET", 3)
+    spin_field(spec, cfg, position_grid(3, 2.0)[0], 0.0)
+    sample_spinors(spec, cfg)
+    sample_spinors(spec, cfg)
+    assert len(built) == 8

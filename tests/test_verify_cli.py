@@ -597,6 +597,36 @@ def test_cli_grid_whose_cell_volume_overflows_is_config_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_cli_grid_whose_cell_volume_underflows_is_config_error(tmp_path, capsys):
+    # spacing 2e-320 cubes to 0: no probability of 0 on the grid, no file
+    out = tmp_path / "field.csv"
+    code = cli.main(["field", "--n-k", "3", "--grid-n", "2", "--grid-span", "1e-320", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid spacing 2e-320 is too small: its cell volume underflows\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# sizes past the 128 TiB user address space, so no host can allocate them
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum-gen", "--n-k", "100001"],  # 7.11 PiB in the k meshgrid
+     ["field", "--n-k", "100001"],
+     ["total-spin", "--steps", "100000000000000"]],  # 728 TiB in the step angles
+)
+def test_cli_configuration_too_large_to_allocate_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code = cli.main([*argv, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    # numpy's message names the allocation
+    assert captured.err.startswith("error: the configuration is too large to run: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, span, sigma_k, volume, scale",
     [(["spectrum-gen", "--span", "1e200"], "1e+200", "0.5", "inf", "1.0"),
