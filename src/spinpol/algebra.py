@@ -124,6 +124,24 @@ def _mul(a, b) -> np.ndarray:
     return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
 
 
+def _frozen(x, dtype=float):
+    """x as a read-only array of dtype whose values no array of the caller's can change.
+
+    A new array from a conversion is kept, and so is an array that is
+    read-only together with the array that owns its memory; anything else
+    is copied, with its bits unchanged.
+    """
+    a = np.asarray(x, dtype=dtype)
+    if a is x or a.base is not None:
+        # the caller's memory: kept only where nothing can write to it
+        owner = a if a.base is None else a.base
+        if not a.flags.writeable and isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            return a
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def _single(name, arr):
     # for functions defined on one vector or spinor: a batch would pass the
     # checks above and then mix its frames in single-frame arithmetic

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, dot_sigma
 from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _checked_unit, _first, _item
-from .algebra import _mul, _norm, _rows, _single, _where
+from .algebra import _frozen, _mul, _norm, _rows, _single, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
@@ -57,13 +57,6 @@ class ReferenceAnnihilated(_FrameError):
     """A reference spinor is annihilated by its ladder operator."""
 
 
-def _cross(a, b):
-    """a x b of (..., 3) vectors that broadcast together, bit for bit as np.cross computes it."""
-    out = np.empty(np.broadcast(a, b).shape)
-    _cross_rows(_rows(a, out.ndim), _rows(b, out.ndim), out=_rows(out, out.ndim))
-    return out
-
-
 # row k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], as np.cross computes it:
 # the rows of a and b that enter the six products
 _LEFT, _RIGHT = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
@@ -76,11 +69,12 @@ def _cross_rows(a, b, out=None):
     return np.subtract(products[:3], products[3:], out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSpinors:
     """Fixed spinor pair (chi1, chi2) that sets the phase reference of the eigenspinors.
 
-    Both must be normalized 2-spinors; they are checked once, here.
+    Both must be normalized 2-spinors; they are checked once, here, and kept
+    as read-only copies.  Two pairs are equal only if they are the same object.
     """
 
     chi1: np.ndarray
@@ -88,7 +82,8 @@ class ReferenceSpinors:
 
     def __post_init__(self):
         for name in ("chi1", "chi2"):
-            object.__setattr__(self, name, _single(name, _check_spinor(name, getattr(self, name))))
+            chi = _single(name, _check_spinor(name, getattr(self, name)))
+            object.__setattr__(self, name, _frozen(chi, complex))
         # (chi1, i chi2) for the overlaps that eigen_spinors takes
         object.__setattr__(self, "_kets", np.stack((self.chi1, 1j * self.chi2)))
 
@@ -105,14 +100,18 @@ FALLBACK_REFERENCES = ReferenceSpinors(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Right-handed orthonormal triad (u, v, w) plus the vectors that built it.
 
     For a batch, w and i_vec keep the shapes they were given (one of them may
     be a single 3-vector shared by every frame); u and v have the broadcast
-    shape (..., 3).  The frame computes its eigenpair and cross-checked phase
-    for a reference pair once, on first use, and keeps them.
+    shape (..., 3).  All four are read-only: the frame keeps a copy of any
+    array the caller could still change.  The frame computes what it derives
+    for a reference pair (the eigenpair, the mapping matrix, the
+    cross-checked phase, the closed-form Heisenberg matrices and their
+    Cartesian components) once, on first use, and keeps it.  Two frames are
+    equal only if they are the same object.
     """
 
     w: np.ndarray
@@ -120,24 +119,29 @@ class Frame:
     u: np.ndarray
     v: np.ndarray
     # what the frame derives for each reference pair, computed on first use:
-    # (compute, id(ref)) -> (ref, result); and "rotation" -> a _Last holding
-    # the frame that rotations.rotate_characterization last built from this one
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (compute, ref) -> result; and "rotation" -> a _Last holding the frame
+    # that rotations.rotate_characterization last built from this one
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("w", "i_vec", "u", "v"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def _derived(self, ref, compute):
         """compute(self, ref), computed once per reference pair object and then looked up.
 
-        The entry holds ref itself, so its id cannot be reused while the entry
-        lives, and the `is` test rejects an entry of any other object.  A
+        Reference pairs hash and compare by identity, and the key holds ref,
+        so an entry answers only the object it was computed for.  Every
+        entry is an array or a tuple of them and scalars: none holds the
+        frame, so a frame and its cache never form a reference cycle.  A
         compute that raises stores nothing.
         """
-        key = (compute, id(ref))
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is ref:
-            return hit[1]
-        result = compute(self, ref)
-        self._cache[key] = (ref, result)
-        return result
+        key = (compute, ref)
+        try:
+            return self._cache[key]
+        except KeyError:
+            result = self._cache[key] = compute(self, ref)
+            return result
 
 
 def _bits(*arrays):
@@ -166,7 +170,7 @@ class _Last:
         return entry[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Normalized +1/-1 eigenspinors of w.sigma, their normalization constants and phase.
 
@@ -200,7 +204,9 @@ def build_frame(w, i_vec) -> Frame:
     """
     w, off = _checked_unit("w", w)
     if np.count_nonzero(off > _UNIT_OFF):
-        w = w / np.where(off > _UNIT_OFF, _norm(w), 1.0)[..., None]
+        # the arrays built here are made read-only, so the Frame keeps them
+        # without a copy; it copies the caller's w and i_vec
+        (w,) = _read_only(w / np.where(off > _UNIT_OFF, _norm(w), 1.0)[..., None])
     i_vec = _check_unit("i_vec", i_vec)
     # on (3, ...) rows; the dot product and the norm reduce the leading axis
     ndim = max(w.ndim, i_vec.ndim)
@@ -221,10 +227,13 @@ def build_frame(w, i_vec) -> Frame:
             index,
         )
     cross /= norm
-    u, v = np.empty(shape), np.empty(shape)
+    triad = np.empty((2,) + shape)
+    u, v = triad
     _rows(v, ndim)[...] = cross
     _cross_rows(cross, w_rows, out=_rows(u, ndim))
-    return Frame(w=w, i_vec=i_vec, u=u, v=v)
+    # u and v as views of one read-only array, which the frame keeps without a copy
+    _read_only(triad)
+    return Frame(w, i_vec, *triad)
 
 
 def complex_basis(frame: Frame):
@@ -286,7 +295,9 @@ def _eigen_pair(frame: Frame, ref: ReferenceSpinors) -> EigenPair:
     parts[1, 1, ...], parts[2, 1, ...] = parts[3, 0, ...], tn
     south = np.signbit(signed_t)
     if south.any():
-        np.copyto(chart, chart[::-1].copy(), where=south[..., None])
+        # each spinor as one 32-byte item, so the mask needs no broadcast
+        spinors = chart.view("V32")[..., 0]
+        np.copyto(spinors, spinors[::-1].copy(), where=south)
     # chi_s-^dag chi1 and chi_s+^dag (i chi2): g1 / c_s and g2 / conj(c_s), |c_s| = sqrt2
     products = np.conj(chart[::-1])
     products *= ref._kets.reshape((2,) + (1,) * t.ndim + (2,))
@@ -314,12 +325,14 @@ def _eigen_pair(frame: Frame, ref: ReferenceSpinors) -> EigenPair:
     phases.real, phases.imag[1, ...] = d[0], d[1]
     np.negative(d[1], out=phases.imag[0, ...])
     phases *= overlaps
-    chi_plus, chi_minus = phases[..., None] * chart
-    n_plus, n_minus = np.divide(_INV_SQRT2, norms, out=np.empty(phases.shape))
+    chi = phases[..., None] * chart
+    n = np.divide(_INV_SQRT2, norms, out=np.empty(phases.shape))
     # c = conj(e p1) conj(e) p2 sqrt2 e; np.multiply, as numpy scalars' `*` rounds otherwise
     c = np.multiply(np.multiply(phases[1], np.conj(overlaps[0])), SQRT2)
-    results = chi_plus, chi_minus, *map(_item, (n_plus, n_minus, np.arctan2(c.imag, c.real), c))
-    return EigenPair(*_read_only(*results))
+    phi0 = np.arctan2(c.imag, c.real)
+    # views of read-only arrays are read-only
+    _read_only(chi, n, phi0, c)
+    return EigenPair(*chi, *map(_item, (*n, phi0, c)))
 
 
 def _read_only(*results):
@@ -358,8 +371,16 @@ def phase_factor(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> fl
 
 
 def mapping_matrix(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> np.ndarray:
-    """Unitary with columns (chi+, chi-), shape (..., 2, 2); maps Jones vectors to state spinors."""
-    return eigen_spinors(frame, ref).mapping
+    """Unitary with columns (chi+, chi-), shape (..., 2, 2); maps Jones vectors to state spinors.
+
+    Built once per frame and reference pair; later calls return the same
+    read-only array.
+    """
+    return frame._derived(ref, _mapping)
+
+
+def _mapping(frame: Frame, ref: ReferenceSpinors) -> np.ndarray:
+    return _read_only(eigen_spinors(frame, ref).mapping)[0]
 
 
 def compose_spinor(varpi, alpha) -> np.ndarray:

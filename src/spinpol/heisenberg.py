@@ -33,12 +33,13 @@ _COMPONENTS = (-3, -2, -1)
 _INTERNAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeisenbergSigma:
     """Component matrices of the conjugated Pauli vector on the frame triad.
 
     For a batch of frames the matrices are (..., 2, 2) arrays and phi0 is an
-    array of the batch shape.
+    array of the batch shape.  Two triples are equal only if they are the
+    same object.
     """
 
     sigma_u: np.ndarray
@@ -169,16 +170,32 @@ def heisenberg_sigma(
     sigma_u and sigma_v are off-diagonal with phase exp(i phi0); sigma_w is
     exactly diag(1, -1).  The closed forms are cross-checked against the direct
     conjugation, frame by frame, and a disagreement beyond rounding raises
-    RuntimeError.
+    RuntimeError.  They are built once per frame and reference pair; every
+    call returns a new HeisenbergSigma of the same read-only matrices.
     """
-    e, phi0, _ = _checked_phase(frame, ref)
-    # sigma_u, sigma_v, sigma_w stacked on axis -3
-    closed = np.zeros(np.shape(e) + (3, 2, 2), dtype=complex)
-    for (a, i, j), value in _closed_entries(e):
-        closed[..., a, i, j] = value
+    closed, phi0 = frame._derived(ref, _closed_forms)
     return HeisenbergSigma(
         closed[..., 0, :, :], closed[..., 1, :, :], closed[..., 2, :, :], frame, phi0
     )
+
+
+def _closed_forms(frame: Frame, ref: ReferenceSpinors):
+    # sigma_u, sigma_v, sigma_w stacked on axis -3, and phi0: arrays only, as
+    # a HeisenbergSigma holds its frame and in the frame's cache would form a cycle
+    e, phi0, _ = _checked_phase(frame, ref)
+    closed = np.zeros(np.shape(e) + (3, 2, 2), dtype=complex)
+    for (a, i, j), value in _closed_entries(e):
+        closed[..., a, i, j] = value
+    return _read_only(closed, phi0)
+
+
+def _cartesian(frame: Frame, ref: ReferenceSpinors) -> np.ndarray:
+    """heisenberg_sigma(frame, ref).cartesian(), built once per frame and reference pair, read-only."""
+    return frame._derived(ref, _components)
+
+
+def _components(frame: Frame, ref: ReferenceSpinors) -> np.ndarray:
+    return _read_only(heisenberg_sigma(frame, ref).cartesian())[0]
 
 
 def closed_form_residual(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):
@@ -214,7 +231,8 @@ def rotation_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFEREN
     rebuild the frame from R I, so they hold to about 1e-16/|w x I|.
     """
     hs = heisenberg_sigma(frame, ref)
-    hs_rot = heisenberg_sigma(rotate_characterization(frame, phi), ref)
+    rotated = rotate_characterization(frame, phi)
+    hs_rot = heisenberg_sigma(rotated, ref)
     twice = 2.0 * phi
 
     u1 = _su2(_COEFFICIENT_AXIS, phi)
@@ -224,9 +242,9 @@ def rotation_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFEREN
         _norm(hs_rot.sigma_w - hs.sigma_w, axis=_MATRIX),
     )
 
-    lhs = hs_rot.cartesian()
+    lhs = _cartesian(rotated, ref)
     u2 = _su2(_COEFFICIENT_AXIS, twice)[..., None, :, :]
-    res_b = _norm(lhs - _conjugate(hs.cartesian(), u2), axis=_COMPONENTS)
+    res_b = _norm(lhs - _conjugate(_cartesian(frame, ref), u2), axis=_COMPONENTS)
 
     r2 = _so3(frame.w, twice)
     res_c = _norm(lhs - _expand(hs, *_rotated_triad(frame, r2)), axis=_COMPONENTS)
@@ -242,7 +260,7 @@ def equivalence_residual(frame: Frame, phi, ref: ReferenceSpinors = DEFAULT_REFE
     """
     hs = heisenberg_sigma(frame, ref)
     lhs = _expand(hs, *_rotated_triad(frame, _so3(frame.w, phi)))
-    rhs = _conjugate(hs.cartesian(), _su2(_COEFFICIENT_AXIS, phi)[..., None, :, :])
+    rhs = _conjugate(_cartesian(frame, ref), _su2(_COEFFICIENT_AXIS, phi)[..., None, :, :])
     return _item(_norm(lhs - rhs, axis=_COMPONENTS))
 
 
@@ -251,8 +269,7 @@ def expectation_spv_residual(frame: Frame, alpha, ref: ReferenceSpinors = DEFAUL
 
     A batch of frames and (..., 2) Jones vectors gives one deviation per frame.
     """
-    hs = heisenberg_sigma(frame, ref)
     alpha = np.asarray(alpha, dtype=complex)[..., None, :]
-    expect = _vdot(alpha, _apply(hs.cartesian(), alpha)).real
+    expect = _vdot(alpha, _apply(_cartesian(frame, ref), alpha)).real
     s = _spv(compose_spinor(mapping_matrix(frame, ref), alpha[..., 0, :]))
     return _item(_norm(expect - s))

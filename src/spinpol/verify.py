@@ -112,8 +112,13 @@ def _read_block(rng, count, steps):
 
 
 def _norms(x):
-    """2-norm of each case's entries: (n, ...) to (n,)."""
-    return np.linalg.norm(x.reshape(len(x), -1), axis=1)
+    """2-norm of each case's entries: (n, ...) to (n,).
+
+    np.linalg.norm's own formula for one axis, without its argument handling,
+    which cost more than the arithmetic on a block of cases.
+    """
+    x = x.reshape(len(x), -1)
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
 
 
 def _dagger(m):
@@ -342,9 +347,11 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
         fields = _read_block(rng, min(CASE_BLOCK, n_cases - start), steps)
         if finish:
             finish(fields)
-        for residual in check(**fields):
+        residuals = check(**fields)
+        if residuals:
+            # one maximum over the block's residuals, flattened together;
             # np.maximum, not max: a NaN residual must fail the suite
-            worst = np.maximum(worst, np.max(residual))
+            worst = np.maximum(worst, np.concatenate(residuals, axis=None).max())
     worst = float(worst)
     return SuiteResult(suite=name, cases=n_cases, max_residual=worst, tolerance=tol, passed=worst <= tol)
 

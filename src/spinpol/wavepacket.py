@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _g17
-from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _item, _norm, _single
+from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _frozen, _item, _norm, _single
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
@@ -24,6 +24,7 @@ from .frames import (
     ReferenceSpinors,
     _bits,
     _Last,
+    _read_only,
     build_frame,
     compose_spinor,
     mapping_matrix,
@@ -87,12 +88,15 @@ def _packet(index):
     return f" of packet {index[0] if len(index) == 1 else index}" if index else ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Discrete plane-wave spectrum: wave vectors, complex weights, quadrature weights.
 
     A batch of equal-size spectra, one per packet, carries leading axes (...):
-    every check below then runs on each packet alone.
+    every check below then runs on each packet alone.  The arrays are kept
+    read-only, as copies of any the caller could still change, so the checks
+    hold for the spectrum's life.  Two spectra are equal only if they are the
+    same object.
 
     Attributes
     ----------
@@ -109,13 +113,9 @@ class Spectrum:
     weight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", np.atleast_2d(np.asarray(self.k, dtype=float)))
-        object.__setattr__(
-            self, "amplitude", np.atleast_1d(np.asarray(self.amplitude, dtype=complex))
-        )
-        object.__setattr__(
-            self, "weight", np.atleast_1d(np.asarray(self.weight, dtype=float))
-        )
+        object.__setattr__(self, "k", np.atleast_2d(_frozen(self.k)))
+        object.__setattr__(self, "amplitude", np.atleast_1d(_frozen(self.amplitude, complex)))
+        object.__setattr__(self, "weight", np.atleast_1d(_frozen(self.weight)))
         shape = self.weight.shape
         if self.k.shape != shape + (3,) or self.amplitude.shape != shape:
             raise ValueError(
@@ -154,13 +154,15 @@ class Spectrum:
         return self.weight.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacketConfig:
     """Per-packet parameters: characterization vector, Jones vector, references.
 
     i_vec (..., 3) and alpha (..., 2) may carry one vector per packet; they
     broadcast against the spectrum's batch shape.  ref, hbar and mu are shared.
-    Both are checked here, each packet's to within 1e-9 of unit norm.
+    Both are checked here, each packet's to within 1e-9 of unit norm, and
+    kept read-only, as copies of any array the caller could still change.
+    Two configs are equal only if they are the same object.
     """
 
     i_vec: np.ndarray
@@ -169,22 +171,23 @@ class PacketConfig:
     hbar: float = 1.0
     mu: float = 1.0
     # the frames of the last spectrum that sample_spinors walked in one block
-    _frames: _Last = field(default_factory=_Last, init=False, repr=False, compare=False)
+    _frames: _Last = field(default_factory=_Last, init=False, repr=False)
 
     def __post_init__(self):
         # written so that NaN fails it
         if not (0 < self.hbar < math.inf and 0 < self.mu < math.inf):
             raise ValueError(f"hbar and mu must be finite and positive, got {self.hbar}, {self.mu}")
-        object.__setattr__(self, "i_vec", _check_unit("i_vec", self.i_vec))
-        object.__setattr__(self, "alpha", _check_spinor("alpha", self.alpha))
+        object.__setattr__(self, "i_vec", _frozen(_check_unit("i_vec", self.i_vec)))
+        object.__setattr__(self, "alpha", _frozen(_check_spinor("alpha", self.alpha), complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinField:
     """Sampled local polarization: density rho and unit vector s at grid points.
 
     Rows where rho falls below 1e-12 of the peak are node points; their s rows
-    are NaN and flagged in `node`.
+    are NaN and flagged in `node`.  Two fields are equal only if they are the
+    same object.
     """
 
     x: np.ndarray
@@ -266,9 +269,7 @@ def dispersion(k, cfg: PacketConfig) -> float:
 def _batch_shape(spec: Spectrum, cfg: PacketConfig):
     """Leading shape of the packets: the spectrum's, i_vec's and alpha's, broadcast."""
     try:
-        return np.broadcast_shapes(
-            spec.weight.shape[:-1], np.shape(cfg.i_vec)[:-1], np.shape(cfg.alpha)[:-1]
-        )
+        return _broadcast_shapes(spec.weight.shape[:-1], cfg.i_vec.shape[:-1], cfg.alpha.shape[:-1])
     except ValueError:
         raise ValueError(
             f"packet batch shapes do not broadcast: spectrum {spec.weight.shape[:-1]}, "
@@ -293,7 +294,8 @@ def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn, keep=False):
     i_vec = cfg.i_vec[..., None, :]
     for lo in range(0, len(spec), per):
         k = spec.k[..., lo : lo + per, :]
-        k_hat = k / _norm(k)[..., None]
+        # read-only, so a frame keeps it without a copy
+        (k_hat,) = _read_only(k / _norm(k)[..., None])
         try:
             if keep:
                 frame = cfg._frames.get(_bits(k_hat, cfg.i_vec), lambda: build_frame(k_hat, i_vec))
@@ -375,6 +377,19 @@ def _separable_sum(cfg, coeff, k_axes, x_axes, t):
     return psi.reshape(-1, 2)
 
 
+# np.broadcast_to and np.broadcast_shapes, skipping their argument handling
+# where there is nothing to broadcast: on the small blocks of verify that
+# handling took longer than the sums
+
+
+def _broadcast(a, shape):
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
+def _broadcast_shapes(*shapes):
+    return shapes[0] if shapes.count(shapes[0]) == len(shapes) else np.broadcast_shapes(*shapes)
+
+
 def _dense_rows(n_k):
     """Rows per block of the dense sum: the (rows, n_k) phase block fits DENSE_BLOCK_BYTES.
 
@@ -392,11 +407,11 @@ def _dense_sum(spec, cfg, coeff, points, t):
     alone overflow the budget.
     """
     t = np.asarray(t, dtype=float)
-    batch = np.broadcast_shapes(points.shape[:-2], spec.k.shape[:-2], coeff.shape[:-2], t.shape)
+    batch = _broadcast_shapes(points.shape[:-2], spec.k.shape[:-2], coeff.shape[:-2], t.shape)
     m, n = points.shape[-2], spec.k.shape[-2]
 
     def flat(a, tail):
-        return np.ascontiguousarray(np.broadcast_to(a, batch + tail).reshape((-1,) + tail))
+        return np.ascontiguousarray(_broadcast(a, batch + tail).reshape((-1,) + tail))
 
     k, coeff, points = flat(spec.k, (n, 3)), flat(coeff, (n, 2)), flat(points, (m, 3))
     k_t = k.swapaxes(-1, -2)
@@ -451,7 +466,7 @@ def _packet_points(spec: Spectrum, cfg: PacketConfig, x, t):
     batch = _batch_shape(spec, cfg)
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     try:
-        return np.broadcast_to(x, batch + (3,))[..., None, :], np.broadcast_to(t, batch)
+        return _broadcast(x, batch + (3,))[..., None, :], _broadcast(t, batch)
     except ValueError:
         raise ValueError(
             f"x must have shape {batch + (3,)} and t shape {batch} (or broadcast to them), "
@@ -731,6 +746,8 @@ def load_spectrum(path) -> Spectrum:
     # filled part by part: re + 1j * im would turn a -0 part into +0
     amplitude = np.empty(n_rows, complex)
     amplitude.real, amplitude.imag = rows[:, 3], rows[:, 4]
+    # read-only, so the Spectrum keeps them without a copy
+    _read_only(rows, amplitude)
     return Spectrum(k=rows[:, :3], amplitude=amplitude, weight=rows[:, 5])
 
 

@@ -1,8 +1,10 @@
-"""A frame computes its eigenpair and its cross-checked phase once per reference pair.
+"""A frame computes what it derives for a reference pair once.
 
-Frame._derived keeps each result under the reference pair object that gave it.
-Every later call with that object returns the same read-only result, and no
-other object, equal or not, can reach it.  A call that raises stores nothing.
+Frame._derived keeps the eigenpair, the mapping matrix, the cross-checked
+phase, the closed-form Heisenberg matrices and their Cartesian components
+under the reference pair object that gave them.  Every later call with that
+object returns the same read-only result, and no other object, equal or not,
+can reach it.  A call that raises stores nothing.
 
 Two memos of built frames (frames._Last) let callers share those results: a
 frame keeps the frame of its last rotate_characterization, keyed by the bits
@@ -10,7 +12,9 @@ of the angles, and a PacketConfig keeps the frames of the last spectrum that
 sample_spinors walked in one block, keyed by the bits of k_hat and i_vec.
 """
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -116,22 +120,27 @@ def test_an_equal_but_distinct_reference_pair_gets_its_own_entry(counted):
     twin_pair = eigen_spinors(frame, twin)
     assert twin_pair is not pair and len(counted) == 2
     assert _bits(_results(frame, twin)) == _bits(_results(frame, ref))
-    assert len(frame._cache) == 4
+    # the eigenpair, the mapping, the cross-check and the closed forms of each pair
+    assert len(frame._cache) == 8
+    assert {key[1] for key in frame._cache} == {ref, twin}
     assert eigen_spinors(frame, twin) is twin_pair and eigen_spinors(frame, ref) is pair
 
 
 def test_an_entry_answers_only_the_reference_pair_it_holds():
-    # an entry under id(ref) that holds another object is never returned,
-    # as if ref had taken the id of a pair that no longer exists
+    # entries are keyed by the pair object itself: an entry of another pair,
+    # equal in every bit or not, is never returned
     frame = build_frame(*FRAMES["single"])
     stale = object()
-    frame._cache[(frames._eigen_pair, id(DEFAULT_REFERENCES))] = (FALLBACK_REFERENCES, stale)
+    twin = ReferenceSpinors(chi1=DEFAULT_REFERENCES.chi1, chi2=DEFAULT_REFERENCES.chi2)
+    for other in (FALLBACK_REFERENCES, twin):
+        frame._cache[(frames._eigen_pair, other)] = stale
     pair = eigen_spinors(frame)
     assert pair is not stale
     assert _bits(_results(frame, DEFAULT_REFERENCES)) == _bits(
         _results(build_frame(*FRAMES["single"]), DEFAULT_REFERENCES)
     )
-    assert frame._cache[(frames._eigen_pair, id(DEFAULT_REFERENCES))] == (DEFAULT_REFERENCES, pair)
+    assert frame._cache[(frames._eigen_pair, DEFAULT_REFERENCES)] is pair
+    assert eigen_spinors(frame, twin) is stale
 
 
 @pytest.mark.parametrize("shape", FRAMES)
@@ -152,10 +161,72 @@ def test_cached_arrays_are_read_only(shape):
     )
 
 
+def _bypass_cache(monkeypatch):
+    monkeypatch.setattr(frames.Frame, "_derived", lambda self, ref, compute: compute(self, ref))
+
+
+@pytest.mark.parametrize("ref_name", REFERENCES)
+@pytest.mark.parametrize("shape", FRAMES)
+def test_the_mapping_closed_forms_and_components_are_kept_read_only(shape, ref_name, monkeypatch):
+    ref = REFERENCES[ref_name]
+    frame = build_frame(*FRAMES[shape])
+    hs = heisenberg_sigma(frame, ref)
+    kept = [mapping_matrix(frame, ref), hs.sigma_u, hs.sigma_v, hs.sigma_w, heisenberg._cartesian(frame, ref)]
+    # later calls return the same arrays; each call makes a new HeisenbergSigma of them
+    again = heisenberg_sigma(frame, ref)
+    assert again is not hs and again.sigma_u.base is hs.sigma_u.base
+    assert mapping_matrix(frame, ref) is kept[0] and heisenberg._cartesian(frame, ref) is kept[-1]
+    for x in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+    # the same bits as a fresh frame's, computed with the cache bypassed, and
+    # as EigenPair.mapping and HeisenbergSigma.cartesian, which build anew
+    _bypass_cache(monkeypatch)
+    other = build_frame(*FRAMES[shape])
+    fresh_hs = heisenberg_sigma(other, ref)
+    fresh = [mapping_matrix(other, ref), fresh_hs.sigma_u, fresh_hs.sigma_v, fresh_hs.sigma_w]
+    fresh.append(heisenberg._cartesian(other, ref))
+    assert other._cache == {}
+    assert _bits(kept) == _bits(fresh)
+    assert _bits([eigen_spinors(frame, ref).mapping, hs.cartesian()]) == _bits([kept[0], kept[-1]])
+
+
+def _leaves(x):
+    """The arrays and objects in cache entries, through their tuples and lists."""
+    if isinstance(x, (tuple, list)):
+        return [leaf for y in x for leaf in _leaves(y)]
+    return [x] if isinstance(x, (np.ndarray, frames.EigenPair, frames._Last)) else []
+
+
+def test_a_frame_and_all_it_derives_are_freed_without_the_garbage_collector():
+    # the cache holds arrays, tuples of them and the rotated frame, never an
+    # object that holds the frame: no reference cycle keeps a block alive
+    frame = build_frame(*FRAMES["block"])
+    alpha = np.array([0.6, 0.8j])
+    for ref in REFERENCES.values():
+        _results(frame, ref)
+        heisenberg.rotation_residual(frame, 0.3, ref)
+        heisenberg.equivalence_residual(frame, 0.3, ref)
+        expectation_spv_residual(frame, alpha, ref)
+    rotated = weakref.ref(rotate_characterization(frame, 0.3))
+    kept, cached = weakref.ref(frame), [weakref.ref(x) for x in _leaves(list(frame._cache.values()))]
+    assert len(cached) > len(frame._cache)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del frame
+        assert kept() is None and rotated() is None
+        assert all(x() is None for x in cached)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_replaced_and_rotated_frames_start_with_empty_caches():
     frame = build_frame(*FRAMES["block"])
     _results(frame, DEFAULT_REFERENCES)
-    assert len(frame._cache) == 2
+    # the eigenpair, the mapping, the cross-check and the closed forms
+    assert len(frame._cache) == 4
     copy = replace(frame)
     rotated = rotate_characterization(frame, 0.7)
     for other in (copy, rotated, replace(frame, v=-frame.v)):
@@ -189,7 +260,7 @@ def test_a_frame_that_raised_raises_again(counted, monkeypatch):
             closed_form_residual(frame)
     # the eigenpair is kept, the failed check is not
     assert sorted(name for name, _ in counted) == ["_cross_check", "_cross_check", "_eigen_pair"]
-    assert list(frame._cache) == [(frames._eigen_pair, id(DEFAULT_REFERENCES))]
+    assert list(frame._cache) == [(frames._eigen_pair, DEFAULT_REFERENCES)]
 
 
 def test_a_heisenberg_block_checks_each_distinct_frame_once(counted):
@@ -226,7 +297,7 @@ def test_bypassing_the_cache_leaves_every_result_unchanged(bypass, monkeypatch):
     kept = verify.report_lines(verify.run_suites(seed=2, n_cases=300)), _residuals(2, 100)
     expect = _bits(_results(build_frame(*FRAMES["block"]), DEFAULT_REFERENCES))
     if "cache" in bypass:
-        monkeypatch.setattr(frames.Frame, "_derived", lambda self, ref, compute: compute(self, ref))
+        _bypass_cache(monkeypatch)
     if "memos" in bypass:
         _bypass_frame_memos(monkeypatch)
     assert (verify.report_lines(verify.run_suites(seed=2, n_cases=300)), _residuals(2, 100)) == kept
@@ -334,17 +405,24 @@ def test_a_kept_block_answers_only_its_own_spectrum_i_vec_and_references(built):
     # another spectrum
     assert outputs(specs[1], cfg) == outputs(specs[1], fresh(i_vec))
     assert len(built) == 4
-    # the same i_vec array changed in place
+    # the caller's i_vec array changed in place: cfg keeps its own copy
     i_vec[:] = [0.0, 0.6, 0.8]
+    assert outputs(specs[1], cfg) == outputs(specs[1], fresh(np.array([0.6, 0.0, 0.8])))
+    assert len(built) == 5
+    # cfg's own i_vec changed in place, past its read-only flag: the kept
+    # block is keyed by the bits of i_vec, so it is not reused
+    cfg.i_vec.flags.writeable = True
+    cfg.i_vec[:] = i_vec
+    cfg.i_vec.flags.writeable = False
     assert outputs(specs[1], cfg) == outputs(specs[1], fresh(i_vec))
-    assert len(built) == 6
+    assert len(built) == 7
     # other references: the kept frames hold no reference pair's results, so a
     # config that shares them gets its own pair's eigenspinors
     other = replace(cfg, ref=FALLBACK_REFERENCES)
     object.__setattr__(other, "_frames", cfg._frames)
     assert outputs(specs[1], other) == outputs(specs[1], fresh(i_vec, FALLBACK_REFERENCES))
     assert outputs(specs[1], other) != outputs(specs[1], cfg)
-    assert len(built) == 7
+    assert len(built) == 8
 
 
 def test_a_spectrum_beyond_one_block_or_a_field_keeps_no_frames(built, monkeypatch):

@@ -28,7 +28,8 @@ from spinpol import (
     rotation_residual,
     spv_rotation_residual,
 )
-from spinpol.frames import EPS_PARALLEL, _cross
+from spinpol.algebra import _rows
+from spinpol.frames import EPS_PARALLEL, Frame, _cross_rows
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -309,6 +310,13 @@ def _signed_axis_vectors():
     return np.array(vectors)
 
 
+def _cross(a, b):
+    """a x b of (..., 3) vectors that broadcast together, through the frame chain's row kernel."""
+    out = np.empty(np.broadcast(a, b).shape)
+    _cross_rows(_rows(a, out.ndim), _rows(b, out.ndim), out=_rows(out, out.ndim))
+    return out
+
+
 def test_cross_product_equals_np_cross_bit_for_bit():
     rng = np.random.default_rng(37)
     a, b = rng.normal(size=(2, 1000, 3))
@@ -438,6 +446,8 @@ def test_compose_spinor_checks_every_matrix_of_a_batch():
     varpi = mapping_matrix(build_frame(np.array([Z, Y, -Y]), X))
     good = compose_spinor(varpi, np.array([1.0, 0.0]))
     assert_allclose(good, varpi[:, :, 0], atol=1e-15)
+    # the frame's mapping is read-only: spoil a copy
+    varpi = varpi.copy()
     varpi[1, 0, 0] *= 2.0
     with pytest.raises(ValueError, match=r"matrix \(frame 1\) must be unitary"):
         compose_spinor(varpi, np.array([1.0, 0.0]))
@@ -448,6 +458,33 @@ def test_references_are_checked_on_construction():
         ReferenceSpinors(chi1=np.array([1.0, 1.0]), chi2=DEFAULT_REFERENCES.chi2)
     with pytest.raises(ValueError, match="normalized"):
         ReferenceSpinors(chi1=DEFAULT_REFERENCES.chi1, chi2=np.array([np.nan, 0.0]))
+
+
+def test_a_frame_and_a_reference_pair_keep_read_only_copies():
+    # a frame kept the caller's w and i_vec, so changing them moved its triad
+    # out from under the eigenpair it had cached
+    w, i_vec = np.array([0.0, 0.6, 0.8]), np.array([-0.0, 1.0, 0.0])
+    frame = build_frame(w, i_vec)
+    fresh = build_frame(w.copy(), i_vec.copy())
+    arrays = (frame.w, frame.i_vec, frame.u, frame.v)
+    assert [a.tobytes() for a in arrays[:2]] == [w.tobytes(), i_vec.tobytes()]
+    w[:], i_vec[:] = Z, Z
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in (fresh.w, fresh.i_vec, fresh.u, fresh.v)]
+    rotated, fresh_rotated = rotate_characterization(frame, 0.3), rotate_characterization(fresh, 0.3)
+    assert rotated.u.tobytes() == fresh_rotated.u.tobytes()
+    assert eigen_spinors(frame).chi_plus.tobytes() == eigen_spinors(fresh).chi_plus.tobytes()
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # a frame built directly copies its arrays too
+    u = frame.u.copy()
+    direct = Frame(w=frame.w, i_vec=frame.i_vec, u=u, v=frame.v)
+    u[:] = 0.0
+    assert direct.u.tobytes() == frame.u.tobytes() and direct.w is frame.w
+    chi1 = np.array([0.0, 1.0], dtype=complex)
+    ref = ReferenceSpinors(chi1=chi1, chi2=DEFAULT_REFERENCES.chi2)
+    chi1[:] = [1.0, 0.0]
+    assert ref.chi1.tolist() == [0.0, 1.0] and not ref.chi1.flags.writeable
 
 
 @pytest.mark.parametrize("ref", [DEFAULT_REFERENCES, FALLBACK_REFERENCES])

@@ -170,12 +170,20 @@ def test_wavepacket_suite_passes_where_a_direction_is_drawn_near_the_south_pole(
 
 
 def _block_peaks(name):
-    """tracemalloc peaks of one suite at 1 and 4 blocks of cases."""
+    """tracemalloc peaks of one suite at 1 and 4 blocks of cases.
+
+    The garbage collector is off, so a block's memory must be freed by
+    reference counting alone: a reference cycle that kept a block alive
+    until a collection would show as a peak that grows with the blocks.
+    """
+    import gc
     import tracemalloc
 
     # a first run leaves numpy's one-time allocations out of the peaks
     verify.run_suite(name, n_cases=verify.CASE_BLOCK)
     peaks = []
+    enabled = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         for blocks in (1, 4):
@@ -185,11 +193,14 @@ def _block_peaks(name):
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
+        if enabled:
+            gc.enable()
     return peaks
 
 
-def test_suite_memory_is_bounded_by_the_case_block():
-    peaks = _block_peaks("heisenberg")
+@pytest.mark.parametrize("name", ["algebra", "frames", "rotations", "heisenberg"])
+def test_suite_memory_is_bounded_by_the_case_block(name):
+    peaks = _block_peaks(name)
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

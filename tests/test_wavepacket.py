@@ -1217,3 +1217,48 @@ def test_batched_dense_blocks_do_not_change_the_sum(monkeypatch):
     monkeypatch.setattr(wavepacket, "DENSE_BLOCK_BYTES", 2**20)
     assert np.array_equal(wavepacket._plane_wave_sum(spec, cfg, spinors, points, t), split)
     assert split.shape == (6, 4, 2)
+
+
+def test_changing_an_input_array_after_construction_changes_nothing():
+    # a spectrum and a config keep read-only copies: changing the caller's
+    # alpha to (2, 0) gave a total spin of (0, 0, 2), and an amplitude of 3
+    # gave (0, 0, 4.5), both past every check
+    k, amplitude, weight = np.array([[-0.0, 0.0, 5.0]]), np.array([1.0 - 0.0j]), np.array([1.0])
+    i_vec, alpha = np.array([1.0, 0.0, 0.0]), np.array([1.0 + 0.0j, 0.0])
+    spec = Spectrum(k=k, amplitude=amplitude, weight=weight)
+    cfg = PacketConfig(i_vec=i_vec, alpha=alpha)
+    inputs = (k, amplitude, weight, i_vec, alpha)
+    kept = (spec.k, spec.amplitude, spec.weight, cfg.i_vec, cfg.alpha)
+    # the bits are unchanged, signed zeros included
+    assert [x.tobytes() for x in kept] == [x.tobytes() for x in inputs]
+    spin = total_spin(spec, cfg)
+    assert spin.tolist() == [0.0, 0.0, 0.5]
+    # an i_vec of z would be parallel to k
+    changes = ((alpha, [2.0, 0.0]), (amplitude, 3.0), (weight, 7.0), (k, [0.0, 3.0, 4.0]), (i_vec, Z))
+    for array, value in changes:
+        array[...] = value
+        assert total_spin(spec, cfg).tobytes() == spin.tobytes()
+    for x in kept:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+
+
+def test_public_dataclasses_compare_and_hash_by_identity():
+    from spinpol import DEFAULT_REFERENCES, eigen_spinors, heisenberg_sigma
+
+    # == compared the arrays field by field and raised; hash raised on the frozen ones
+    frame = build_frame(Z, X)
+    objects = [
+        DEFAULT_REFERENCES, FALLBACK_REFERENCES, frame, build_frame(Z, X),
+        eigen_spinors(frame), eigen_spinors(build_frame(Z, X)),
+        heisenberg_sigma(frame), heisenberg_sigma(frame),
+        single_wave(), single_wave(), packet(), packet(),
+        spin_field(single_wave(), packet(), [[0.0, 0.0, 0.0]], 0.0),
+        spin_field(single_wave(), packet(), [[0.0, 0.0, 0.0]], 0.0),
+    ]
+    for a in objects:
+        for b in objects:
+            assert (a == b) is (a is b) and (a != b) is (a is not b)
+    assert len(set(objects)) == len(objects)
+    assert {DEFAULT_REFERENCES: 1}[DEFAULT_REFERENCES] == 1
