@@ -20,6 +20,8 @@ _PAULI_ENTRIES = PAULI.reshape(3, 4).T
 
 # tolerance for caller-supplied data vs internally produced values
 EPS_INPUT = 1e-9
+# |v| of a v normalized in floating point is within 2 ulps of 1
+_UNIT_OFF = 4.0 * np.finfo(float).eps
 
 
 def _first(bad):
@@ -97,6 +99,18 @@ def _checked_unit(name, vec):
     return vec, off
 
 
+def _checked_axis(name, vec):
+    """vec checked to hold unit 3-vectors, divided by its norm where that is off 1 beyond rounding.
+
+    A frame or a rotation built on an axis off unit by up to EPS_INPUT would
+    be off by as much, where the laws hold to 1e-12.
+    """
+    vec, off = _checked_unit(name, vec)
+    if np.count_nonzero(off > _UNIT_OFF):
+        vec = vec / np.where(off > _UNIT_OFF, _norm(vec), 1.0)[..., None]
+    return vec
+
+
 def _check_spinor(name, chi):
     chi = np.asarray(chi, dtype=complex)
     if chi.ndim == 0 or chi.shape[-1] != 2:
@@ -161,7 +175,7 @@ def dot_sigma(a) -> np.ndarray:
 
 def sigma_product(a, b) -> np.ndarray:
     """Product (a.sigma)(b.sigma); equals (a.b) 1 + i (a x b).sigma."""
-    return dot_sigma(a) @ dot_sigma(b)
+    return _mul(dot_sigma(a), dot_sigma(b))
 
 
 def spv(chi) -> np.ndarray:

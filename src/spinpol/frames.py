@@ -26,15 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import EPS_INPUT, IDENTITY2, dot_sigma
-from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _checked_unit, _first, _item
+from .algebra import _apply, _bilinear, _check_spinor, _check_unit, _checked_axis, _first, _item
 from .algebra import _frozen, _mul, _norm, _rows, _single, _where
 
 # below this |w x I| the azimuth of I about w is numerically meaningless
 EPS_PARALLEL = 1e-8
 # below this ||sigma_pm chi_ref|| the reference spinor carries no usable phase
 EPS_LADDER = 1e-8
-# |w| of a w normalized in floating point is within 2 ulps of 1
-_UNIT_OFF = 4.0 * np.finfo(float).eps
 
 SQRT2 = np.sqrt(2.0)
 # z / SQRT2 is z times this reciprocal in numpy's complex division
@@ -202,11 +200,7 @@ def build_frame(w, i_vec) -> Frame:
     is orthonormal to rounding for every accepted pair.  Raises DegenerateFrame, with
     the first offending frame in `index`, when |w x I| < EPS_PARALLEL.
     """
-    w, off = _checked_unit("w", w)
-    if np.count_nonzero(off > _UNIT_OFF):
-        # the arrays built here are made read-only, so the Frame keeps them
-        # without a copy; it copies the caller's w and i_vec
-        (w,) = _read_only(w / np.where(off > _UNIT_OFF, _norm(w), 1.0)[..., None])
+    w = _checked_axis("w", w)
     i_vec = _check_unit("i_vec", i_vec)
     # on (3, ...) rows; the dot product and the norm reduce the leading axis
     ndim = max(w.ndim, i_vec.ndim)
@@ -373,25 +367,34 @@ def phase_factor(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> fl
 def mapping_matrix(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES) -> np.ndarray:
     """Unitary with columns (chi+, chi-), shape (..., 2, 2); maps Jones vectors to state spinors.
 
-    Built once per frame and reference pair; later calls return the same
-    read-only array.
+    Built and checked unitary once per frame and reference pair; later calls
+    return the same read-only array.
     """
     return frame._derived(ref, _mapping)
 
 
 def _mapping(frame: Frame, ref: ReferenceSpinors) -> np.ndarray:
-    return _read_only(eigen_spinors(frame, ref).mapping)[0]
+    return _read_only(_unitary(eigen_spinors(frame, ref).mapping))[0]
+
+
+def _unitary(varpi):
+    """varpi, checked that each (..., 2, 2) matrix is unitary to within EPS_INPUT."""
+    gram = _mul(varpi.conj().swapaxes(-1, -2), varpi) - IDENTITY2
+    ok = _norm(gram, axis=(-2, -1)) <= EPS_INPUT
+    if not ok.all():
+        raise ValueError(f"mapping matrix{_where(_first(~ok))} must be unitary")
+    return varpi
 
 
 def compose_spinor(varpi, alpha) -> np.ndarray:
     """State spinor varpi @ alpha from mapping matrices and normalized Jones vectors.
 
-    varpi is (..., 2, 2) and alpha (..., 2); the two broadcast against each other.
+    varpi is (..., 2, 2) and alpha (..., 2); the two broadcast against each
+    other.  Every matrix is checked unitary.
     """
-    varpi = np.asarray(varpi, dtype=complex)
-    gram = _mul(varpi.conj().swapaxes(-1, -2), varpi) - IDENTITY2
-    ok = _norm(gram, axis=(-2, -1)) <= EPS_INPUT
-    if not ok.all():
-        raise ValueError(f"mapping matrix{_where(_first(~ok))} must be unitary")
-    alpha = _check_spinor("alpha", alpha)
-    return _apply(varpi, alpha)
+    return _compose(_unitary(np.asarray(varpi, dtype=complex)), alpha)
+
+
+def _compose(varpi, alpha):
+    # compose_spinor on a mapping already checked, such as mapping_matrix's
+    return _apply(varpi, _check_spinor("alpha", alpha))

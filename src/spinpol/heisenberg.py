@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _apply, _item, _mul, _norm, _pauli_components, _spv, _vdot
-from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, compose_spinor, eigen_spinors
-from .frames import _read_only, mapping_matrix
+from .frames import DEFAULT_REFERENCES, Frame, ReferenceSpinors, eigen_spinors
+from .frames import _compose, _read_only, mapping_matrix
 from .rotations import _so3, _su2, rotate_characterization
 
 # rotations about w, represented on the eigenspinor coefficients where
@@ -271,5 +271,5 @@ def expectation_spv_residual(frame: Frame, alpha, ref: ReferenceSpinors = DEFAUL
     """
     alpha = np.asarray(alpha, dtype=complex)[..., None, :]
     expect = _vdot(alpha, _apply(_cartesian(frame, ref), alpha)).real
-    s = _spv(compose_spinor(mapping_matrix(frame, ref), alpha[..., 0, :]))
+    s = _spv(_compose(mapping_matrix(frame, ref), alpha[..., 0, :]))
     return _item(_norm(expect - s))

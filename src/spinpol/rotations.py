@@ -8,15 +8,15 @@ those laws into machine-checkable numbers.
 
 import numpy as np
 
-from .algebra import IDENTITY2, PAULI, _apply, _check_unit, _item, _norm, _single, _spv, dot_sigma
+from .algebra import IDENTITY2, PAULI, _apply, _checked_axis, _item, _mul, _norm, _single, _spv, dot_sigma
 from .frames import (
     DEFAULT_REFERENCES,
     Frame,
     ReferenceSpinors,
     _Last,
     _bits,
+    _compose,
     build_frame,
-    compose_spinor,
     eigen_spinors,
     mapping_matrix,
 )
@@ -52,7 +52,7 @@ def dot_generators(a) -> np.ndarray:
 
 def so3_rotation(axis, angle) -> np.ndarray:
     """Rotation matrix cos(t) - i (n.G) sin(t) + (1 - cos(t)) n n^T about unit axis n."""
-    return _so3(_single("axis", _check_unit("axis", axis)), angle)
+    return _so3(_single("axis", _checked_axis("axis", axis)), angle)
 
 
 def _so3(axis, angle):
@@ -64,7 +64,7 @@ def _so3(axis, angle):
 
 def su2_rotation(axis, angle) -> np.ndarray:
     """Spinor rotation cos(t/2) 1 - i (n.sigma) sin(t/2); changes sign under t -> t + 2pi."""
-    return _su2(_single("axis", _check_unit("axis", axis)), angle)
+    return _su2(_single("axis", _checked_axis("axis", axis)), angle)
 
 
 def _su2(axis, angle):
@@ -80,11 +80,11 @@ def correspondence_residual(axis, angle, a):
     axis and a may be (..., 3) arrays and angle a (...) array; the result is
     then one deviation per axis-angle, and a Python float for a single one.
     """
-    axis = _check_unit("axis", axis)
+    axis = _checked_axis("axis", axis)
     a = np.asarray(a, dtype=float)
     rotated = _apply(_so3(axis, angle), a)
     u = _su2(axis, angle)
-    conjugated = u @ dot_sigma(a) @ u.conj().swapaxes(-1, -2)
+    conjugated = _mul(_mul(u, dot_sigma(a)), u.conj().swapaxes(-1, -2))
     return _item(_norm(dot_sigma(rotated) - conjugated, axis=(-2, -1)))
 
 
@@ -139,10 +139,8 @@ def spv_rotation_residual(
     a batch of frames, angles and Jones vectors.  The laws rebuild the frame
     from R I, so they hold to about 1e-16/|w x I|.
     """
-    chi = compose_spinor(mapping_matrix(frame, ref), alpha)
-    chi_rot = compose_spinor(
-        mapping_matrix(rotate_characterization(frame, phi), ref), alpha
-    )
+    chi = _compose(mapping_matrix(frame, ref), alpha)
+    chi_rot = _compose(mapping_matrix(rotate_characterization(frame, phi), ref), alpha)
     twice = 2.0 * phi
     spinor_dev = _norm(chi_rot - _apply(_su2(frame.w, twice), chi))
     spv_dev = _norm(_spv(chi_rot) - _apply(_so3(frame.w, twice), _spv(chi)))

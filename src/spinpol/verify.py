@@ -125,6 +125,16 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
+# closed forms over the last two axes of stacked 2x2 matrices: np.linalg.det
+# calls LAPACK and np.trace its own loop once per matrix
+def _det(m):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _trace(m):
+    return m[..., 0, 0] + m[..., 1, 1]
+
+
 # Each suite is a list of draw steps, which take one case's random numbers
 # from the suite's stream, and a check, which takes the stacked fields of a
 # block of cases by name and returns per-case residual arrays.
@@ -172,7 +182,7 @@ def _check_frames(w, i_vec, theta, phi):
         abs(algebra._vdot(f.u, f.v)),
         abs(algebra._vdot(f.v, f.w)),
         abs(algebra._vdot(f.w, f.u)),
-        _norms(np.cross(f.u, f.v) - f.w),
+        _norms(frames._cross_rows(algebra._rows(f.u), algebra._rows(f.v)).T - f.w),
         *(abs(_norms(vec) - 1.0) for vec in (f.u, f.v, f.w)),
         _norms(f.u - g.u),
         _norms(f.v - g.v),
@@ -189,7 +199,7 @@ def _check_frames(w, i_vec, theta, phi):
         abs(abs(c) - np.sqrt(2.0)),
         abs(abs(c_prime) - np.sqrt(2.0)),
         abs(c - 1j * np.conj(c_prime)),
-        _norms(_dagger(varpi) @ varpi - np.eye(2)),
+        _norms(algebra._mul(_dagger(varpi), varpi) - np.eye(2)),
     )
 
 
@@ -216,18 +226,19 @@ def _check_heisenberg(w, i_vec, phi, alpha):
     f = frames.build_frame(w, i_vec)
     hs = heisenberg.heisenberg_sigma(f)
     comps = (hs.sigma_u, hs.sigma_v, hs.sigma_w)
+    mul = algebra._mul
     # the ladder phase advances with the azimuth of the characterization vector
     hs_rot = heisenberg.heisenberg_sigma(rotations.rotate_characterization(f, phi))
     shift = np.exp(1j * hs_rot.phi0) - np.exp(1j * phi) * np.exp(1j * hs.phi0)
     return (
         _norms(hs.sigma_w - np.diag([1.0, -1.0])),
         *(_norms(m - _dagger(m)) for m in comps),
-        *(abs(np.trace(m, axis1=-2, axis2=-1)) for m in comps),
-        *(abs(np.linalg.det(m) + 1.0) for m in comps),
-        *(_norms(comps[a] @ comps[b] + comps[b] @ comps[a]) for a, b in ((0, 1), (0, 2), (1, 2))),
-        _norms(hs.sigma_u @ hs.sigma_v - 1j * hs.sigma_w),
-        _norms(hs.sigma_v @ hs.sigma_w - 1j * hs.sigma_u),
-        _norms(hs.sigma_w @ hs.sigma_u - 1j * hs.sigma_v),
+        *(abs(_trace(m)) for m in comps),
+        *(abs(_det(m) + 1.0) for m in comps),
+        *(_norms(mul(comps[a], comps[b]) + mul(comps[b], comps[a])) for a, b in ((0, 1), (0, 2), (1, 2))),
+        _norms(mul(hs.sigma_u, hs.sigma_v) - 1j * hs.sigma_w),
+        _norms(mul(hs.sigma_v, hs.sigma_w) - 1j * hs.sigma_u),
+        _norms(mul(hs.sigma_w, hs.sigma_u) - 1j * hs.sigma_v),
         heisenberg.closed_form_residual(f),
         heisenberg.rotation_residual(f, phi),
         heisenberg.equivalence_residual(f, phi),
@@ -262,7 +273,7 @@ def _collinear(fields):
 def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, phi):
     # frame-level parts: the composed spinor of a single plane wave along
     # `direction`, and I rotated about it
-    chi = frames.compose_spinor(frames.mapping_matrix(frames.build_frame(direction, i_vec)), alpha)
+    chi = frames._compose(frames.mapping_matrix(frames.build_frame(direction, i_vec)), alpha)
     i_rot = algebra._apply(rotations._so3(direction, phi), i_vec)
     n = len(i_vec)
     # the public evaluators under test, one call per block of stacked packets

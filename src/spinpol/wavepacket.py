@@ -16,17 +16,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _g17
-from .algebra import _check_spinor, _check_unit, _density_and_spin, _first, _frozen, _item, _norm, _single
+from .algebra import _check_spinor, _check_unit, _checked_axis, _density_and_spin, _first, _frozen, _item
+from .algebra import _norm, _single
 from .frames import (
     DEFAULT_REFERENCES,
     DegenerateFrame,
     ReferenceAnnihilated,
     ReferenceSpinors,
     _bits,
+    _compose,
     _Last,
     _read_only,
     build_frame,
-    compose_spinor,
     mapping_matrix,
 )
 from .heisenberg import _checked_phase
@@ -39,10 +40,11 @@ NORM_TOL = 1e-9
 # bytes of one block of complex phase factors in the dense plane-wave sum
 DENSE_BLOCK_BYTES = 32 * 2**20
 # frames (packets x samples) per block of _frame_blocks, which every per-sample
-# pipeline walks, and per total_spin call of a sweep: it bounds their memory.
-# 8-step sweeps of 729 samples took 7.6, 6.0, 5.1, 5.2 and 5.0 ms at 1024, 2048,
-# 3000 (4 steps a call), 4096 and 8192 frames (p10 of 200 interleaved runs in
-# one process); 8192 raised the benchmark's peak RSS by 5 MB
+# pipeline walks, and packets per total_spin call of a sweep: it bounds their
+# memory.  8-step sweeps of 729 samples, then run as calls of budget // 729
+# steps, took 7.6, 6.0, 5.1, 5.2 and 5.0 ms at 1024, 2048, 3000, 4096 and 8192
+# frames (p10 of 200 interleaved runs in one process); 8192 raised the
+# benchmark's peak RSS by 5 MB
 _FRAME_BUDGET = 3000
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
 # 4.1 MB however long the table, and 1024 or 4096 rows wrote the default field
@@ -313,6 +315,8 @@ def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn, keep=False):
                 message = f"{where}: {exc}; choose references valid on the whole spectrum support"
             raise type(exc)(message, index) from exc
         yield slice(lo, lo + per), block
+        # a block is freed before the next is built, once the caller drops it too
+        del frame, block
 
 
 def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.ndarray:
@@ -334,7 +338,7 @@ def sample_spinors(spec: Spectrum, cfg: PacketConfig, branch: int = 0) -> np.nda
     alpha = cfg.alpha[..., None, :]
     for samples, varpi in _frame_blocks(spec, cfg, mapping_matrix, keep=True):
         # branch +1 and -1 take the columns 0 and 1 of varpi, chi+ and chi-
-        out[..., samples, :] = varpi[..., (1 - branch) // 2] if branch else compose_spinor(varpi, alpha)
+        out[..., samples, :] = varpi[..., (1 - branch) // 2] if branch else _compose(varpi, alpha)
     return out
 
 
@@ -569,6 +573,8 @@ def total_spin(spec: Spectrum, cfg: PacketConfig) -> np.ndarray:
         # in index order, as one running total whatever the budget
         rows[..., 0, :] += total
         total = np.add.reduce(rows, axis=-2)
+        # dropped before _frame_blocks builds the next block
+        del frame, e
     return 0.5 * cfg.hbar * total
 
 
@@ -577,19 +583,21 @@ def total_spin_i_sweep(spec: Spectrum, cfg: PacketConfig, axis, n_steps: int):
 
     Returns (phis, spins): n_steps angles uniform on [0, 2 pi) and the total
     spin at each rotated characterization vector.  The steps run as batches of
-    packets, at most _FRAME_BUDGET frames (steps x samples) per call, so memory
-    does not grow with n_steps.  A geometry error names the sweep step.
+    up to _FRAME_BUDGET packets per total_spin call, which walks the samples in
+    blocks of _FRAME_BUDGET frames (steps x samples), so memory does not grow
+    with n_steps and each block's sample directions serve all its steps.  A
+    geometry error names the sweep step.
     """
     batch = _batch_shape(spec, cfg)
     if batch:
         raise ValueError(f"total_spin_i_sweep takes one packet, got a batch of shape {batch}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    axis = _single("axis", _check_unit("axis", axis))
+    axis = _single("axis", _checked_axis("axis", axis))
     phis = 2.0 * np.pi * np.arange(n_steps) / n_steps
     i_rots = _so3(axis, phis) @ cfg.i_vec
     spins = np.empty((n_steps, 3))
-    per = max(1, _FRAME_BUDGET // len(spec))
+    per = _FRAME_BUDGET
     for lo in range(0, n_steps, per):
         steps = slice(lo, lo + per)
         try:

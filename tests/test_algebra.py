@@ -11,8 +11,9 @@ from spinpol import (
     so3_rotation,
     spv,
     su2_rotation,
+    verify,
 )
-from spinpol.algebra import PAULI, _bilinear, _check_spinor, _check_unit
+from spinpol.algebra import PAULI, _bilinear, _check_spinor, _check_unit, _mul
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -80,6 +81,32 @@ def test_sigma_product_expansion_and_anticommutation():
         assert np.linalg.norm(sigma_product(a, b) - expansion) < 1e-12
         anti = sigma_product(a, b) + sigma_product(b, a)
         assert np.linalg.norm(anti - 2.0 * np.dot(a, b) * eye) < 1e-12
+
+
+def test_sigma_product_is_the_elementwise_kernel_for_one_pair_and_a_batch():
+    rng = np.random.default_rng(26)
+    a, b = rng.normal(size=(2, 200, 3))
+    batch = sigma_product(a, b)
+    assert batch.tobytes() == _mul(dot_sigma(a), dot_sigma(b)).tobytes()
+    for j in range(len(a)):
+        assert sigma_product(a[j], b[j]).tobytes() == batch[j].tobytes(), j
+
+
+def test_sigma_product_agrees_with_matmul():
+    rng = np.random.default_rng(27)
+    a, b = rng.normal(size=(2, 10**4, 3))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    b /= np.linalg.norm(b, axis=-1, keepdims=True)
+    gap = np.abs(sigma_product(a, b) - np.matmul(dot_sigma(a), dot_sigma(b)))
+    assert gap.max() <= 1e-15
+
+
+def test_closed_form_determinant_and_trace_agree_with_numpy():
+    # entries uniform on the unit disc, as the Heisenberg matrices' are bounded
+    rng = np.random.default_rng(28)
+    m = np.sqrt(rng.random((10**4, 2, 2))) * np.exp(2j * np.pi * rng.random((10**4, 2, 2)))
+    assert np.abs(verify._det(m) - np.linalg.det(m)).max() <= 1e-15
+    assert np.abs(verify._trace(m) - np.trace(m, axis1=-2, axis2=-1)).max() <= 1e-15
 
 
 @pytest.mark.parametrize(

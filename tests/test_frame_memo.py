@@ -316,6 +316,40 @@ def test_the_residuals_share_the_frames_check(counted):
     assert sorted(name for name, _ in counted) == ["_cross_check"] * 2 + ["_eigen_pair"] * 2
 
 
+def test_a_kept_mapping_is_checked_unitary_once(monkeypatch):
+    checked = []
+    unitary = frames._unitary
+
+    def recorded(varpi):
+        checked.append(varpi.shape)
+        return unitary(varpi)
+
+    monkeypatch.setattr(frames, "_unitary", recorded)
+    frame = build_frame(*FRAMES["block"])
+    alpha = np.array([0.6, 0.8j])
+    spec = Spectrum(k=[[0.3, 0.0, 2.0], [0.0, 0.4, 2.0]], amplitude=[0.6, 0.8], weight=[1.0, 1.0])
+    cfg = PacketConfig(i_vec=np.array([1.0, 0.0, 0.0]), alpha=alpha)
+    for _ in range(2):
+        rotations.spv_rotation_residual(frame, np.full((2, 50), 0.7), alpha)
+        expectation_spv_residual(frame, alpha)
+        sample_spinors(spec, cfg)
+    # the frame's mapping, its rotated frame's and the kept spectrum block's
+    assert checked == [(2, 50, 2, 2)] * 2 + [(2, 2, 2)]
+    # a matrix the caller passes to compose_spinor is checked on every call
+    for _ in range(2):
+        frames.compose_spinor(mapping_matrix(frame), alpha)
+    assert checked[3:] == [(2, 50, 2, 2)] * 2
+
+
+def test_a_mapping_that_is_not_unitary_fails_when_derived(monkeypatch):
+    monkeypatch.setattr(frames.EigenPair, "mapping", property(lambda pair: np.full((2, 2), 0.5 + 0j)))
+    frame = build_frame(*FRAMES["single"])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mapping matrix must be unitary"):
+            mapping_matrix(frame)
+    assert (frames._mapping, DEFAULT_REFERENCES) not in frame._cache
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Frames passed out of build_frame, under each name the library calls it by."""

@@ -236,6 +236,22 @@ def test_rotations_reject_non_unit_axis():
         su2_rotation([0.0, 0.0, 0.5], 0.3)
 
 
+@pytest.mark.parametrize("scale", [1.0 + 9.99e-10, 1.0 - 9.99e-10])
+def test_an_accepted_off_unit_axis_rotates_to_rounding(scale):
+    # |axis| within EPS_INPUT = 1e-9 of 1 passes the input check; the rotations
+    # are built on axis / |axis|.  Unscaled, R was off orthogonal and U off
+    # unitary by about 1e-9, and correspondence_residual read 2.8e-9
+    axis = np.array([0.6, 0.0, 0.8]) * scale
+    unit = axis / np.linalg.norm(axis)
+    r, u = so3_rotation(axis, 1.1), su2_rotation(axis, 1.1)
+    assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-15
+    assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-15
+    assert r.tobytes() == so3_rotation(unit, 1.1).tobytes()
+    assert u.tobytes() == su2_rotation(unit, 1.1).tobytes()
+    a = np.array([0.3, -1.2, 0.7])
+    assert correspondence_residual(axis, 2.3, a) <= 4e-15 * np.linalg.norm(a)
+
+
 def _random_batch(rng, n=50):
     frames = [random_frame(rng) for _ in range(n)]
     batch = build_frame(np.array([f.w for f in frames]), np.array([f.i_vec for f in frames]))

@@ -520,6 +520,59 @@ def test_sweep_memory_is_bounded_by_the_frame_budget():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_total_spin_frees_each_block_before_the_next():
+    import tracemalloc
+
+    # 8 packets against 729 samples run as two sample blocks; with the first
+    # block still held while the second was built, the peak was 1.17x that
+    # of the first block alone
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    per = wavepacket._FRAME_BUDGET // 8
+    assert per < len(spec)
+    amp = spec.amplitude[:per] / np.sqrt(np.sum(spec.weight[:per] * np.abs(spec.amplitude[:per]) ** 2))
+    first = Spectrum(k=spec.k[:per], amplitude=amp, weight=spec.weight[:per])
+    i_vecs = np.array([[0.0, np.sin(a), np.cos(a)] for a in np.linspace(0.3, 1.2, 8)])
+    cfg = packet(i_vec=i_vecs, alpha=np.array([0.6, 0.8j]))
+    peaks = []
+    for s in (first, spec):
+        total_spin(s, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            total_spin(s, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_an_eight_step_sweep_is_one_total_spin_call(monkeypatch):
+    # the budget bounds the steps per call; _frame_blocks splits the spectrum
+    # by samples, so each block's directions serve all eight steps
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    cfg = packet(i_vec=[0.0, 0.6, 0.8], alpha=np.array([0.6, 0.8j]))
+    calls = []
+
+    def counted(spec, cfg):
+        calls.append(cfg.i_vec.shape)
+        return total_spin(spec, cfg)
+
+    monkeypatch.setattr(wavepacket, "total_spin", counted)
+    total_spin_i_sweep(spec, cfg, Y, 8)
+    assert calls == [(8, 3)]
+
+
+def test_a_sweep_accepts_an_off_unit_axis_and_i_vec():
+    # each off unit by just under EPS_INPUT: rotated about the axis as given,
+    # I came out off unit by 2.4e-9 and the sweep raised ValueError
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 4.0)
+    cfg = packet(i_vec=np.array([0.6, 0.0, 0.8]) * (1.0 + 9.99e-10), alpha=np.array([1.0, 0.0]))
+    axis = np.array([0.6, 0.0, 0.8]) * (1.0 - 9.99e-10)
+    phis, spins = total_spin_i_sweep(spec, cfg, axis, 8)
+    _, unit = total_spin_i_sweep(spec, cfg, axis / np.linalg.norm(axis), 8)
+    assert spins.tobytes() == unit.tobytes()
+
+
 @pytest.mark.parametrize("budget", [4, 6, 2048])
 def test_sweep_geometry_error_names_the_step(budget, monkeypatch):
     # I = x rotated about y through step 2's pi/2 is -z, antiparallel to sample
