@@ -108,6 +108,9 @@ def _checked_axis(name, vec):
     vec, off = _checked_unit(name, vec)
     if np.count_nonzero(off > _UNIT_OFF):
         vec = vec / np.where(off > _UNIT_OFF, _norm(vec), 1.0)[..., None]
+        # only this new array is made read-only, so a Frame keeps it without a
+        # copy (_frozen); the caller's array is copied there
+        vec.flags.writeable = False
     return vec
 
 

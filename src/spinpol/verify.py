@@ -273,7 +273,7 @@ def _collinear(fields):
 def _check_wavepacket(i_vec, direction, alpha, x, t, d2, phase, mags, amp, weight, phi):
     # frame-level parts: the composed spinor of a single plane wave along
     # `direction`, and I rotated about it
-    chi = frames._compose(frames.mapping_matrix(frames.build_frame(direction, i_vec)), alpha)
+    chi = frames.compose_spinor(frames.mapping_matrix(frames.build_frame(direction, i_vec)), alpha)
     i_rot = algebra._apply(rotations._so3(direction, phi), i_vec)
     n = len(i_vec)
     # the public evaluators under test, one call per block of stacked packets

@@ -587,3 +587,18 @@ def test_a_unit_axis_keeps_its_bits():
     f = build_frame(w, X)
     assert f.w.tobytes() == w.tobytes()
     assert build_frame(f.w, X).u.tobytes() == f.u.tobytes()
+
+
+def test_a_renormalized_axis_is_kept_without_a_copy(monkeypatch):
+    # the w / |w| built for an off-unit w is read-only, so the frame keeps
+    # that array; the caller's w stays writable and unchanged
+    from spinpol import frames
+
+    made = []
+    checked_axis = frames._checked_axis
+    monkeypatch.setattr(frames, "_checked_axis", lambda name, vec: made.append(checked_axis(name, vec)) or made[-1])
+    w = np.array([0.6, 0.0, 0.8]) * (1.0 + 9e-10)
+    given = w.copy()
+    f = build_frame(w, X)
+    assert f.w is made[0] and not f.w.flags.writeable
+    assert w.flags.writeable and w.tobytes() == given.tobytes()

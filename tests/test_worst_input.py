@@ -8,17 +8,18 @@ rejection (DegenerateFrame, ReferenceAnnihilated) counts as no move, and a NaN
 residual scores +inf.  With |w| "free", w is off unit by up to EPS_INPUT, as
 the input checks accept; with it "fixed", w is normalized in floating point.
 
-Tier-1 runs one seed and a few steps.  For a longer search, run
+Tier-1 runs one seed, 64 triples and 30 steps, and replays the worst input
+the longer searches found.  The longer search,
 
-    python tests/test_worst_input.py --steps 300
+    python tests/test_worst_input.py
 
-which prints each law's worst input as one replayable line and exits 1 when
-any reaches its bound.  The line's replay(...) call gives the input's score
-again, from the tests directory: python -c "from test_worst_input import
-replay; print(replay(...))".
+runs 512 triples for 300 steps at seeds 0, 1 and 2 per law and mode, prints
+each law's worst input as one replayable line and exits 1 when any reaches
+its bound.  The line's replay(...) call gives the input's score again, from
+the tests directory: python -c "from test_worst_input import replay;
+print(replay(...))".
 """
 
-import argparse
 import sys
 
 import numpy as np
@@ -129,14 +130,14 @@ def _scores(name, w, i_vec, phi):
     return score
 
 
-def search(name, mode, seed=SEED, steps=STEPS):
-    """Hill-climb a population; return the worst score and its (w, I, phi)."""
+def search(name, mode, seed=SEED, steps=STEPS, population=POPULATION):
+    """Hill-climb a population of triples; return the worst score and its (w, I, phi)."""
     rng = np.random.default_rng([seed, list(LAWS).index(name), MODES.index(mode)])
-    angles = rng.uniform(0.0, 4.0 * np.pi, (POPULATION, 2))
-    x = np.concatenate([rng.normal(size=(POPULATION, 6)), angles], axis=1)
+    angles = rng.uniform(0.0, 4.0 * np.pi, (population, 2))
+    x = np.concatenate([rng.normal(size=(population, 6)), angles], axis=1)
     score = _scores(name, *_inputs(x, mode))
     for _ in range(steps):
-        scale = 10.0 ** rng.uniform(-8.0, 0.0, (POPULATION, 1))
+        scale = 10.0 ** rng.uniform(-8.0, 0.0, (population, 1))
         y = x + scale * rng.normal(size=x.shape)
         moved = _scores(name, *_inputs(y, mode))
         better = moved > score
@@ -167,15 +168,28 @@ def test_no_searched_input_reaches_the_bound(name, mode):
     assert replay(name, *inputs) == score
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--steps", type=int, default=10 * STEPS)
-    args = parser.parse_args(argv)
+# the worst input a longer search found: 512 triples, 300 steps, seeds 0-11
+KNOWN = {
+    "rotation_residual_x_cross": (
+        [-0.7172371065649654, 0.6859842068362558, -0.12246061581176534],
+        [0.4482054813150405, 0.7816251880078304, -0.43379017046364315],
+        5.216786070919726,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KNOWN)
+def test_the_worst_known_input_stays_under_the_bound(name):
+    assert replay(name, *KNOWN[name]) <= 1.0
+
+
+def main():
     failed = False
     for name in LAWS:
         for mode in MODES:
-            score, inputs = search(name, mode, args.seed, args.steps)
+            # the effort of the search that first measured these laws
+            runs = [search(name, mode, seed, 10 * STEPS, 8 * POPULATION) for seed in range(3)]
+            score, inputs = max(runs, key=lambda run: run[0])
             print(_line(name, mode, score, inputs), flush=True)
             failed |= not -np.inf < score <= 1.0
     return int(failed)
