@@ -1,7 +1,9 @@
 """Fixed-size spin-1/2 kernel: Pauli matrices and bilinears, the spin polarization vector and input checks.
 
 The unit-vector and spinor checks that every module uses live here; they take
-one vector or an (..., n) array of them and fail on NaN.
+one vector or an (..., n) array of them and fail on NaN.  Norms and inner
+products are the plain sums over the last axis, so one vector gets the bits
+it gets inside a batch.
 """
 
 import contextlib
@@ -42,11 +44,13 @@ def _rows(a, ndim=None):
     """The (..., n) array a as an (n, ...) view: one row per component of the last axis.
 
     Given ndim, a first gets leading unit axes up to ndim, so that the rows of
-    arrays that broadcast together broadcast together.  np.add.reduce adds an
-    axis of at most 7 entries in index order from +0.0, whichever axis it is;
-    summing components as the leading axis of rows made contiguous (products
-    with order="C") makes each addition one pass over the whole batch, where
-    over the last axis of (..., n) arrays it is a loop of n per vector.
+    arrays that broadcast together broadcast together.  Only build_frame and
+    frames._eigen_pair work on rows, where it pays: each product or quotient
+    of components is one elementwise pass over the whole block.  Their sums
+    reduce the leading axis of rows made contiguous (products with
+    order="C"); np.add.reduce adds an axis of at most 7 entries in index
+    order from +0.0 whichever axis it is, so they keep the bits of the sum
+    over the last axis that the other kernels take.
     """
     if ndim is not None and ndim > a.ndim:
         a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
@@ -56,11 +60,7 @@ def _rows(a, ndim=None):
 def _norm(a, axis=-1):
     # Frobenius norm over any tuple of axes: np.linalg.norm refuses more than
     # two, and heisenberg reduces the (3, 2, 2) components at once
-    if axis != -1:
-        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
-    rows = _rows(a)
-    bra = rows.conj() if rows.dtype.kind == "c" else rows
-    return np.sqrt(np.add.reduce(np.multiply(bra, rows, order="C").real, axis=0))
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
 def _off_unit(a):
@@ -126,8 +126,7 @@ def _check_spinor(name, chi):
 
 def _vdot(a, b):
     """Inner product a^dag b over the last axis, broadcast over the rest."""
-    ndim = max(a.ndim, b.ndim)
-    return np.add.reduce(np.multiply(_rows(a, ndim).conj(), _rows(b, ndim), order="C"), axis=0)
+    return np.add.reduce(a.conj() * b, axis=-1)
 
 
 def _apply(m, chi):

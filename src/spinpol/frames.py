@@ -11,14 +11,12 @@ are (..., 3) arrays and spinors (..., 2) arrays, and a single frame is the
 batch whose leading shape is ().  A single frame gets plain Python scalars
 where a batch gets arrays of them.
 
-The arithmetic runs on components.  A (..., 3) array is viewed as (3, ...)
-rows (algebra._rows), so each product, difference or quotient is one
-elementwise pass over the whole block, and a sum over the components reduces
-the leading axis of rows made contiguous.  np.add.reduce adds an axis of at
-most 7 entries in index order from +0.0 whichever axis it is, so the sums
-keep the bits of sums over the last axis, which ran a loop of three per
-frame.  The results are written back into (..., 3) and (..., 2) arrays, and
-one frame gets the bits it gets inside a block.
+The frame chain is the paper's formulas on arrays: w+- = (u + iv)/sqrt2 and
+(v + iu)/sqrt2, c = sqrt2 exp(i phi0), norms and dots summed over the last
+axis.  Only build_frame and the eigenpair (_eigen_pair) work on (3, ...) rows
+(algebra._rows), which makes each product one pass over the whole block;
+their sums keep the bits of sums over the last axis, and one frame gets the
+bits it gets inside a block.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +33,6 @@ EPS_PARALLEL = 1e-8
 EPS_LADDER = 1e-8
 
 SQRT2 = np.sqrt(2.0)
-# z / SQRT2 is z times this reciprocal in numpy's complex division
 _INV_SQRT2 = 1.0 / SQRT2
 
 
@@ -107,9 +104,9 @@ class Frame:
     shape (..., 3).  All four are read-only: the frame keeps a copy of any
     array the caller could still change.  The frame computes what it derives
     for a reference pair (the eigenpair, the mapping matrix, the
-    cross-checked phase, the closed-form Heisenberg matrices and their
-    Cartesian components) once, on first use, and keeps it.  Two frames are
-    equal only if they are the same object.
+    cross-checked phase and the Cartesian components of the Heisenberg
+    matrices) once, on first use, and keeps it.  Two frames are equal only if
+    they are the same object.
     """
 
     w: np.ndarray
@@ -232,16 +229,7 @@ def build_frame(w, i_vec) -> Frame:
 
 def complex_basis(frame: Frame):
     """Complex unit vectors w+ = (u + iv)/sqrt2 and w- = (v + iu)/sqrt2."""
-    # the bits of numpy's (u + 1j v) / SQRT2, signed zeros included, written
-    # part by part for both vectors at once: the imaginary part is v/sqrt2 + 0
-    # and the real part u/sqrt2 + 0 * (imaginary part)
-    basis = np.empty((2,) + frame.u.shape, dtype=complex)
-    re, im = basis.real, basis.imag
-    np.multiply(frame.u, _INV_SQRT2, out=re[0])
-    np.multiply(frame.v, _INV_SQRT2, out=re[1])
-    np.add(re[::-1], 0.0, out=im)
-    re += 0.0 * im
-    return basis[0], basis[1]
+    return (frame.u + 1j * frame.v) / SQRT2, (frame.v + 1j * frame.u) / SQRT2
 
 
 def ladder_operators(frame: Frame):
@@ -342,7 +330,7 @@ def _ladder_constant(a, chi_to, chi_from):
     # np.multiply, not `*`: above 256 KiB numpy may compute `a * temporary` in
     # place as temporary * a, and a complex product with fused multiply-adds
     # is not bitwise commutative
-    return np.add.reduce(np.multiply(_rows(a), _rows(_bilinear(chi_to, chi_from)), order="C"), axis=0)
+    return np.add.reduce(np.multiply(a, _bilinear(chi_to, chi_from)), axis=-1)
 
 
 def ladder_constants(frame: Frame, ref: ReferenceSpinors = DEFAULT_REFERENCES):

@@ -112,13 +112,8 @@ def _read_block(rng, count, steps):
 
 
 def _norms(x):
-    """2-norm of each case's entries: (n, ...) to (n,).
-
-    np.linalg.norm's own formula for one axis, without its argument handling,
-    which cost more than the arithmetic on a block of cases.
-    """
-    x = x.reshape(len(x), -1)
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+    """2-norm of each case's entries: (n, ...) to (n,)."""
+    return algebra._norm(x.reshape(len(x), -1))
 
 
 def _dagger(m):

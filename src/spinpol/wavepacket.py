@@ -443,13 +443,23 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     One packet's points take the per-axis sum when they and the spectrum are
     tensor grids, and the dense sum otherwise.  Both paths are deterministic,
     so repeated calls give identical results.
-    Raises ValueError for a time or a point that is not finite.
+    Raises ValueError for a time or a point that is not finite, and for
+    phases k.x - omega t that may overflow, which would make every sum NaN.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(t, dtype=float)
-    if not (np.isfinite(points).all() and np.isfinite(t).all()):
+    # the largest |k_a|, |x_a| and |t|, each NaN or inf if some entry is
+    k_max, x_max, t_max = (float(np.abs(a).max(initial=0.0)) for a in (spec.k, points, t))
+    if not (x_max < math.inf and t_max < math.inf):
         bad = points[~np.isfinite(points).all(axis=-1)].tolist()
         raise ValueError(f"time t and every point must be finite, got t = {t}, points {bad}")
+    # bounds on |k.x| and omega |t|, as |k|^2 <= 3 k_max^2; written so that NaN fails it
+    kx, omega_t = 3.0 * k_max * x_max, 3.0 * cfg.hbar * k_max * k_max / (2.0 * cfg.mu) * t_max
+    if not kx + omega_t < math.inf:
+        raise ValueError(
+            f"plane-wave phases overflow: |k.x| up to {kx:.3g} and omega |t| up to "
+            f"{omega_t:.3g}; choose a smaller time or grid"
+        )
     coeff = (spec.weight * spec.amplitude)[..., None] * spinors
     # one point costs less densely than the grid detection would, and only a
     # single packet's points (m, 3) can form a grid

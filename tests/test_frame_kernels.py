@@ -1,17 +1,19 @@
-"""The frame chain's kernels against the array formulas they replace, bit for bit.
+"""The frame chain's kernels against the plain array formulas, bit for bit.
 
-build_frame, complex_basis, eigen_spinors, algebra._norm, algebra._vdot and
-the ladder constant compute their (..., 3) and (..., 2) components as (n, ...)
-rows, one elementwise pass per operation over the whole batch, and sum the
-components by reducing the leading axis.  The references are array formulas
-on the last axis: np.cross, np.add.reduce over the last axis, the complex
-division by sqrt2, the chart eigenspinors of w.sigma written for every frame
-and picked with np.where, and total_spin's broadcast (..., 3) expectation
-rows.  Every result keeps their bits, signed zeros included, on random
-frames, on the near-parallel shell down to |w x I| = 2e-8, on axis-aligned
-frames with exact zeros, and with either reference pair, and one frame alone
-gets the bits it gets inside a block.  The cross-check's phase e and deviation
-keep the bits of np.exp(1j phi0) and of squares taken into a new array.
+build_frame and eigen_spinors compute their (..., 3) and (..., 2) components
+as (n, ...) rows, one elementwise pass per operation over the whole batch,
+and sum the components by reducing the leading axis; the cross-check writes
+its phase e as a cosine and a sine.  complex_basis, algebra._norm,
+algebra._vdot and the ladder constant are the plain formulas themselves.
+The references are array formulas on the last axis: np.cross, np.add.reduce
+over the last axis, the complex division by sqrt2, the chart eigenspinors of
+w.sigma written for every frame and picked with np.where, np.exp(1j phi0)
+and total_spin's broadcast (..., 3) expectation rows.  Every result keeps
+their bits, signed zeros included, on random frames, on the near-parallel
+shell down to |w x I| = 2e-8, on axis-aligned frames with exact zeros, and
+with either reference pair, and one frame alone gets the bits it gets inside
+a block.  The cross-check's deviation keeps the bits of squares taken into a
+new array.
 """
 
 import itertools

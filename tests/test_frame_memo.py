@@ -1,8 +1,8 @@
 """A frame computes what it derives for a reference pair once.
 
 Frame._derived keeps the eigenpair, the mapping matrix, the cross-checked
-phase, the closed-form Heisenberg matrices and their Cartesian components
-under the reference pair object that gave them.  Every later call with that
+phase and the Cartesian components of the Heisenberg matrices under the
+reference pair object that gave them.  Every later call with that
 object returns the same read-only result, and no other object, equal or not,
 can reach it.  A call that raises stores nothing.
 
@@ -120,8 +120,8 @@ def test_an_equal_but_distinct_reference_pair_gets_its_own_entry(counted):
     twin_pair = eigen_spinors(frame, twin)
     assert twin_pair is not pair and len(counted) == 2
     assert _bits(_results(frame, twin)) == _bits(_results(frame, ref))
-    # the eigenpair, the mapping, the cross-check and the closed forms of each pair
-    assert len(frame._cache) == 8
+    # the eigenpair, the mapping and the cross-check of each pair
+    assert len(frame._cache) == 6
     assert {key[1] for key in frame._cache} == {ref, twin}
     assert eigen_spinors(frame, twin) is twin_pair and eigen_spinors(frame, ref) is pair
 
@@ -167,28 +167,33 @@ def _bypass_cache(monkeypatch):
 
 @pytest.mark.parametrize("ref_name", REFERENCES)
 @pytest.mark.parametrize("shape", FRAMES)
-def test_the_mapping_closed_forms_and_components_are_kept_read_only(shape, ref_name, monkeypatch):
+def test_the_mapping_checked_phase_and_components_are_kept_read_only(shape, ref_name, monkeypatch):
     ref = REFERENCES[ref_name]
     frame = build_frame(*FRAMES[shape])
-    hs = heisenberg_sigma(frame, ref)
-    kept = [mapping_matrix(frame, ref), hs.sigma_u, hs.sigma_v, hs.sigma_w, heisenberg._cartesian(frame, ref)]
-    # later calls return the same arrays; each call makes a new HeisenbergSigma of them
-    again = heisenberg_sigma(frame, ref)
-    assert again is not hs and again.sigma_u.base is hs.sigma_u.base
+    pair, checked = eigen_spinors(frame, ref), _checked_phase(frame, ref)
+    kept = [mapping_matrix(frame, ref), checked[0], heisenberg._cartesian(frame, ref)]
+    # later calls return the same objects
+    assert eigen_spinors(frame, ref) is pair and _checked_phase(frame, ref) is checked
     assert mapping_matrix(frame, ref) is kept[0] and heisenberg._cartesian(frame, ref) is kept[-1]
     for x in kept:
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0.0
+    # each heisenberg_sigma call builds its matrices anew from the kept phase
+    hs = heisenberg_sigma(frame, ref)
+    sigmas = _bits([hs.sigma_u, hs.sigma_v, hs.sigma_w])
+    hs.sigma_u[...] = 0.0
+    again = heisenberg_sigma(frame, ref)
+    assert again.phi0 is hs.phi0 and _bits([again.sigma_u, again.sigma_v, again.sigma_w]) == sigmas
     # the same bits as a fresh frame's, computed with the cache bypassed, and
     # as EigenPair.mapping and HeisenbergSigma.cartesian, which build anew
     _bypass_cache(monkeypatch)
     other = build_frame(*FRAMES[shape])
     fresh_hs = heisenberg_sigma(other, ref)
-    fresh = [mapping_matrix(other, ref), fresh_hs.sigma_u, fresh_hs.sigma_v, fresh_hs.sigma_w]
-    fresh.append(heisenberg._cartesian(other, ref))
+    fresh = [mapping_matrix(other, ref), _checked_phase(other, ref)[0], heisenberg._cartesian(other, ref)]
     assert other._cache == {}
     assert _bits(kept) == _bits(fresh)
-    assert _bits([eigen_spinors(frame, ref).mapping, hs.cartesian()]) == _bits([kept[0], kept[-1]])
+    assert _bits([fresh_hs.sigma_u, fresh_hs.sigma_v, fresh_hs.sigma_w]) == sigmas
+    assert _bits([pair.mapping, again.cartesian()]) == _bits([kept[0], kept[-1]])
 
 
 def _leaves(x):
@@ -225,8 +230,8 @@ def test_a_frame_and_all_it_derives_are_freed_without_the_garbage_collector():
 def test_replaced_and_rotated_frames_start_with_empty_caches():
     frame = build_frame(*FRAMES["block"])
     _results(frame, DEFAULT_REFERENCES)
-    # the eigenpair, the mapping, the cross-check and the closed forms
-    assert len(frame._cache) == 4
+    # the eigenpair, the mapping and the cross-check
+    assert len(frame._cache) == 3
     copy = replace(frame)
     rotated = rotate_characterization(frame, 0.7)
     for other in (copy, rotated, replace(frame, v=-frame.v)):

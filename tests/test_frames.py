@@ -28,7 +28,7 @@ from spinpol import (
     rotation_residual,
     spv_rotation_residual,
 )
-from spinpol.algebra import _rows
+from spinpol.algebra import _UNIT_OFF, _off_unit, _rows
 from spinpol.frames import EPS_PARALLEL, Frame, _cross_rows
 
 X = np.array([1.0, 0.0, 0.0])
@@ -602,3 +602,31 @@ def test_a_renormalized_axis_is_kept_without_a_copy(monkeypatch):
     f = build_frame(w, X)
     assert f.w is made[0] and not f.w.flags.writeable
     assert w.flags.writeable and w.tobytes() == given.tobytes()
+
+
+@pytest.mark.parametrize(
+    "center", [_UNIT_OFF, 9e-10, -9e-10], ids=["unit_off", "plus_9e-10", "minus_9e-10"]
+)
+def test_one_axis_alone_and_in_a_block_get_the_same_off_and_renormalization(center):
+    # _off_unit measures one vector in Python floats and a block with
+    # algebra._norm; build_frame renormalizes w where that off exceeds
+    # _UNIT_OFF, so both must read the same bits
+    rng = np.random.default_rng(38)
+    steps = np.arange(-24, 25) * np.finfo(float).eps
+    w = _random_units(rng, 8)[:, None, :] * (1.0 + center + steps)[:, None]
+    w = w.reshape(-1, 3)
+    i_vec = np.cross(w, _random_units(rng, len(w)))
+    i_vec /= np.linalg.norm(i_vec, axis=-1, keepdims=True)
+    off = _off_unit(w)[0]
+    block = build_frame(w, i_vec)
+    kept = np.all(block.w == w, axis=-1)
+    assert list(kept) == list(off <= _UNIT_OFF)
+    if center == _UNIT_OFF:
+        assert kept.any() and not kept.all()
+    else:
+        assert not kept.any()
+    for j in range(len(w)):
+        assert _off_unit(w[j])[0] == off[j], j
+        one = build_frame(w[j], i_vec[j])
+        assert (one.w.tobytes(), one.u.tobytes(), one.v.tobytes()) == (
+            block.w[j].tobytes(), block.u[j].tobytes(), block.v[j].tobytes()), j

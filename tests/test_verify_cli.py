@@ -734,6 +734,15 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_cli_field_time_whose_phases_overflow_is_config_error(tmp_path, capsys):
+    # omega t = 12.5e308 is not finite: every row was NaN, with exit 0
+    out = tmp_path / "field.csv"
+    assert cli.main(["field", "--grid-n", "5", "--time", "1e308", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: plane-wave phases overflow") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_unknown_ref_in_config_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"ref": "bogus"}))

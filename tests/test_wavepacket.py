@@ -862,6 +862,24 @@ def test_plane_wave_evaluators_reject_non_finite_input(bad, message):
         spin_field(spec, packet(), points, t)
 
 
+@pytest.mark.parametrize("where", ["time", "point"])
+def test_plane_wave_evaluators_reject_phases_that_overflow(where):
+    # omega |t| or |k| |x| past the float range turned every sum into NaN,
+    # with RuntimeWarnings (errors under this suite's pytest settings) and,
+    # from spin_field, all-node rows
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 3, 2.0)
+    points, _ = position_grid(3, 1.0)
+    x, t = (points[4], 1e308) if where == "time" else (np.array([0.0, 0.0, 1e308]), 0.5)
+    grid = points if where == "time" else np.stack([points[4], x])
+    with pytest.raises(ValueError, match="plane-wave phases overflow"):
+        evaluate_wavefunction(spec, packet(), x, t)
+    with pytest.raises(ValueError, match="plane-wave phases overflow"):
+        spin_field(spec, packet(), grid, t)
+    # large phases within the float range still evaluate
+    small = (points[4], 1e305) if where == "time" else (np.array([0.0, 0.0, 1e305]), 0.5)
+    assert np.isfinite(evaluate_wavefunction(spec, packet(), *small)).all()
+
+
 def _random_spectrum(rng, n_per_axis=3):
     spec = gaussian_spectrum(rng.normal(size=3) + [0.0, 0.0, 5.0], 0.5, n_per_axis, 3.0)
     phases = np.exp(2j * np.pi * rng.uniform(size=len(spec)))
