@@ -66,12 +66,13 @@ def _norm(a, axis=-1):
 def _off_unit(a):
     """||row| - 1| of each (..., n) row, and (where, |row|) of the first beyond EPS_INPUT or None."""
     # written so that NaN fails it
-    if a.ndim == 1 or a.size == a.shape[-1]:
-        # one vector, whatever its leading shape, in Python floats: the array
-        # path costs about 7 us more, and acceptance criterion 1's single-frame
-        # loop 1.3-1.5x the time; a block of one frame pays it per block.  A real
-        # vector's squares summed in order have the bits of _norm's
-        norm = math.sqrt(sum([(x * x.conjugate()).real for x in a.reshape(-1).tolist()]))
+    if a.dtype.kind != "c" and (a.ndim == 1 or a.size == a.shape[-1]):
+        # one real vector, whatever its leading shape, in Python floats: the
+        # array path costs about 7 us more, and acceptance criterion 1's
+        # single-frame loop 1.3-1.5x the time; a block of one frame pays it per
+        # block.  Its squares summed in order have the bits of _norm's; a
+        # complex product in Python need not, so one spinor takes _norm
+        norm = math.sqrt(sum([x * x for x in a.reshape(-1).tolist()]))
         off = abs(norm - 1.0)
         return off, None if off <= EPS_INPUT else (_where((0,) * (a.ndim - 1)), norm)
     # inf * 0 in an infinite complex entry's product would warn; the norm is inf

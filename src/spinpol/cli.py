@@ -234,13 +234,8 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(config=None, command=None):
-    """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults.
-
-    Given a subcommand name, only that subcommand's parser is built: its argv
-    parses to the same namespace, and its help, usage and error texts are the
-    same as with every subcommand built.
-    """
+def build_parser(config=None):
+    """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults."""
     # argparse builds a HelpFormatter for every flag it adds, and each one asks
     # the terminal for its width; ask once here instead.  With a width given,
     # argparse does not subtract its own 2 columns, so the texts are the same.
@@ -252,28 +247,51 @@ def build_parser(config=None, command=None):
         description="Spin polarization of a free spin-1/2 particle, characterized by a unit vector.",
         formatter_class=formatter,
     )
-    # the top-level usage names every subcommand, also when one is built.  Only
-    # then is the metavar given: argparse names the positional by its metavar
-    # in errors, and the full parser's "invalid choice" error says "command"
-    choices = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
     subs = parser.add_subparsers(
         dest="command",
         required=True,
-        metavar=choices,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
     )
-    for name in [command] if command else _SUBCOMMANDS:
-        spec = _SUBCOMMANDS[name]
-        sub = subs.add_parser(name, help=spec.help)
-        for add_flags in spec.flags:
-            add_flags(sub)
-        sub.add_argument("--config", help="flat JSON config; flags override file values")
-        sub.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
-                         help="random seed (default 1729)")
-        sub.add_argument("--out", default=spec.out, help="output path")
-        if config:
-            sub.set_defaults(**_typed(sub, config))
+    for name, spec in _SUBCOMMANDS.items():
+        _add_flags(subs.add_parser(name, help=spec.help), name, config)
     return parser
+
+
+def _add_flags(sub, name, config=None):
+    """The flags of subcommand `name` on parser `sub`, their defaults replaced by `config`."""
+    spec = _SUBCOMMANDS[name]
+    for add_flags in spec.flags:
+        add_flags(sub)
+    sub.add_argument("--config", help="flat JSON config; flags override file values")
+    sub.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
+                     help="random seed (default 1729)")
+    sub.add_argument("--out", default=spec.out, help="output path")
+    if config:
+        sub.set_defaults(**_typed(sub, config))
+
+
+class _Retry(Exception):
+    """A usage error or a help request of a one-subcommand parser."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The flags of one subcommand and nothing else; any argv it cannot parse raises _Retry.
+
+    It prints nothing: the full parser parses such an argv again and prints
+    its own help, usage and error texts.
+    """
+
+    def __init__(self, name):
+        # it never lays out a text, so its formatter need not ask the terminal
+        super().__init__(
+            prog=f"spinpol {name}", add_help=False,
+            formatter_class=functools.partial(argparse.HelpFormatter, width=80),
+        )
+        self.set_defaults(command=name)
+        _add_flags(self, name)
+
+    def error(self, message):
+        raise _Retry
 
 
 def _typed(sub, config):
@@ -309,18 +327,28 @@ def _typed(sub, config):
 
 def _parse(argv):
     argv = sys.argv[1:] if argv is None else argv
-    # an argv led by a subcommand builds that subcommand alone; any other
-    # (help, an unknown command, none) takes the full parser and its texts
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command=command).parse_args(argv)
-    if args.config is None:
-        return args
-    file_cfg = _load_config(args.config)
-    # the keys a config may set are the dests of the subcommand's own flags
-    unknown = sorted(set(file_cfg) - (set(vars(args)) - {"command", "config"}))
-    if unknown:
-        raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
-    return build_parser(file_cfg, command).parse_args(argv)
+    config = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        # an argv led by a subcommand builds one parser of that subcommand's
+        # flags, which parses again with the --config file's defaults
+        parser = _CommandParser(argv[0])
+        try:
+            args = parser.parse_args(argv[1:])
+            if args.config is None:
+                return args
+            config = _load_config(args.config)
+            # the keys a config may set are the dests of the subcommand's own flags
+            unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
+            if unknown:
+                raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
+            parser.set_defaults(**_typed(parser, config))
+            return parser.parse_args(argv[1:])
+        except _Retry:
+            pass
+    # help, a usage error, an unknown command or none: the full parser prints
+    # its text and exits with its code.  The one-subcommand parser rejects
+    # only what the full parser rejects too (tests/test_verify_cli.py)
+    return build_parser(config).parse_args(argv)
 
 
 def main(argv=None) -> int:

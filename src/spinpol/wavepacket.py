@@ -640,6 +640,7 @@ def position_grid(n_per_axis: int, half_span: float):
 def _csv_block(block):
     """ASCII CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
 
+    A block of fewer than _g17._KERNEL_MIN values is formatted value by value.
     A column with at least two rows per distinct value (grid coordinates, a
     constant time) formats each distinct value once.  Values are keyed by bit
     pattern, not by float value: -0.0 and 0.0 print differently.  Each column
@@ -649,9 +650,12 @@ def _csv_block(block):
     row instead of 8 x 45.
     """
     rows, cols = block.shape
+    if block.size < _g17._KERNEL_MIN:
+        # the bytes of the kernel's own small path, without its slot array
+        row = ",".join(["%.17g"] * cols) + "\n"
+        return "".join([row % tuple(values) for values in block.tolist()]).encode()
     repeated = {}
-    # a block too small for the kernel is formatted value by value: no dedupe pays
-    for j in range(cols) if block.size >= _g17._KERNEL_MIN else ():
+    for j in range(cols):
         column = block[:, j].view(np.int64)
         # a column whose first 64 rows are all distinct (rho, s) skips the
         # sort; a repeat missed this way costs time, not bytes
@@ -735,21 +739,24 @@ def load_spectrum(path) -> Spectrum:
     _spectrum_column); a field that does not convert raises the error of a
     conversion of the whole body, which names its first bad field in row order.
     """
+    # the lines of iterating the file, in one read: universal newlines make
+    # each \r\n and lone \r a \n, and the empty text after a final \n is blank
     with open(path) as fh:
-        lines = list(map(str.strip, fh))
+        lines = list(map(str.strip, fh.read().split("\n")))
     body = list(filter(None, lines))
     if not body or body[0] != SPECTRUM_HEADER:
         raise ValueError(f"spectrum file must start with header '{SPECTRUM_HEADER}'")
     del body[0]
-    if any(ln.count(",") != 5 for ln in body):
+    if set(map(str.count, body, itertools.repeat(","))) - {5}:
         # the header has 6 fields, so the first line of another count is in the body
         n, ln = next((n, ln) for n, ln in enumerate(lines, start=1) if ln and ln.count(",") != 5)
         raise ValueError(f"spectrum line {n} has {ln.count(',') + 1} fields, expected 6")
     n_rows = len(body)
     text = ",".join(body)
     # drop the lines before the split and the joined text after it, so the
-    # fields are never held beside two copies of the body (a 21^3 spectrum of
-    # distinct values peaks at 12.1 times its arrays, 16.0 without this)
+    # fields are never held beside two copies of the body (under tracemalloc a
+    # 21^3 spectrum of distinct values peaks here at 12.1 times its arrays,
+    # 18.1 without this; the read above peaks at 6.3)
     del lines, body
     fields = text.split(",") if n_rows else []
     del text

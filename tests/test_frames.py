@@ -28,7 +28,7 @@ from spinpol import (
     rotation_residual,
     spv_rotation_residual,
 )
-from spinpol.algebra import _UNIT_OFF, _off_unit, _rows
+from spinpol.algebra import EPS_INPUT, _UNIT_OFF, _check_spinor, _off_unit, _rows
 from spinpol.frames import EPS_PARALLEL, Frame, _cross_rows
 
 X = np.array([1.0, 0.0, 0.0])
@@ -630,3 +630,31 @@ def test_one_axis_alone_and_in_a_block_get_the_same_off_and_renormalization(cent
         one = build_frame(w[j], i_vec[j])
         assert (one.w.tobytes(), one.u.tobytes(), one.v.tobytes()) == (
             block.w[j].tobytes(), block.u[j].tobytes(), block.v[j].tobytes()), j
+
+
+def _accepts_spinor(chi):
+    try:
+        _check_spinor("chi", chi)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("center", [EPS_INPUT, -EPS_INPUT], ids=["plus_eps_input", "minus_eps_input"])
+def test_one_spinor_alone_and_in_a_block_get_the_same_off_and_acceptance(center):
+    # a spinor's norm within a few ulps of 1 +- EPS_INPUT: _check_spinor must
+    # accept or reject it alike alone and inside a block, so _off_unit must
+    # give it the same bits either way
+    rng = np.random.default_rng(39)
+    steps = np.arange(-24, 25) * np.finfo(float).eps
+    chi = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    chi /= np.linalg.norm(chi, axis=-1, keepdims=True)
+    chi = (chi[:, None, :] * (1.0 + center + steps)[:, None]).reshape(-1, 2)
+    off = _off_unit(chi)[0]
+    accepted = off <= EPS_INPUT
+    assert accepted.any() and not accepted.all()
+    up = np.array([1.0 + 0j, 0j])
+    for j in range(len(chi)):
+        assert _off_unit(chi[j])[0] == off[j], j
+        # beside an exact unit spinor, the block's verdict is chi[j]'s alone
+        assert _accepts_spinor(chi[j]) == _accepts_spinor(np.stack([chi[j], up])) == accepted[j], j

@@ -126,6 +126,25 @@ def test_tables_around_the_block_size_print_as_per_value_text(tmp_path, offset):
     _assert_file_holds(tmp_path / "t.csv", _per_value_csv("a,b,c,d", table))
 
 
+@pytest.mark.parametrize("rows", [0, 1, 31, 32])
+def test_tables_either_side_of_the_kernel_size_print_as_per_value_text(tmp_path, rows, monkeypatch):
+    # 31 x 8 = 248 values are written one by one, 32 x 8 = 256 take the kernel
+    rng = np.random.default_rng(rows + 100)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16]
+    table = rng.normal(size=(rows, 8)) * 10.0 ** rng.integers(-30, 30, size=(rows, 8))
+    # every other entry special: each column holds too many distinct values to
+    # be formatted once per value
+    i, j = np.indices(table.shape)
+    table[(i + j) % 2 == 0] = np.array(special)[((i + j) % len(special))[(i + j) % 2 == 0]]
+    kernel = []
+    format_block = _g17.format_block
+    monkeypatch.setattr(_g17, "format_block", lambda a: kernel.append(len(a)) or format_block(a))
+    header = "a,b,c,d,e,f,g,h"
+    wavepacket.write_table(tmp_path / "t.csv", header, table)
+    _assert_file_holds(tmp_path / "t.csv", _per_value_csv(header, table))
+    assert kernel == ([256] if rows == 32 else [])
+
+
 def _layout_table(rows, rng):
     """Columns whose texts use different rows of the kernel's slot, some repeated."""
     mixed = np.array([0.0, 7.0, -1.2345678901234567e-100, -3.5e-300])  # 1 and 24 characters
@@ -182,8 +201,9 @@ def test_writer_memory_is_bounded_by_the_block():
 
     rng = np.random.default_rng(5)
     small, large = rng.normal(size=(20_000, 8)), rng.normal(size=(200_000, 8))
-    # a first call leaves the kernel's tables and numpy's one-time allocations out
-    wavepacket.write_table(os.devnull, "a,b,c,d,e,f,g,h", small[:10])
+    # a first call leaves the kernel's tables and numpy's one-time allocations
+    # out: 64 x 8 values take the kernel
+    wavepacket.write_table(os.devnull, "a,b,c,d,e,f,g,h", small[:64])
     peaks = []
     tracemalloc.start()
     try:

@@ -893,54 +893,119 @@ CONFIGS = {
 FOREIGN_KEYS = {"verify": "grid_n", "spectrum-gen": "alpha", "field": "steps", "total-spin": "suites"}
 
 
+# the progs of the parsers that build_parser constructs: the top level and
+# one per subcommand
+FULL_PARSER = ["spinpol", *(f"spinpol {name}" for name in cli._SUBCOMMANDS)]
+
+
 @pytest.fixture
-def subparsers_built(monkeypatch):
-    """The names of the subcommand parsers built, in order."""
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+def parsers_built(monkeypatch):
+    """The prog of each argparse.ArgumentParser constructed, in order."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
 
-    def recorded(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
-    return names
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    return progs
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
-def test_parse_builds_only_the_invoked_subcommand(command, subparsers_built):
+def test_parse_builds_only_the_invoked_subcommand(command, parsers_built):
     for argv in ([command], [command, *OWN_FLAGS[command], "--seed", "3", "--out", "x.csv"]):
         full = cli.build_parser().parse_args(argv)
-        assert subparsers_built == list(cli._SUBCOMMANDS)
-        subparsers_built.clear()
+        assert parsers_built == FULL_PARSER
+        parsers_built.clear()
         assert cli._parse(argv) == full
-        assert subparsers_built == [command]
-        subparsers_built.clear()
+        assert parsers_built == [f"spinpol {command}"]
+        parsers_built.clear()
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
-def test_parse_builds_only_the_invoked_subcommand_with_a_config(command, tmp_path, subparsers_built):
+def test_parse_builds_only_the_invoked_subcommand_with_a_config(command, tmp_path, parsers_built):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(CONFIGS[command]))
     for argv in ([command, "--config", str(cfg_path)],
                  [command, "--config", str(cfg_path), *OWN_FLAGS[command], "--seed", "3"]):
         # the namespace of the full parser built with the config's defaults
         full = cli.build_parser(CONFIGS[command]).parse_args(argv)
-        subparsers_built.clear()
+        parsers_built.clear()
         assert cli._parse(argv) == full
-        assert subparsers_built == [command, command]
-        subparsers_built.clear()
-    # an unknown key, and a key of another subcommand, stop before the rebuild
+        # one parser serves both passes, the second with the config's defaults
+        assert parsers_built == [f"spinpol {command}"]
+        parsers_built.clear()
+    # an unknown key, and a key of another subcommand, stop before the second pass
     foreign = FOREIGN_KEYS[command]
     cfg_path.write_text(json.dumps({**CONFIGS[command], "bogus": 1, foreign: "1"}))
     with pytest.raises(cli.ConfigError) as error:
         cli._parse([command, "--config", str(cfg_path)])
     assert str(error.value) == f"unknown keys in config {cfg_path}: {sorted(['bogus', foreign])}"
-    assert subparsers_built == [command]
+    assert parsers_built == [f"spinpol {command}"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["-h", "field"]])
-def test_parse_builds_every_subcommand_for_any_other_argv(argv, subparsers_built, capsys):
+def test_parse_builds_every_subcommand_for_any_other_argv(argv, parsers_built, capsys):
     with pytest.raises(SystemExit):
         cli._parse(argv)
-    assert subparsers_built == list(cli._SUBCOMMANDS)
+    assert parsers_built == FULL_PARSER
+
+
+# argvs after each subcommand's name that parse: --flag=value and split
+# values, unique abbreviations, repeated flags (the last wins) and values that
+# start with '-'.  Each is also run after --config alone and before flags
+# that override the config's values
+VALID_ARGVS = {
+    "verify": [[], ["--n-cases=7", "--tolerance", "1e-6"], ["--n", "7", "--tol", "1e-6", "--su", "frames"],
+               ["--seed", "1", "--seed=2", "--out", "a.csv", "--out", "b.csv"]],
+    "spectrum-gen": [[], ["--k0=-1,0,5", "--sigma-k", "0.4"], ["--sig", "0.4", "--n-k=5", "--spe", "s.csv"],
+                     ["--span", "3", "--span=2", "--see", "4"]],
+    "field": [[], ["--i-vec=-0.6,0.8,0", "--time", "-1.5", "--grid-n=7"],
+              ["--grid-s", "2.5", "--ti", "1", "--re", "fallback", "--al", "0,0,1,0"],
+              ["--ref", "fallback", "--ref", "default", "--grid-n", "5", "--grid-n", "9"]],
+    "total-spin": [[], ["--axis=1,0,0", "--steps", "3", "--ref=fallback"], ["--step", "8", "--ax", "0,1,0"],
+                   ["--steps", "2", "--steps=4", "--alpha", "0.6,0,0,0.8", "--alpha=0,0,1,0"]],
+}
+# argvs after each subcommand's name that print help or a usage error: a bad
+# value, an unknown or ambiguous flag, a help flag in full or abbreviated, a
+# missing value, a value read as a flag, a stray positional
+INVALID_ARGVS = [["--steps", "x"], ["--ref", "bogus"], ["--bogus"], ["--s", "1"], ["-h"], ["--help"],
+                 ["--he"], ["--seed", "x"], ["--seed", "1", "-h"], ["--out"], ["--k0", "-1,0,5"],
+                 ["--grid-n", "2.5"], ["--n-cases", "x"], ["extra"], ["--", "x"]]
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parse_corpus_gives_the_full_parsers_namespace(command, tmp_path, parsers_built):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]))
+    for flags in VALID_ARGVS[command]:
+        for config, head in ((None, []), (CONFIGS[command], ["--config", str(cfg_path)])):
+            argv = [command, *head, *flags]
+            full = cli.build_parser(config).parse_args(argv)
+            parsers_built.clear()
+            assert cli._parse(argv) == full, argv
+            assert parsers_built == [f"spinpol {command}"], argv
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_parse_corpus_gives_the_full_parsers_help_and_errors(command, tmp_path, monkeypatch, capsys,
+                                                             parsers_built):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]))
+    for flags in INVALID_ARGVS:
+        for head in ([], ["--config", str(cfg_path)]):
+            argv = [command, *head, *flags]
+            expected = _exit(cli.build_parser().parse_args, argv, capsys)
+            assert expected[0] in (0, 2) and (expected[1] or expected[2]), argv
+            parsers_built.clear()
+            assert _exit(cli.main, argv, capsys) == expected, argv
+            # the one-subcommand parser gives up, and the full parser answers
+            assert parsers_built == [f"spinpol {command}", *FULL_PARSER], argv

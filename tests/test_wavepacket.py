@@ -721,6 +721,41 @@ def test_spectrum_file_parsing_edge_cases(tmp_path, newline):
         load_spectrum(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+def test_spectrum_line_endings_padding_and_line_numbers(tmp_path, newline, final):
+    # every line ending reads as iterating the file in text mode does:
+    # blank, whitespace-only and padded lines, with or without a final newline
+    path = tmp_path / "ends.csv"
+    lines = ["  kx,ky,kz,re_A,im_A,weight\t", "", "0,0,2,1,0,0.25", " \t ", "\x0c",
+             "\t0,0,3 ,-0,1,0.25  ", "", "0.5,-0,2,0,-1,0.5"]
+
+    def write(*extra):
+        text = newline.join(lines + list(extra))
+        path.write_bytes((text + newline if final else text).encode())
+
+    write()
+    spec = _assert_reads_as_float(path)
+    assert spec.k.tolist() == [[0.0, 0.0, 2.0], [0.0, 0.0, 3.0], [0.5, 0.0, 2.0]]
+    # a short line after blank lines, named by its line in the file
+    write("", "", "1,2,3")
+    with pytest.raises(ValueError, match="^spectrum line 11 has 3 fields, expected 6$"):
+        load_spectrum(path)
+    write("  ", "1,2,3,4,5,6,7", "1,2")
+    with pytest.raises(ValueError, match="^spectrum line 10 has 7 fields, expected 6$"):
+        load_spectrum(path)
+    write("1,2,3,x,5,6")
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        load_spectrum(path)
+    # a file of blank lines, or of the header alone
+    path.write_bytes(newline.join(["", " ", ""]).encode())
+    with pytest.raises(ValueError, match="must start with header"):
+        load_spectrum(path)
+    path.write_bytes((newline + lines[0] + (newline if final else "")).encode())
+    with pytest.raises(ValueError, match=r"^spectrum is not normalized: sum\(weight \|A\|\^2\) = 0.0$"):
+        load_spectrum(path)
+
+
 def _per_field_rows(path):
     """A spectrum file's body as float() reads each field, one row per nonblank line."""
     with open(path) as fh:
