@@ -9,7 +9,6 @@ reference spinors).
 import argparse
 import functools
 import json
-import shutil
 import sys
 from typing import Callable, NamedTuple
 
@@ -63,13 +62,22 @@ def _parse_reals(value, count, name):
 
 
 def _renormalized(vec, name):
-    """vec / |vec|, with a warning on stderr when |vec| is off 1 by more than RENORM_WARN."""
-    norm = np.linalg.norm(vec)
+    """vec / |vec|, with a warning on stderr when |vec| is off 1 by more than RENORM_WARN.
+
+    vec is first scaled by a power of two, which is exact, so that its squared
+    norm neither overflows nor underflows: any finite nonzero vec is taken.
+    """
+    parts = vec.view(np.float64)  # a complex vec's real and imaginary parts
+    _, exp = np.frexp(np.max(np.abs(parts)))
+    scaled = np.ldexp(parts, -exp).view(vec.dtype)
+    norm = np.linalg.norm(scaled)
     if norm == 0.0:
         raise ConfigError(f"{name} must be nonzero")
-    if abs(norm - 1.0) > RENORM_WARN:
-        print(f"warning: renormalizing {name} (|{name}| = {_fmt(norm)})", file=sys.stderr)
-    return vec / norm
+    with np.errstate(over="ignore"):  # |vec| may be past the float range: inf
+        unscaled = np.ldexp(norm, exp)
+    if abs(unscaled - 1.0) > RENORM_WARN:
+        print(f"warning: renormalizing {name} (|{name}| = {_fmt(unscaled)})", file=sys.stderr)
+    return scaled / norm
 
 
 def _unit3(value, name):
@@ -160,15 +168,13 @@ def _cmd_total_spin(args):
     cfg = _packet_config(args)
     axis = _unit3(args.axis, "axis")
     phis, spins = wp.total_spin_i_sweep(spec, cfg, axis, args.steps)
-    bound = 0.5 * cfg.hbar + 1e-9
-    for i, s in enumerate(spins):
-        if not np.linalg.norm(s) <= bound:
-            raise ConfigError(
-                f"row {i}: |S| = {np.linalg.norm(s)} exceeds hbar/2; "
-                "spectrum normalization is broken"
-            )
+    norms = np.linalg.norm(spins, axis=1)
+    broken = np.flatnonzero(~(norms <= 0.5 * cfg.hbar + 1e-9))  # a NaN row too
+    if broken.size:
+        i = broken[0]
+        raise ConfigError(f"row {i}: |S| = {norms[i]} exceeds hbar/2; spectrum normalization is broken")
     wp.write_table(args.out, "phi,Sx,Sy,Sz", np.column_stack([phis, spins]))
-    print(f"wrote {args.out}: {args.steps} rows, max |S| = {_fmt(np.linalg.norm(spins, axis=1).max())}")
+    print(f"wrote {args.out}: {args.steps} rows, max |S| = {_fmt(norms.max())}")
     return EXIT_OK
 
 
@@ -234,26 +240,28 @@ _SUBCOMMANDS = {
 }
 
 
+# argparse's default formatter asks the terminal for its width each time it is
+# made, and adding a flag makes one.  Nothing is laid out while flags are added,
+# so a parser is built with this one and then given argparse's own, which lays
+# out its help and errors at the terminal's width
+_BUILDING = functools.partial(argparse.HelpFormatter, width=80)
+
+
 def build_parser(config=None):
     """Argument parser; values in `config` (keyed by flag dest) replace the built-in defaults."""
-    # argparse builds a HelpFormatter for every flag it adds, and each one asks
-    # the terminal for its width; ask once here instead.  With a width given,
-    # argparse does not subtract its own 2 columns, so the texts are the same.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
     parser = argparse.ArgumentParser(
         prog="spinpol",
         description="Spin polarization of a free spin-1/2 particle, characterized by a unit vector.",
-        formatter_class=formatter,
+        formatter_class=_BUILDING,
     )
     subs = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=_BUILDING),
     )
     for name, spec in _SUBCOMMANDS.items():
         _add_flags(subs.add_parser(name, help=spec.help), name, config)
+    parser.formatter_class = argparse.HelpFormatter
     return parser
 
 
@@ -268,30 +276,7 @@ def _add_flags(sub, name, config=None):
     sub.add_argument("--out", default=spec.out, help="output path")
     if config:
         sub.set_defaults(**_typed(sub, config))
-
-
-class _Retry(Exception):
-    """A usage error or a help request of a one-subcommand parser."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """The flags of one subcommand and nothing else; any argv it cannot parse raises _Retry.
-
-    It prints nothing: the full parser parses such an argv again and prints
-    its own help, usage and error texts.
-    """
-
-    def __init__(self, name):
-        # it never lays out a text, so its formatter need not ask the terminal
-        super().__init__(
-            prog=f"spinpol {name}", add_help=False,
-            formatter_class=functools.partial(argparse.HelpFormatter, width=80),
-        )
-        self.set_defaults(command=name)
-        _add_flags(self, name)
-
-    def error(self, message):
-        raise _Retry
+    sub.formatter_class = argparse.HelpFormatter
 
 
 def _typed(sub, config):
@@ -327,28 +312,28 @@ def _typed(sub, config):
 
 def _parse(argv):
     argv = sys.argv[1:] if argv is None else argv
-    config = None
-    if argv and argv[0] in _SUBCOMMANDS:
-        # an argv led by a subcommand builds one parser of that subcommand's
-        # flags, which parses again with the --config file's defaults
-        parser = _CommandParser(argv[0])
-        try:
-            args = parser.parse_args(argv[1:])
-            if args.config is None:
-                return args
-            config = _load_config(args.config)
-            # the keys a config may set are the dests of the subcommand's own flags
-            unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
-            if unknown:
-                raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
-            parser.set_defaults(**_typed(parser, config))
-            return parser.parse_args(argv[1:])
-        except _Retry:
-            pass
-    # help, a usage error, an unknown command or none: the full parser prints
-    # its text and exits with its code.  The one-subcommand parser rejects
-    # only what the full parser rejects too (tests/test_verify_cli.py)
-    return build_parser(config).parse_args(argv)
+    if not (argv and argv[0] in _SUBCOMMANDS):
+        # help, an unknown command or none: the full parser answers
+        return build_parser().parse_args(argv)
+    # one parser of the subcommand's flags prints its own help and usage
+    # errors, the same texts as the full parser's (tests/test_verify_cli.py)
+    parser = argparse.ArgumentParser(prog=f"spinpol {argv[0]}", formatter_class=_BUILDING)
+    parser.set_defaults(command=argv[0])
+    _add_flags(parser, argv[0])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        # the full parser reports a stray argument under its own usage line
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.config is None:
+        return args
+    config = _load_config(args.config)
+    # the keys a config may set are the dests of the subcommand's own flags
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
+    # the second pass parses with the config file's values as defaults
+    parser.set_defaults(**_typed(parser, config))
+    return parser.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:

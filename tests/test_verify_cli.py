@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -501,6 +502,65 @@ def test_cli_renormalizes_sloppy_vectors_with_warning(tmp_path, capsys):
     assert "renormalizing i_vec" in capsys.readouterr().err
 
 
+# a vector flag whose squared norm overflows or underflows, the power of two
+# that scales it by hand into the ordinary range, and the other flags of its
+# run: the axis (1, 0, 1) turns the default I = x onto the z axis at phi = pi,
+# parallel to the spectrum's samples on it (exit 3), and y never
+EXTREME_VECTORS = [
+    ("--i-vec", [1e200, 1e200, 0], -664, []),
+    ("--alpha", [1e200, 0, 1e200, 0], -664, []),
+    ("--axis", [1e-200, 0, 1e-200], 665, ["--i-vec", "0,1,0"]),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, vec, power, others", EXTREME_VECTORS, ids=["i-vec", "alpha", "axis"])
+def test_cli_renormalizes_vectors_whose_squared_norm_leaves_the_float_range(
+    flag, vec, power, others, tmp_path, capsys
+):
+    # |vec|^2 overflowed to inf (then |i_vec| = 0.0 after the division) or
+    # underflowed to 0 ("axis must be nonzero"), with exit 2
+    outs, norms = [], []
+    for scale in (1.0, 2.0**power):
+        outs.append(tmp_path / f"{scale}.csv")
+        value = ",".join(repr(v * scale) for v in vec)
+        argv = ["total-spin", "--n-k", "3", *others, flag, value, "--out", str(outs[-1])]
+        assert cli.main(argv) == 0, argv
+        name = flag[2:].replace("-", "_")
+        warning = capsys.readouterr().err
+        assert warning.startswith(f"warning: renormalizing {name} (|{name}| = "), warning
+        norms.append(float(warning.split(" = ")[1][:-2]))
+    # the same unit vector, and the norm of the vector given
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert norms[0] * 2.0**power == norms[1]
+
+
+# a vector at either end of the float range, the same direction scaled by a
+# power of two by hand (5e-324 is 2**-1074), and its norm in the warning
+@pytest.mark.parametrize("vec, by_hand, norm", [
+    ([1.7e308, 1.7e308, 0.0], [1.7e308 * 2.0**-1024, 1.7e308 * 2.0**-1024, 0.0], "inf"),
+    ([5e-324, 0.0, 5e-324], [1.0, 0.0, 1.0], "4.9406564584124654e-324"),
+    ([5e-324, 1.7e308j], [0.0, 1.7e308j * 2.0**-1024], "1.6999999999999999e+308"),
+], ids=["past-max", "subnormal", "both"])
+def test_renormalized_vectors_at_the_ends_of_the_float_range(vec, by_hand, norm, capsys):
+    unit = cli._renormalized(np.array(vec), "v")
+    assert capsys.readouterr().err == f"warning: renormalizing v (|v| = {norm})\n"
+    assert unit.tobytes() == cli._renormalized(np.array(by_hand), "v").tobytes()
+
+
+def test_renormalized_ordinary_vectors_are_vec_over_its_norm_bit_for_bit(capsys):
+    # the scaling by a power of two is exact: the unit vector and the warning
+    # are those of vec / np.linalg.norm(vec)
+    rng = np.random.default_rng(29)
+    for size in (3, 4) * 2000:
+        parts = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+        vec = parts if size == 3 else parts[0::2] + 1j * parts[1::2]
+        norm = np.linalg.norm(vec)
+        unit = cli._renormalized(vec, "v")
+        assert unit.tobytes() == (vec / norm).tobytes(), vec
+        assert capsys.readouterr().err == f"warning: renormalizing v (|v| = {norm:.17g})\n", vec
+
+
 def test_cli_bad_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -558,6 +618,25 @@ def test_cli_spin_above_hbar_half_is_config_error(tmp_path, capsys, monkeypatch)
     )
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: row 0: |S| = 0.6")
+
+
+# rows of a sweep past hbar/2 (|S| = 0.5408...) or NaN, and the first of them
+@pytest.mark.parametrize("bad, first", [
+    ({3: np.nan}, 3), ({5: [0.0, 0.3, 0.45]}, 5),
+    ({2: [0.0, 0.3, 0.45], 4: np.nan}, 2), ({1: np.nan, 6: [0.0, 0.3, 0.45]}, 1),
+], ids=["nan", "large", "large-first", "nan-first"])
+def test_cli_total_spin_error_names_the_first_row_out_of_bound(bad, first, tmp_path, capsys, monkeypatch):
+    spins = np.full((8, 3), 0.1)
+    for row, value in bad.items():
+        spins[row] = value
+    monkeypatch.setattr(cli.wp, "total_spin_i_sweep", lambda spec, cfg, axis, steps: (np.zeros(8), spins))
+    out = tmp_path / "spin.csv"
+    assert cli.main(["total-spin", "--n-k", "3", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: row {first}: |S| = {np.linalg.norm(spins[first])} exceeds hbar/2; "
+        "spectrum normalization is broken\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_unknown_config_key_is_config_error(tmp_path, capsys):
@@ -997,15 +1076,38 @@ def _exit(parse, argv, capsys):
 @pytest.mark.parametrize("command", OWN_FLAGS)
 def test_parse_corpus_gives_the_full_parsers_help_and_errors(command, tmp_path, monkeypatch, capsys,
                                                              parsers_built):
-    monkeypatch.setenv("COLUMNS", "80")
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(CONFIGS[command]))
+    for columns, flags, head in itertools.product(
+        (50, 80, 200), INVALID_ARGVS, ([], ["--config", str(cfg_path)])
+    ):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        argv = [command, *head, *flags]
+        expected = _exit(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] in (0, 2) and (expected[1] or expected[2]), argv
+        parsers_built.clear()
+        assert _exit(cli.main, argv, capsys) == expected, (columns, argv)
+        # the one-subcommand parser prints its own help and errors; only a
+        # stray argument is reported under the full parser's usage line
+        stray = "unrecognized arguments" in expected[2]
+        assert parsers_built == [f"spinpol {command}", *(FULL_PARSER if stray else [])], argv
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_subcommand_parser_asks_the_terminal_width_once_per_text(command, monkeypatch, capsys):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args):
+        calls.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli._parse([command, *OWN_FLAGS[command]])
+    assert calls == []
+    # each argv prints one help text, or one usage line and its error
     for flags in INVALID_ARGVS:
-        for head in ([], ["--config", str(cfg_path)]):
-            argv = [command, *head, *flags]
-            expected = _exit(cli.build_parser().parse_args, argv, capsys)
-            assert expected[0] in (0, 2) and (expected[1] or expected[2]), argv
-            parsers_built.clear()
-            assert _exit(cli.main, argv, capsys) == expected, argv
-            # the one-subcommand parser gives up, and the full parser answers
-            assert parsers_built == [f"spinpol {command}", *FULL_PARSER], argv
+        calls.clear()
+        with pytest.raises(SystemExit):
+            cli._parse([command, *flags])
+        assert len(calls) == 1, flags
