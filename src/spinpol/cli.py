@@ -128,8 +128,8 @@ def _cmd_verify(args):
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with wp._overwrite(args.out) as fh:
+            fh.write(text.encode())
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

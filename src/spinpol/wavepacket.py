@@ -11,6 +11,8 @@ weighting A(k), the Jones vector, and the shared characterization vector alone.
 
 import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -443,8 +445,10 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     One packet's points take the per-axis sum when they and the spectrum are
     tensor grids, and the dense sum otherwise.  Both paths are deterministic,
     so repeated calls give identical results.
-    Raises ValueError for a time or a point that is not finite, and for
-    phases k.x - omega t that may overflow, which would make every sum NaN.
+    Raises ValueError for a time or a point that is not finite, for phases
+    k.x - omega t that may overflow, which would make every sum NaN, and for
+    phases that may reach pi * 2^53, where one rounding of the phase argument
+    (up to 2^-53 of it) may reach pi and no digit of a sum is correct.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(t, dtype=float)
@@ -453,11 +457,16 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     if not (x_max < math.inf and t_max < math.inf):
         bad = points[~np.isfinite(points).all(axis=-1)].tolist()
         raise ValueError(f"time t and every point must be finite, got t = {t}, points {bad}")
-    # bounds on |k.x| and omega |t|, as |k|^2 <= 3 k_max^2; written so that NaN fails it
+    # bounds on |k.x| and omega |t|, as |k|^2 <= 3 k_max^2.  Past pi * 2^53
+    # one rounding of the phase argument (2^-53 of it) may reach pi; the test
+    # is written so that NaN and inf fail it too
     kx, omega_t = 3.0 * k_max * x_max, 3.0 * cfg.hbar * k_max * k_max / (2.0 * cfg.mu) * t_max
-    if not kx + omega_t < math.inf:
+    if not 2.0**-53 * (kx + omega_t) < math.pi:
+        lost = "overflow" if not kx + omega_t < math.inf else (
+            f"leave no correct digit past pi * 2^53 = {math.pi * 2.0**53:.3g}"
+        )
         raise ValueError(
-            f"plane-wave phases overflow: |k.x| up to {kx:.3g} and omega |t| up to "
+            f"plane-wave phases {lost}: |k.x| up to {kx:.3g} and omega |t| up to "
             f"{omega_t:.3g}; choose a smaller time or grid"
         )
     coeff = (spec.weight * spec.amplitude)[..., None] * spinors
@@ -686,13 +695,38 @@ def _csv_block(block):
     return buf.translate(None, b"\0")
 
 
+def _overwrite(path):
+    """Open path in binary to overwrite it in place; write at least one byte.
+
+    An existing regular file is cut as O_TRUNC would cut it, to zero bytes,
+    unless it fits in one block (st_blksize): then it is cut to its first
+    byte, which the first write replaces.  That keeps its one block, which
+    a cut to zero would free, and ext4 (auto_da_alloc) would then flush the
+    file when it is closed.  So the file holds exactly the bytes written, as
+    after open(path, "wb"), also when a write fails midway or the process is
+    killed, except that until a first byte reaches a file cut to one byte,
+    it holds the old first byte where a truncating open leaves it empty.
+    The inode, links and mode are kept; /dev/null or a pipe is written as is.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    fh = os.fdopen(fd, "wb")
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > 1:
+            os.ftruncate(fd, 1 if info.st_size <= getattr(info, "st_blksize", 0) else 0)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
 def write_table(path, header, table) -> None:
     """Write a header line and one CSV row per table row, each value as %.17g.
 
     The table must be 2-D with one column per header field, else ValueError.
     Rows are formatted TABLE_BLOCK at a time, so memory does not grow with
     the table.  The file is written in binary, so every line ends in \\n on
-    every platform.
+    every platform, and overwritten in place (_overwrite).
     """
     table = np.asarray(table, dtype=np.float64)
     fields = header.count(",") + 1
@@ -701,7 +735,7 @@ def write_table(path, header, table) -> None:
             f"a table for header '{header}' must be 2-D with {fields} columns, "
             f"got shape {table.shape}"
         )
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{header}\n".encode())
         for lo in range(0, len(table), TABLE_BLOCK):
             fh.write(_csv_block(table[lo : lo + TABLE_BLOCK]))

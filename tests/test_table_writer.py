@@ -1,6 +1,9 @@
 """The CSV table writer: its array '%.17g' kernel, blocks, input checks and memory."""
 
+import builtins
+import io
 import os
+import signal
 import subprocess
 import sys
 
@@ -228,3 +231,235 @@ def test_import_builds_no_table():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
+
+
+# what each output path holds before it is rewritten: a longer file, a
+# shorter one and one of the new file's size
+_PREFILLS = {
+    "2MB-junk": lambda n: np.random.default_rng(21).bytes(2 * 2**20),
+    "10-bytes": lambda n: b"0123456789",
+    "same-size": lambda n: b"x" * n,
+}
+
+
+def _sample_table():
+    rng = np.random.default_rng(22)
+    return rng.normal(size=(2 * wavepacket.TABLE_BLOCK + 5, 4)) * 10.0 ** rng.integers(-9, 9, size=(1, 4))
+
+
+@pytest.mark.parametrize("prefill", list(_PREFILLS))
+def test_rewriting_an_existing_table_gives_a_fresh_files_bytes(tmp_path, prefill):
+    table = _sample_table()
+    wavepacket.write_table(tmp_path / "fresh.csv", "a,b,c,d", table)
+    want = (tmp_path / "fresh.csv").read_bytes()
+    target = tmp_path / "target.csv"
+    target.write_bytes(_PREFILLS[prefill](len(want)))
+    wavepacket.write_table(target, "a,b,c,d", table)
+    assert target.read_bytes() == want
+
+
+@pytest.mark.parametrize("prefill", list(_PREFILLS))
+def test_rewriting_an_existing_verify_report_gives_a_fresh_files_bytes(tmp_path, capsys, prefill):
+    argv = ["verify", "--n-cases", "5", "--seed", "3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "fresh.csv")]) == cli.EXIT_OK
+    want = (tmp_path / "fresh.csv").read_bytes()
+    target = tmp_path / "target.csv"
+    target.write_bytes(_PREFILLS[prefill](len(want)))
+    assert cli.main(argv + [str(target)]) == cli.EXIT_OK
+    assert target.read_bytes() == want
+    # the report is written in binary: every line ends in a bare \n
+    assert cli.main(argv[:-1]) == cli.EXIT_OK
+    assert want == capsys.readouterr().out.encode()
+
+
+# each subcommand with small enough work to run in a test
+_SUBCOMMAND_ARGV = {
+    "field": ["field", "--n-k", "3", "--grid-n", "5", "--time", "0.5"],
+    "total-spin": ["total-spin", "--n-k", "3", "--steps", "4"],
+    "spectrum-gen": ["spectrum-gen", "--n-k", "5"],
+    "verify": ["verify", "--n-cases", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_ARGV))
+def test_every_subcommand_writes_to_dev_null(capsys, command):
+    assert cli.main(_SUBCOMMAND_ARGV[command] + ["--out", os.devnull]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_a_symlink_stays_a_link_and_its_target_holds_the_new_bytes(tmp_path):
+    table = _sample_table()
+    wavepacket.write_table(tmp_path / "fresh.csv", "a,b,c,d", table)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(_PREFILLS["2MB-junk"](0))
+    link.symlink_to(target.name)
+    wavepacket.write_table(link, "a,b,c,d", table)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_a_hard_link_sees_the_new_bytes(tmp_path):
+    table = _sample_table()
+    wavepacket.write_table(tmp_path / "fresh.csv", "a,b,c,d", table)
+    target, other = tmp_path / "target.csv", tmp_path / "other.csv"
+    target.write_bytes(_PREFILLS["2MB-junk"](0))
+    os.link(target, other)
+    wavepacket.write_table(target, "a,b,c,d", table)
+    assert other.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert os.stat(other).st_ino == os.stat(target).st_ino
+
+
+def test_an_existing_file_keeps_its_mode_and_inode(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"0123456789")
+    target.chmod(0o640)
+    inode = os.stat(target).st_ino
+    wavepacket.write_table(target, "a,b,c,d", _sample_table())
+    assert os.stat(target).st_mode & 0o7777 == 0o640
+    assert os.stat(target).st_ino == inode
+
+
+def test_a_write_that_fails_midway_leaves_the_header_and_first_block(tmp_path, monkeypatch):
+    table = _sample_table()
+    wavepacket.write_table(tmp_path / "fresh.csv", "a,b,c,d", table)
+    # the header line and the first block's rows of a complete write
+    lines = (tmp_path / "fresh.csv").read_bytes().split(b"\n")
+    want = b"\n".join(lines[: 1 + wavepacket.TABLE_BLOCK]) + b"\n"
+    target = tmp_path / "target.csv"
+    target.write_bytes(_PREFILLS["2MB-junk"](0))
+    blocks, csv_block = [], wavepacket._csv_block
+
+    def failing(block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise OSError("no space left on device")
+        return csv_block(block)
+
+    monkeypatch.setattr(wavepacket, "_csv_block", failing)
+    with pytest.raises(OSError, match="no space left"):
+        wavepacket.write_table(target, "a,b,c,d", table)
+    assert target.read_bytes() == want
+
+
+def _run_python(script, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinpol.__file__)))
+    return subprocess.run([sys.executable, "-B", "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("sigxfsz", ["SIG_IGN", "SIG_DFL"])
+@pytest.mark.parametrize("command, limit", [("spectrum-gen", 10_000), ("verify", 100)])
+def test_a_write_past_the_file_size_limit_leaves_the_prefix_written(tmp_path, capsys, command, limit, sigxfsz):
+    # a write past the limit fails with EFBIG when SIGXFSZ is ignored, as
+    # Python sets it at startup, and kills the process when it is reset to
+    # the default action (SIG_DFL): inside a block of the
+    # spectrum, and in the flush at exit of the short verify report, which
+    # was buffered whole.  Either way the old file's bytes past the limit
+    # must be gone, as after a truncating open
+    argv = _SUBCOMMAND_ARGV[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "fresh.csv")]) == cli.EXIT_OK
+    target = tmp_path / "target.csv"
+    target.write_bytes(_PREFILLS["2MB-junk"](0))
+    script = (
+        "import resource, signal, sys\n"
+        f"signal.signal(signal.SIGXFSZ, signal.{sigxfsz})\n"
+        "resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "from spinpol import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = _run_python(script, *argv, "--out", str(target))
+    if sigxfsz == "SIG_IGN":
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr.decode()
+        assert done.stderr.decode().startswith("error: [Errno 27]")
+    else:
+        assert done.returncode == -signal.SIGXFSZ, done.stderr.decode()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()[:limit]
+
+
+# write_table of the table saved at argv[1] to argv[2], killed by SIGKILL as
+# it formats block argv[3]
+_KILLED_WRITE = """\
+import os, signal, sys
+import numpy as np
+from spinpol import wavepacket
+table, blocks, csv_block = np.load(sys.argv[1]), [], wavepacket._csv_block
+def killing(block):
+    blocks.append(block)
+    if len(blocks) == int(sys.argv[3]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return csv_block(block)
+wavepacket._csv_block = killing
+wavepacket.write_table(sys.argv[2], "a,b,c,d", table)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("prefill", list(_PREFILLS))
+def test_a_run_killed_midway_leaves_the_prefix_written(tmp_path, prefill):
+    # killed as it formats the second block, after the header and the first
+    # block reached the file: a rerun over an old output must not leave the
+    # new rows followed by old ones
+    table = _sample_table()
+    np.save(tmp_path / "table.npy", table)
+    wavepacket.write_table(tmp_path / "fresh.csv", "a,b,c,d", table)
+    full = (tmp_path / "fresh.csv").read_bytes()
+    lines = full.split(b"\n")
+    want = b"\n".join(lines[: 1 + wavepacket.TABLE_BLOCK]) + b"\n"
+    target = tmp_path / "target.csv"
+    target.write_bytes(_PREFILLS[prefill](len(full)))
+    for path in (tmp_path / "killed_fresh.csv", target):
+        done = _run_python(_KILLED_WRITE, str(tmp_path / "table.npy"), str(path), "2")
+        assert done.returncode == -signal.SIGKILL, done.stderr.decode()
+    # what a truncating open leaves, as on a path that did not exist
+    assert (tmp_path / "killed_fresh.csv").read_bytes() == want
+    assert target.read_bytes() == want
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("old_size", ["10", "one block", "one block + 1", "2MB"])
+def test_a_run_killed_before_any_byte_reached_the_file(tmp_path, old_size):
+    # the header waits in the buffer while the first block is formatted.  A
+    # truncating open leaves an empty file, and so does a cut to zero; a
+    # file of one block keeps its first byte, so that the cut frees no block
+    # and ext4 does not flush the file when it is closed
+    table = _sample_table()
+    np.save(tmp_path / "table.npy", table)
+    block = os.stat(tmp_path).st_blksize
+    size = {"10": 10, "one block": block, "one block + 1": block + 1, "2MB": 2 * 2**20}[old_size]
+    old = np.random.default_rng(23).bytes(size)
+    target = tmp_path / "target.csv"
+    target.write_bytes(old)
+    done = _run_python(_KILLED_WRITE, str(tmp_path / "table.npy"), str(target), "1")
+    assert done.returncode == -signal.SIGKILL, done.stderr.decode()
+    assert target.read_bytes() == (old[:1] if size <= block else b"")
+
+
+def test_no_output_is_opened_truncating(tmp_path, monkeypatch, capsys):
+    # ext4 flushes a file cut to zero bytes, as a truncating open cuts it,
+    # when it is closed: outputs are overwritten in place
+    opens = []
+    os_open, io_open = os.open, io.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opens.append((os.fspath(path), "os.open", flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opens.append((os.fspath(file), "open", mode))
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    for command, argv in _SUBCOMMAND_ARGV.items():
+        out = str(tmp_path / f"{command}.csv")
+        with io_open(out, "wb") as fh:
+            fh.write(_PREFILLS["2MB-junk"](0))
+        opens.clear()
+        assert cli.main(argv + ["--out", out]) == cli.EXIT_OK, command
+        mine = [(how, arg) for path, how, arg in opens if path == out]
+        assert mine == [("os.open", mine[0][1])], (command, mine)
+        assert not mine[0][1] & os.O_TRUNC and mine[0][1] & os.O_WRONLY, command

@@ -822,6 +822,18 @@ def test_cli_field_time_whose_phases_overflow_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("time", ["1e306", "1e17", "1e16"])
+def test_cli_field_time_whose_phases_have_no_correct_digit_is_config_error(tmp_path, capsys, time):
+    # omega t past pi * 2^53: the rounding of k.x - omega t spans a whole
+    # period, and 1e306 wrote 125 rows with a grid probability of 2.33, exit 0
+    out = tmp_path / "field.csv"
+    assert cli.main(["field", "--grid-n", "5", "--time", time, "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: plane-wave phases leave no correct digit")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_unknown_ref_in_config_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"ref": "bogus"}))

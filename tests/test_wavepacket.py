@@ -910,8 +910,12 @@ def test_plane_wave_evaluators_reject_phases_that_overflow(where):
         evaluate_wavefunction(spec, packet(), x, t)
     with pytest.raises(ValueError, match="plane-wave phases overflow"):
         spin_field(spec, packet(), grid, t)
-    # large phases within the float range still evaluate
-    small = (points[4], 1e305) if where == "time" else (np.array([0.0, 0.0, 1e305]), 0.5)
+    # phases within the float range but past pi * 2^53 have no correct digit
+    large = (points[4], 1e305) if where == "time" else (np.array([0.0, 0.0, 1e305]), 0.5)
+    with pytest.raises(ValueError, match="plane-wave phases leave no correct digit"):
+        evaluate_wavefunction(spec, packet(), *large)
+    # large phases below that bound still evaluate
+    small = (points[4], 1e10) if where == "time" else (np.array([0.0, 0.0, 1e10]), 0.5)
     assert np.isfinite(evaluate_wavefunction(spec, packet(), *small)).all()
 
 
