@@ -10,7 +10,9 @@ possible tie).  Those rows, |v| outside [1e-270, 1e290) and rows where
 floor(log10 |v|) came out one off (within rounding of a power of ten, so
 that D falls outside [10^16, 10^17)) take the exact '%.17g' % v.
 Signed zeros, infinities and NaN (which prints no sign) are written
-directly.
+directly.  A block of fewer than _KERNEL_MIN values (a short total-spin
+sweep) is formatted value by value instead: below that the kernel's fixed
+cost is the larger.
 
 The text of value i is column i of a (SLOT, n) uint8 array, one byte a row,
 so that each row is written in one contiguous pass.  Bytes a value does not
@@ -22,7 +24,11 @@ use are NUL:
                 by an optional '.'
     rows 39-43  'e', the exponent's sign and its two or three digits
 
-The tables are built on first use, not at import.
+The layout is counted in narrow integers (the decimal exponent in int16, the
+zero runs, digit counts and dot positions in int8), so that the passes over
+it, the (17, n) digit mask among them, move a byte or two a value.  The
+tables of 10^q and of the 4-digit groups are built on first use, not at
+import.
 """
 
 import functools
@@ -58,7 +64,7 @@ def _tables():
     digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
     # one native uint32 word per group: a word gather is faster than a (10000, 4) row gather
     text = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    zeros = sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10000))
+    zeros = sum((group % p == 0).astype(np.int8) for p in (10, 100, 1000, 10000))
     return np.array(hi), np.array(lo), text, zeros
 
 
@@ -112,26 +118,29 @@ def format_block(a):
     # floor(log10) may miss by one within rounding of a power of ten; such a
     # row lands outside [10^16, 10^17), or rounds up to D = 10^17, and takes
     # the exact text below
-    q = 16 - np.floor(np.log10(m)).astype(np.int64)
-    n, frac = _scaled(m, q)
+    x = np.floor(np.log10(m)).astype(np.int16)
+    n, frac = _scaled(m, 16 - x.astype(np.intp))
     d = n + (frac > 0.5)
     fast &= (n >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) >= _TIE)
-    x = 16 - q
 
     lead, rest = _divmod(d, 10**16)
     high, low = _divmod(rest, 10**8)
     groups = _divmod(high, 10**4) + _divmod(low, 10**4)
     zeros = zeros4[groups[3]]
-    for k, g in zip((4, 8, 12), groups[2::-1]):
+    run = np.flatnonzero(zeros == 4)
+    for g in groups[2::-1]:
         # a group of zeros continues the run into the group before it
-        zeros = np.where(zeros == k, k + zeros4[g], zeros)
+        more = zeros4[g[run]]
+        zeros[run] += more
+        run = run[more == 4]
     sig = 17 - zeros
     fixed = (x >= -4) & (x <= 16)
     # point counts the digits before the '.'. Fixed notation writes all of
-    # them, trailing zeros included; a row finished after the kernel writes none
-    point = np.where(fixed, x + 1, 1)
-    ndigits = np.where(fixed, np.maximum(sig, point), sig) * fast
-    dot = np.where((point >= 1) & (sig > point), point, 0)
+    # them, trailing zeros included; a row finished after the kernel writes
+    # none.  Exponent notation has one; only its |x| > 127 wraps in int8
+    point = fixed * x.astype(np.int8) + 1
+    ndigits = np.maximum(sig, point) * fast
+    dot = point * ((point >= 1) & (sig > point))
 
     out = np.empty((SLOT, len(a)), np.uint8)
     out[0] = np.signbit(a) * _MINUS
@@ -139,29 +148,32 @@ def format_block(a):
     out[1] = small * _ZERO
     out[2] = small * _DOT
     for row, limit in ((3, -2), (4, -3), (5, -4)):
-        out[row] = (fixed & (x <= limit)) * _ZERO
+        out[row] = (small & (x <= limit)) * _ZERO
     out[6] = lead + _ZERO
     for j, g in enumerate(groups):
         out[8 + 8 * j : 16 + 8 * j : 2] = text4[g].view(np.uint8).reshape(-1, 4).T
-    out[6:39:2] *= np.arange(17)[:, None] < ndigits
-    out[7:38:2] = (np.arange(1, 17)[:, None] == dot) * _DOT
+    out[6:39:2] *= np.arange(17, dtype=np.int8)[:, None] < ndigits
+    np.multiply(np.arange(1, 17, dtype=np.int8)[:, None] == dot, _DOT, out=out[7:38:2])
     expo = ~fixed
-    big = np.abs(x) >= 100
-    chars = text4[np.abs(x)].view(np.uint8).reshape(-1, 4)
+    ax = np.abs(x)
+    big = ax >= 100
+    chars = text4[ax.astype(np.intp)].view(np.uint8).reshape(-1, 4)
     out[39] = expo * np.uint8(ord("e"))
     out[40] = expo * np.where(x < 0, _MINUS, np.uint8(ord("+")))
     out[41] = expo * np.where(big, chars[:, 1], chars[:, 2])
     out[42] = expo * np.where(big, chars[:, 2], chars[:, 3])
     out[43] = (expo & big) * chars[:, 3]
 
-    if not fast.all():
+    slow = np.flatnonzero(~fast)
+    if len(slow):
         # a zero, infinite or NaN row has m = 1, so x = 0, and no digits:
         # only its sign is written above
-        nan = np.isnan(a)
-        out[0, nan] = 0
-        for word, rows in ((b"0", mag == 0), (b"inf", np.isinf(a)), (b"nan", nan)):
-            out[6 : 6 + 2 * len(word) : 2, rows] = np.frombuffer(word, np.uint8)[:, None]
-        exact = np.flatnonzero(~fast & np.isfinite(a) & (mag != 0))
+        v = a[slow]
+        nan = np.isnan(v)
+        out[0, slow[nan]] = 0
+        for word, rows in ((b"0", v == 0), (b"inf", np.isinf(v)), (b"nan", nan)):
+            out[6 : 6 + 2 * len(word) : 2, slow[rows]] = np.frombuffer(word, np.uint8)[:, None]
+        exact = slow[np.isfinite(v) & (v != 0)]
         if len(exact):
             out[:, exact] = 0
             out[:24, exact] = _exact(a[exact])

@@ -49,8 +49,9 @@ DENSE_BLOCK_BYTES = 32 * 2**20
 # benchmark's peak RSS by 5 MB
 _FRAME_BUDGET = 3000
 # rows per block of write_table: its tracemalloc peak on 8 columns is about
-# 4.1 MB however long the table, and 1024 or 4096 rows wrote the default field
-# slower (9.3 and 10.6 ms against 8.3 ms, p10 of 60 writes in one process)
+# 3.0 MB however long the table, and 1024 or 4096 rows wrote the default field
+# slower (11.2 and 11.6 ms against 9.9 ms, p10 of 60 interleaved writes in one
+# process on a 2-core host)
 TABLE_BLOCK = 2048
 
 SPECTRUM_HEADER = "kx,ky,kz,re_A,im_A,weight"
@@ -358,8 +359,24 @@ def _tensor_axes(a):
     """Per-column axes of a lexicographic tensor grid, or None if `a` is not one.
 
     `a` is a grid when the sorted unique values of its columns rebuild it
-    exactly as their `ij` meshgrid, last column fastest.
+    exactly as their `ij` meshgrid, last column fastest.  The axes are first
+    read off the leading runs of `a`, without a sort: if they are finite,
+    increase, and rebuild `a` bit for bit (as position_grid's points and a
+    generated spectrum's k do), they are those sorted unique values.
     """
+    axes, run = [], len(a)
+    for col in a.T:
+        # a column steps once per run of the columns after it
+        step = int(np.argmax(col[:run] != col[0])) or run
+        axes.append(col[:run:step])
+        run = step
+    shape = [len(ax) for ax in axes]
+    ordered = all(np.isfinite(ax).all() and (ax[1:] > ax[:-1]).all() for ax in axes)
+    if ordered and math.prod(shape) == len(a):
+        bits = a.view(np.int64).reshape(*shape, len(shape))
+        # column i, its grid axis i moved last, against axis i's values
+        if all((np.moveaxis(bits[..., i], i, -1) == ax.view(np.int64)).all() for i, ax in enumerate(axes)):
+            return axes
     axes = [_sorted_unique(np.sort(a[:, i])) for i in range(a.shape[1])]
     if np.prod([len(ax) for ax in axes]) != len(a):
         return None
@@ -561,8 +578,7 @@ def spin_field(spec: Spectrum, cfg: PacketConfig, points, t: float) -> SpinField
     peak = rho.max(initial=0.0)
     node = rho < 1e-12 * peak if peak > 0.0 else np.ones(len(rho), dtype=bool)
     s = np.full_like(sdens, np.nan)
-    ok = ~node
-    s[ok] = sdens[ok] / rho[ok, None]
+    np.divide(sdens, rho[:, None], out=s, where=~node[:, None])
     return SpinField(
         x=np.atleast_2d(np.asarray(points, dtype=float)), t=float(t), rho=rho, s=s, node=node
     )
@@ -646,17 +662,19 @@ def position_grid(n_per_axis: int, half_span: float):
     return points, float(ax[1] - ax[0])
 
 
-def _csv_block(block):
+def _csv_block(block, known):
     """ASCII CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
 
     A block of fewer than _g17._KERNEL_MIN values is formatted value by value.
     A column with at least two rows per distinct value (grid coordinates, a
     constant time) formats each distinct value once.  Values are keyed by bit
-    pattern, not by float value: -0.0 and 0.0 print differently.  Each column
-    then gets a slot only as wide as the _g17 rows that its values use in the
-    block (about 20 of the 44 for a field's coordinates, one for its time), so
-    the transposing copy and the NUL compaction handle about 165 bytes a field
-    row instead of 8 x 45.
+    pattern, not by float value: -0.0 and 0.0 print differently.  `known`
+    maps such a column to the sorted distinct bit patterns found for it in
+    an earlier block of the same table; while a block's values all lie in
+    that set, the set is reused instead of sorting the column again.  Each
+    column then gets a slot only as wide as the _g17 rows that its values
+    use in the block, so the transposing copy and the NUL compaction handle
+    about 165 bytes a field row instead of 8 x 45.
     """
     rows, cols = block.shape
     if block.size < _g17._KERNEL_MIN:
@@ -666,6 +684,13 @@ def _csv_block(block):
     repeated = {}
     for j in range(cols):
         column = block[:, j].view(np.int64)
+        bits = known.get(j)
+        if bits is not None:
+            at = np.searchsorted(bits, column)
+            if (bits.take(at, mode="clip") == column).all():
+                repeated[j] = bits.view(np.float64), at
+                continue
+            del known[j]
         # a column whose first 64 rows are all distinct (rho, s) skips the
         # sort; a repeat missed this way costs time, not bytes
         head = np.sort(column[:64])
@@ -673,6 +698,7 @@ def _csv_block(block):
             continue
         bits = _sorted_unique(np.sort(column))
         if 2 * len(bits) <= rows:
+            known[j] = bits
             repeated[j] = bits.view(np.float64), np.searchsorted(bits, column)
     # each column's values, or its distinct values, as one run of the text
     values = [repeated[j][0] if j in repeated else block[:, j] for j in range(cols)]
@@ -688,10 +714,13 @@ def _csv_block(block):
     out[:, -1] = ord("\n")
     for j, (u, end) in enumerate(zip(used, ends)):
         slots = text[u, starts[j] : starts[j + 1]].T
+        dest = out[:, end - 1 - len(u) : end - 1]
         if j in repeated:
-            # the few distinct slots, contiguous for the gather
-            slots = np.ascontiguousarray(slots)[repeated[j][1]]
-        out[:, end - 1 - len(u) : end - 1] = slots
+            # the few distinct slots, contiguous, each gathered as one void item
+            item = np.dtype((np.void, len(u)))
+            dest.view(item)[:, 0] = np.ascontiguousarray(slots).view(item)[repeated[j][1], 0]
+        else:
+            dest[...] = slots
     return buf.translate(None, b"\0")
 
 
@@ -707,6 +736,14 @@ def _overwrite(path):
     killed, except that until a first byte reaches a file cut to one byte,
     it holds the old first byte where a truncating open leaves it empty.
     The inode, links and mode are kept; /dev/null or a pipe is written as is.
+
+    This pays only where a run rewrites an existing output of at most one
+    block on ext4: a 634-byte table over one already on disk took 0.24 ms
+    instead of 0.44 ms (2-core host).  Any other write costs a truncating
+    open plus these calls, 0.03-0.06 ms more.  Overwriting with no cut at
+    open, trimming only at the end, was faster still, but a killed rerun
+    then left its new rows followed by the old file's; a temporary file
+    renamed over the output would change its inode, links and mode.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     fh = os.fdopen(fd, "wb")
@@ -735,10 +772,11 @@ def write_table(path, header, table) -> None:
             f"a table for header '{header}' must be 2-D with {fields} columns, "
             f"got shape {table.shape}"
         )
+    known = {}
     with _overwrite(path) as fh:
         fh.write(f"{header}\n".encode())
         for lo in range(0, len(table), TABLE_BLOCK):
-            fh.write(_csv_block(table[lo : lo + TABLE_BLOCK]))
+            fh.write(_csv_block(table[lo : lo + TABLE_BLOCK], known))
 
 
 def save_spectrum(spec: Spectrum, path) -> None:

@@ -2,6 +2,7 @@
 
 import builtins
 import io
+import itertools
 import os
 import signal
 import subprocess
@@ -148,6 +149,22 @@ def test_tables_either_side_of_the_kernel_size_print_as_per_value_text(tmp_path,
     assert kernel == ([256] if rows == 32 else [])
 
 
+@pytest.mark.parametrize("flags", [["--i-vec", "0.6,0.8,0"], ["--grid-n", "15", "--time", "1.5"]],
+                         ids=["default-grid-transverse-I", "grid-15-t-1.5"])
+def test_field_files_print_as_per_value_text(tmp_path, monkeypatch, capsys, flags):
+    # the default spectrum's mean k is along z, so an I in the xy plane is
+    # transverse to it, as in the benchmark's field; both fields have node
+    # rows, whose s is NaN, beside the grid's repeated x, y, z and constant t
+    fields, spin_field = [], wavepacket.spin_field
+    monkeypatch.setattr(wavepacket, "spin_field", lambda *args: fields.append(spin_field(*args)) or fields[-1])
+    out = tmp_path / "field.csv"
+    assert cli.main(["field", *flags, "--out", str(out)]) == cli.EXIT_OK
+    (fld,) = fields
+    assert fld.node.any() and not fld.node.all()
+    table = np.column_stack([fld.x, np.full(len(fld.rho), fld.t), fld.rho, fld.s])
+    _assert_file_holds(out, _per_value_csv(wavepacket.FIELD_HEADER, table))
+
+
 def _layout_table(rows, rng):
     """Columns whose texts use different rows of the kernel's slot, some repeated."""
     mixed = np.array([0.0, 7.0, -1.2345678901234567e-100, -3.5e-300])  # 1 and 24 characters
@@ -199,25 +216,38 @@ def test_cli_exits_2_on_a_malformed_table(tmp_path, monkeypatch, capsys):
     assert "must be 2-D with 3 columns" in capsys.readouterr().err
 
 
+def _grid_table(shape, rng):
+    """The x, y and z of a meshgrid, a constant t and four random columns, as a field table's columns."""
+    axes = [np.linspace(-1.0, 1.0, n) for n in shape]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.column_stack([grid, np.full(len(grid), 1.5), rng.normal(size=(len(grid), 4))])
+
+
 def test_writer_memory_is_bounded_by_the_block():
     import tracemalloc
 
     rng = np.random.default_rng(5)
-    small, large = rng.normal(size=(20_000, 8)), rng.normal(size=(200_000, 8))
+    # random columns, and grid columns that take the repeated-column path:
+    # their block peaks are lower, so temporaries the size of a whole column
+    # (a sort of the 200 000-row x, say) would show
+    tables = [
+        (rng.normal(size=(20_000, 8)), rng.normal(size=(200_000, 8))),
+        (_grid_table((20, 25, 40), rng), _grid_table((50, 50, 80), rng)),
+    ]
     # a first call leaves the kernel's tables and numpy's one-time allocations
     # out: 64 x 8 values take the kernel
-    wavepacket.write_table(os.devnull, "a,b,c,d,e,f,g,h", small[:64])
+    wavepacket.write_table(os.devnull, "a,b,c,d,e,f,g,h", tables[0][0][:64])
     peaks = []
     tracemalloc.start()
     try:
-        for table in (small, large):
+        for table in itertools.chain.from_iterable(tables):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             wavepacket.write_table(os.devnull, "a,b,c,d,e,f,g,h", table)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert peaks[1] <= 2 * peaks[0], peaks
+    assert peaks[1] <= 2 * peaks[0] and peaks[3] <= 2 * peaks[2], peaks
 
 
 def test_import_builds_no_table():
@@ -329,11 +359,11 @@ def test_a_write_that_fails_midway_leaves_the_header_and_first_block(tmp_path, m
     target.write_bytes(_PREFILLS["2MB-junk"](0))
     blocks, csv_block = [], wavepacket._csv_block
 
-    def failing(block):
+    def failing(block, *args):
         blocks.append(len(block))
         if len(blocks) == 2:
             raise OSError("no space left on device")
-        return csv_block(block)
+        return csv_block(block, *args)
 
     monkeypatch.setattr(wavepacket, "_csv_block", failing)
     with pytest.raises(OSError, match="no space left"):
@@ -385,11 +415,11 @@ import os, signal, sys
 import numpy as np
 from spinpol import wavepacket
 table, blocks, csv_block = np.load(sys.argv[1]), [], wavepacket._csv_block
-def killing(block):
+def killing(block, *args):
     blocks.append(block)
     if len(blocks) == int(sys.argv[3]):
         os.kill(os.getpid(), signal.SIGKILL)
-    return csv_block(block)
+    return csv_block(block, *args)
 wavepacket._csv_block = killing
 wavepacket.write_table(sys.argv[2], "a,b,c,d", table)
 """

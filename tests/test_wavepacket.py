@@ -1067,6 +1067,28 @@ def test_tensor_axes_detection():
     assert wavepacket._tensor_axes(np.vstack([grid[:1], grid[:-1]])) is None
 
 
+def test_tensor_axes_read_off_the_runs_are_the_sorted_unique_values():
+    # a grid built in order gives its axes bit for bit, -0.0 and a one-value
+    # axis included, as do the default field's points and spectrum
+    ax = [np.array([-1.0, -0.0, 2.5]), np.array([7.0]), np.array([-3.0, 0.0, 1e-300, 4.0])]
+    grid = _mesh(*ax)
+    points, _ = position_grid(21, 6.0)
+    spec = gaussian_spectrum([0.0, 0.0, 5.0], 0.5, 9, 4.0)
+    for a in (grid, points, spec.k):
+        want = [np.unique(a[:, i]) for i in range(3)]
+        got = wavepacket._tensor_axes(a)
+        assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+    assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(wavepacket._tensor_axes(grid), ax))
+    # rows whose zeros differ in sign still form a grid of the same values;
+    # reordered rows do not
+    mixed = grid.copy()
+    mixed[1::2, 0] = np.where(mixed[1::2, 0] == 0.0, 0.0, mixed[1::2, 0])
+    assert np.signbit(mixed[:, 0]).sum() < np.signbit(grid[:, 0]).sum()
+    assert all(np.array_equal(g, w) for g, w in zip(wavepacket._tensor_axes(mixed), ax))
+    order = np.random.default_rng(4).permutation(len(grid))
+    assert wavepacket._tensor_axes(grid[order]) is None
+
+
 def test_dense_block_stays_within_its_byte_budget():
     n_k = 41**3
     rows = wavepacket._dense_rows(n_k)
