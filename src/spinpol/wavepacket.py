@@ -359,10 +359,10 @@ def _tensor_axes(a):
     """Per-column axes of a lexicographic tensor grid, or None if `a` is not one.
 
     `a` is a grid when the sorted unique values of its columns rebuild it
-    exactly as their `ij` meshgrid, last column fastest.  The axes are first
-    read off the leading runs of `a`, without a sort: if they are finite,
-    increase, and rebuild `a` bit for bit (as position_grid's points and a
-    generated spectrum's k do), they are those sorted unique values.
+    exactly as their `ij` meshgrid, last column fastest.  Such a grid's axes
+    are the values at the leading runs of its columns, so they are read off
+    there, without a sort, and kept if they increase and rebuild `a`, compared
+    by value (a NaN fails both tests).
     """
     axes, run = [], len(a)
     for col in a.T:
@@ -371,17 +371,11 @@ def _tensor_axes(a):
         axes.append(col[:run:step])
         run = step
     shape = [len(ax) for ax in axes]
-    ordered = all(np.isfinite(ax).all() and (ax[1:] > ax[:-1]).all() for ax in axes)
-    if ordered and math.prod(shape) == len(a):
-        bits = a.view(np.int64).reshape(*shape, len(shape))
-        # column i, its grid axis i moved last, against axis i's values
-        if all((np.moveaxis(bits[..., i], i, -1) == ax.view(np.int64)).all() for i, ax in enumerate(axes)):
-            return axes
-    axes = [_sorted_unique(np.sort(a[:, i])) for i in range(a.shape[1])]
-    if np.prod([len(ax) for ax in axes]) != len(a):
+    if math.prod(shape) != len(a) or not all((ax[1:] > ax[:-1]).all() for ax in axes):
         return None
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(a.shape)
-    return axes if np.array_equal(grid, a) else None
+    grid = a.reshape(*shape, len(shape))
+    # column i, its grid axis i moved last, against axis i's values
+    return axes if all((np.moveaxis(grid[..., i], i, -1) == ax).all() for i, ax in enumerate(axes)) else None
 
 
 def _separable_sum(cfg, coeff, k_axes, x_axes, t):
@@ -662,19 +656,17 @@ def position_grid(n_per_axis: int, half_span: float):
     return points, float(ax[1] - ax[0])
 
 
-def _csv_block(block, known):
+def _csv_block(block):
     """ASCII CSV rows of a block of a table, each value as %.17g, in one call of the _g17 kernel.
 
     A block of fewer than _g17._KERNEL_MIN values is formatted value by value.
     A column with at least two rows per distinct value (grid coordinates, a
     constant time) formats each distinct value once.  Values are keyed by bit
-    pattern, not by float value: -0.0 and 0.0 print differently.  `known`
-    maps such a column to the sorted distinct bit patterns found for it in
-    an earlier block of the same table; while a block's values all lie in
-    that set, the set is reused instead of sorting the column again.  Each
-    column then gets a slot only as wide as the _g17 rows that its values
-    use in the block, so the transposing copy and the NUL compaction handle
-    about 165 bytes a field row instead of 8 x 45.
+    pattern, not by float value: -0.0 and 0.0 print differently.  Each column
+    then gets a slot only as wide as the _g17 rows that its values use in the
+    block (about 20 of the 44 for a field's coordinates, one for its time), so
+    the transposing copy and the NUL compaction handle about 165 bytes a field
+    row instead of 8 x 45.
     """
     rows, cols = block.shape
     if block.size < _g17._KERNEL_MIN:
@@ -684,13 +676,6 @@ def _csv_block(block, known):
     repeated = {}
     for j in range(cols):
         column = block[:, j].view(np.int64)
-        bits = known.get(j)
-        if bits is not None:
-            at = np.searchsorted(bits, column)
-            if (bits.take(at, mode="clip") == column).all():
-                repeated[j] = bits.view(np.float64), at
-                continue
-            del known[j]
         # a column whose first 64 rows are all distinct (rho, s) skips the
         # sort; a repeat missed this way costs time, not bytes
         head = np.sort(column[:64])
@@ -698,7 +683,6 @@ def _csv_block(block, known):
             continue
         bits = _sorted_unique(np.sort(column))
         if 2 * len(bits) <= rows:
-            known[j] = bits
             repeated[j] = bits.view(np.float64), np.searchsorted(bits, column)
     # each column's values, or its distinct values, as one run of the text
     values = [repeated[j][0] if j in repeated else block[:, j] for j in range(cols)]
@@ -772,11 +756,10 @@ def write_table(path, header, table) -> None:
             f"a table for header '{header}' must be 2-D with {fields} columns, "
             f"got shape {table.shape}"
         )
-    known = {}
     with _overwrite(path) as fh:
         fh.write(f"{header}\n".encode())
         for lo in range(0, len(table), TABLE_BLOCK):
-            fh.write(_csv_block(table[lo : lo + TABLE_BLOCK], known))
+            fh.write(_csv_block(table[lo : lo + TABLE_BLOCK]))
 
 
 def save_spectrum(spec: Spectrum, path) -> None:

@@ -359,11 +359,11 @@ def test_a_write_that_fails_midway_leaves_the_header_and_first_block(tmp_path, m
     target.write_bytes(_PREFILLS["2MB-junk"](0))
     blocks, csv_block = [], wavepacket._csv_block
 
-    def failing(block, *args):
+    def failing(block):
         blocks.append(len(block))
         if len(blocks) == 2:
             raise OSError("no space left on device")
-        return csv_block(block, *args)
+        return csv_block(block)
 
     monkeypatch.setattr(wavepacket, "_csv_block", failing)
     with pytest.raises(OSError, match="no space left"):
@@ -415,11 +415,11 @@ import os, signal, sys
 import numpy as np
 from spinpol import wavepacket
 table, blocks, csv_block = np.load(sys.argv[1]), [], wavepacket._csv_block
-def killing(block, *args):
+def killing(block):
     blocks.append(block)
     if len(blocks) == int(sys.argv[3]):
         os.kill(os.getpid(), signal.SIGKILL)
-    return csv_block(block, *args)
+    return csv_block(block)
 wavepacket._csv_block = killing
 wavepacket.write_table(sys.argv[2], "a,b,c,d", table)
 """
