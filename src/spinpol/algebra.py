@@ -6,9 +6,6 @@ products are the plain sums over the last axis, so one vector gets the bits
 it gets inside a batch.
 """
 
-import contextlib
-import math
-
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,20 +62,11 @@ def _norm(a, axis=-1):
 
 def _off_unit(a):
     """||row| - 1| of each (..., n) row, and (where, |row|) of the first beyond EPS_INPUT or None."""
-    # written so that NaN fails it
-    if a.dtype.kind != "c" and (a.ndim == 1 or a.size == a.shape[-1]):
-        # one real vector, whatever its leading shape, in Python floats: the
-        # array path costs about 7 us more, and acceptance criterion 1's
-        # single-frame loop 1.3-1.5x the time; a block of one frame pays it per
-        # block.  Its squares summed in order have the bits of _norm's; a
-        # complex product in Python need not, so one spinor takes _norm
-        norm = math.sqrt(sum([x * x for x in a.reshape(-1).tolist()]))
-        off = abs(norm - 1.0)
-        return off, None if off <= EPS_INPUT else (_where((0,) * (a.ndim - 1)), norm)
     # inf * 0 in an infinite complex entry's product would warn; the norm is inf
-    with np.errstate(invalid="ignore") if a.dtype.kind == "c" else contextlib.nullcontext():
+    with np.errstate(invalid="ignore"):
         norm = _norm(a)
     off = np.abs(norm - 1.0)
+    # written so that NaN fails it
     if off.max(initial=0.0) <= EPS_INPUT:
         return off, None
     index = _first(~(off <= EPS_INPUT))

@@ -311,18 +311,22 @@ def _typed(sub, config):
 
 
 def _parse(argv):
+    """The namespace of argv, with the help, usage and error texts and exit codes of build_parser().
+
+    An argv led by a subcommand builds one parser of that subcommand's flags
+    (_add_flags, which build_parser calls too), which prints the help and
+    usage errors of the same subcommand in the full parser; with --config it
+    parses again with the file's values as defaults.  A stray argument, and
+    any other argv (-h, an unknown command, none), goes to the full parser.
+    """
     argv = sys.argv[1:] if argv is None else argv
     if not (argv and argv[0] in _SUBCOMMANDS):
-        # help, an unknown command or none: the full parser answers
         return build_parser().parse_args(argv)
-    # one parser of the subcommand's flags prints its own help and usage
-    # errors, the same texts as the full parser's (tests/test_verify_cli.py)
     parser = argparse.ArgumentParser(prog=f"spinpol {argv[0]}", formatter_class=_BUILDING)
     parser.set_defaults(command=argv[0])
     _add_flags(parser, argv[0])
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
-        # the full parser reports a stray argument under its own usage line
         build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     if args.config is None:
         return args
@@ -331,7 +335,6 @@ def _parse(argv):
     unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"}))
     if unknown:
         raise ConfigError(f"unknown keys in config {args.config}: {unknown}")
-    # the second pass parses with the config file's values as defaults
     parser.set_defaults(**_typed(parser, config))
     return parser.parse_args(argv[1:])
 

@@ -1,4 +1,20 @@
-"""Seeded randomized property sweeps over every module, with a tabular report."""
+"""Seeded randomized property sweeps over every module, with a tabular report.
+
+Each suite draws its cases in order from its own stream,
+np.random.default_rng([seed, suite_id]), read as uniforms only, so its
+draws do not depend on which other suites run.  Its draw is a list of steps
+(name, k, make): each case takes k uniforms, and make(x, fields) maps an
+(m, k) block of them to the step's values, reading earlier fields by name.
+Every map is fixed, elementwise and without a redraw: a unit vector by
+Archimedes' hat-box theorem (_unit), one clear of another field on the Duff
+basis normal to it (_clear_of), a Jones vector uniform on the unit sphere of
+C^2 (_jones), normals by Box-Muller (_gauss) and rng.uniform's own map
+(_uniform).  So one rng.random call draws a block of cases, with the draws
+and end state of drawing them one at a time, and a check, which takes the
+block's stacked fields by name and returns per-case residual arrays,
+evaluates every law once on the block.  The block size changes neither the
+draws nor the report; it only bounds the memory of a large run.
+"""
 
 from dataclasses import dataclass
 
@@ -21,11 +37,6 @@ class SuiteResult:
     max_residual: float
     tolerance: float
     passed: bool
-
-
-# A suite's draw is a list of steps (name, k, make): each case takes k
-# uniforms from rng.random, and make(x, fields) maps an (m, k) block of them
-# to the step's values; it may read the earlier fields.
 
 
 def _cis(u):
@@ -98,11 +109,7 @@ def _uniform(name, lo, hi, k=None):
 
 
 def _read_block(rng, count, steps):
-    """The fields of a block of `count` cases, drawn in one pass.
-
-    Each step takes a fixed number of uniforms per case, so one rng.random call
-    draws the block in stream order, and each make runs once on it.
-    """
+    """The fields of a block of `count` cases: one rng.random call, and each make once on it."""
     x = rng.random((count, sum(step[1] for step in steps)))
     fields, at = {}, 0
     for name, k, make in steps:
@@ -129,10 +136,6 @@ def _det(m):
 def _trace(m):
     return m[..., 0, 0] + m[..., 1, 1]
 
-
-# Each suite is a list of draw steps, which take one case's random numbers
-# from the suite's stream, and a check, which takes the stacked fields of a
-# block of cases by name and returns per-case residual arrays.
 
 _ALGEBRA = (("a", 2, _unit), ("b", 2, _unit), ("chi", 3, _jones), _complex("ca"), _complex("cb"))
 
@@ -328,11 +331,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     """Run one named suite; n_cases = 0 passes vacuously with zero residual.
 
-    The cases come from the (seed, suite) stream in case order, a block of up
-    to CASE_BLOCK at a time: _read_block draws a block's uniforms in one call
-    and runs each make once on the block.  The suite's finish then runs on the
-    stacked fields, the laws are checked on the block, and the worst residual
-    over all cases is reported.  A NaN residual fails the suite.
+    The cases run a block of up to CASE_BLOCK at a time (_read_block), the
+    suite's finish on each block's stacked fields and then its check, and the
+    worst residual over all cases is reported.  A NaN residual fails the suite.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -343,12 +344,8 @@ def run_suite(name, seed=DEFAULT_SEED, n_cases=DEFAULT_CASES, tolerance=None):
     # written so that a NaN tolerance fails it
     if not (n_cases >= 0 and 0 <= tol < np.inf):
         raise ValueError(f"n_cases must be >= 0 and tolerance finite and >= 0, got {n_cases}, {tol}")
-    # per-suite streams keyed by (seed, suite id) so a suite's draw does not
-    # depend on which other suites were selected
     rng = np.random.default_rng([seed, suite_id])
     worst = 0.0
-    # blocks are drawn in case order, so neither the stream nor the result
-    # depends on CASE_BLOCK, which only bounds the memory of a large run
     for start in range(0, n_cases, CASE_BLOCK):
         fields = _read_block(rng, min(CASE_BLOCK, n_cases - start), steps)
         if finish:

@@ -288,9 +288,9 @@ def _frame_blocks(spec: Spectrum, cfg: PacketConfig, fn, keep=False):
     Each sample takes its own direction k_hat as quantization axis and shares
     its packet's characterization vector cfg.i_vec.  Blocks run in sample order,
     and errors name a sample by its index in the whole spectrum.  With keep,
-    the frames of a spectrum that fits in one block stay in cfg, keyed by the
-    bits of k_hat and cfg.i_vec, so the next such call on them reuses the
-    frames and what they computed; a larger spectrum keeps nothing.
+    the frames of a spectrum that fits in one block stay in cfg (a _Last),
+    keyed by the bits of k_hat and cfg.i_vec, so the next such call on them
+    reuses the frames and what they computed; a larger spectrum keeps nothing.
     """
     packets = math.prod(_batch_shape(spec, cfg))
     per = max(1, _FRAME_BUDGET // max(1, packets))
@@ -454,8 +454,9 @@ def _plane_wave_sum(spec, cfg, spinors, points, t):
     """Sum each packet's spectrum at its points (..., m, 3).
 
     One packet's points take the per-axis sum when they and the spectrum are
-    tensor grids, and the dense sum otherwise.  Both paths are deterministic,
-    so repeated calls give identical results.
+    tensor grids (_tensor_axes), and the dense sum otherwise.  The two paths
+    agree to rounding, and each is deterministic, so repeated calls give
+    identical results.
     Raises ValueError for a time or a point that is not finite, for phases
     k.x - omega t that may overflow, which would make every sum NaN, and for
     phases that may reach pi * 2^53, where one rounding of the phase argument
