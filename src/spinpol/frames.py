@@ -36,19 +36,19 @@ SQRT2 = np.sqrt(2.0)
 _INV_SQRT2 = 1.0 / SQRT2
 
 
-class _FrameError(ValueError):
-    """Geometry error; `index` locates the first offending frame of a batch (() for one frame)."""
+class _IndexedError(ValueError):
+    """Input error; `index` locates the first offending frame or packet of a batch (() for one)."""
 
     def __init__(self, message, index=()):
         super().__init__(message)
         self.index = index
 
 
-class DegenerateFrame(_FrameError):
+class DegenerateFrame(_IndexedError):
     """Characterization vector is (anti)parallel to the quantization axis."""
 
 
-class ReferenceAnnihilated(_FrameError):
+class ReferenceAnnihilated(_IndexedError):
     """A reference spinor is annihilated by its ladder operator."""
 
 

@@ -8,7 +8,7 @@ those laws into machine-checkable numbers.
 
 import numpy as np
 
-from .algebra import IDENTITY2, PAULI, _apply, _checked_axis, _item, _mul, _norm, _single, _spv, dot_sigma
+from .algebra import IDENTITY2, _apply, _checked_axis, _item, _mul, _norm, _single, _spv, dot_sigma
 from .frames import (
     DEFAULT_REFERENCES,
     Frame,
@@ -34,9 +34,6 @@ GENERATOR_Z = np.array(
 # -i (n.G) is the real cross-product matrix of n: (n @ _CROSS) flattened
 _CROSS = (-1j * np.array([GENERATOR_X, GENERATOR_Y, GENERATOR_Z])).real.reshape(3, 9)
 _EYE3 = np.eye(3)
-# flattened 1 and -i sigma: -i (n.sigma) is (n @ _MINUS_I_SIGMA) flattened
-_IDENTITY2_FLAT = IDENTITY2.reshape(4)
-_MINUS_I_SIGMA = (-1j * PAULI).reshape(3, 4)
 
 
 def so3_generators():
@@ -45,9 +42,12 @@ def so3_generators():
 
 
 def dot_generators(a) -> np.ndarray:
-    """Project a 3-vector onto the generator triple: a_x Gx + a_y Gy + a_z Gz."""
+    """Project a 3-vector onto the generator triple: a_x Gx + a_y Gy + a_z Gz.
+
+    A (..., 3) array of vectors gives the (..., 3, 3) array of their projections.
+    """
     a = np.asarray(a)
-    return a[0] * GENERATOR_X + a[1] * GENERATOR_Y + a[2] * GENERATOR_Z
+    return 1j * (a @ _CROSS).reshape(a.shape[:-1] + (3, 3))
 
 
 def so3_rotation(axis, angle) -> np.ndarray:
@@ -69,9 +69,8 @@ def su2_rotation(axis, angle) -> np.ndarray:
 
 def _su2(axis, angle):
     # (..., 3) unit axes and (...) angles to (..., 2, 2) matrices
-    half = np.asarray(angle)[..., None] / 2.0
-    u = np.cos(half) * _IDENTITY2_FLAT + np.sin(half) * (axis @ _MINUS_I_SIGMA)
-    return u.reshape(u.shape[:-1] + (2, 2))
+    half = np.asarray(angle)[..., None, None] / 2.0
+    return np.cos(half) * IDENTITY2 + np.sin(half) * (-1j * dot_sigma(axis))
 
 
 def correspondence_residual(axis, angle, a):

@@ -27,6 +27,7 @@ from .frames import (
     ReferenceSpinors,
     _bits,
     _compose,
+    _IndexedError,
     _Last,
     _read_only,
     build_frame,
@@ -70,15 +71,11 @@ class BadGrid(ValueError):
     """
 
 
-class NodePoint(ValueError):
+class NodePoint(_IndexedError):
     """Probability density vanishes here; the local polarization is undefined.
 
     `index` locates the first such packet of a batch (() for one packet).
     """
-
-    def __init__(self, message, index=()):
-        super().__init__(message)
-        self.index = index
 
 
 def _sample(index):
@@ -677,11 +674,6 @@ def _csv_block(block):
     repeated = {}
     for j in range(cols):
         column = block[:, j].view(np.int64)
-        # a column whose first 64 rows are all distinct (rho, s) skips the
-        # sort; a repeat missed this way costs time, not bytes
-        head = np.sort(column[:64])
-        if (head[1:] != head[:-1]).all():
-            continue
         bits = _sorted_unique(np.sort(column))
         if 2 * len(bits) <= rows:
             repeated[j] = bits.view(np.float64), np.searchsorted(bits, column)

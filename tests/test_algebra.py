@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinpol import (
+    build_frame,
     dot_sigma,
     eigen_residual,
     sigma_product,
@@ -138,6 +139,13 @@ def test_spv_rejects_non_normalized_input():
     # 1e-9 sloppiness is accepted, and the output is still unit to rounding
     s = spv([1.0 + 5e-10, 0.0])
     assert abs(np.linalg.norm(s) - 1.0) < 1e-12
+
+
+def test_vectors_and_spinors_of_the_wrong_length_are_refused():
+    with pytest.raises(ValueError, match="^w must be a 3-vector or an array of 3-vectors$"):
+        build_frame([1.0, 0.0], Z)
+    with pytest.raises(ValueError, match="^chi must be a 2-spinor or an array of 2-spinors$"):
+        spv([1.0, 0.0, 0.0])
 
 
 def test_eigen_residual_fixtures():

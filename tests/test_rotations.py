@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from spinpol import (
@@ -59,6 +59,13 @@ def test_generators_encode_the_cross_product():
         a = rng.normal(size=3) + 1j * rng.normal(size=3)
         b = rng.normal(size=3) + 1j * rng.normal(size=3)
         assert np.linalg.norm(np.cross(a, b) - (-1j * dot_generators(a) @ b)) < 1e-12
+
+
+def test_dot_generators_projects_each_vector_of_a_batch():
+    # like dot_sigma, a (..., 3) stack gives one projection per vector
+    stack = np.random.default_rng(43).normal(size=(4, 3))
+    assert_array_equal(dot_generators(stack), [dot_generators(a) for a in stack])
+    assert_array_equal(dot_generators(np.eye(3)), so3_generators())
 
 
 def test_generator_action_on_triad():

@@ -1,12 +1,14 @@
 """The CSV table writer: its array '%.17g' kernel, blocks, input checks and memory."""
 
 import builtins
+import gc
 import io
 import itertools
 import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +371,32 @@ def test_a_write_that_fails_midway_leaves_the_header_and_first_block(tmp_path, m
     with pytest.raises(OSError, match="no space left"):
         wavepacket.write_table(target, "a,b,c,d", table)
     assert target.read_bytes() == want
+
+
+def test_a_cut_that_fails_closes_the_file_and_raises(tmp_path, monkeypatch):
+    # the file _overwrite opened is closed before the OSError propagates,
+    # not left for the garbage collector to close with a ResourceWarning
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"0123456789")
+    handles, fdopen = [], os.fdopen
+
+    def recording_fdopen(*args, **kwargs):
+        handles.append(fdopen(*args, **kwargs))
+        return handles[-1]
+
+    def failing_ftruncate(fd, length):
+        raise OSError("cannot cut")
+
+    monkeypatch.setattr(os, "fdopen", recording_fdopen)
+    monkeypatch.setattr(os, "ftruncate", failing_ftruncate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError, match="^cannot cut$"):
+            wavepacket.write_table(target, "a,b,c,d", _sample_table())
+        gc.collect()
+    assert len(handles) == 1 and handles[0].closed
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert target.read_bytes() == b"0123456789"
 
 
 def _run_python(script, *args):

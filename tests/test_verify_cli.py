@@ -567,6 +567,28 @@ def test_cli_bad_config_file_is_config_error(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
 
 
+def test_cli_config_file_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    out = tmp_path / "spin.csv"
+    assert cli.main(["total-spin", "--config", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: config file must hold a flat key-value object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--i-vec", "1,0", "i_vec must have 3 components, got 2"),
+    ("--i-vec", "a,b,c", "i_vec: could not convert string to float: 'a'"),
+    ("--i-vec", "0,0,0", "i_vec must be nonzero"),
+    ("--steps", "0", "n_steps must be at least 1"),
+])
+def test_cli_total_spin_bad_flag_value_is_config_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "spin.csv"
+    assert cli.main(["total-spin", "--n-k", "3", flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     args = ["verify", "--n-cases", "20", "--seed", "11"]
     first, second = tmp_path / "r1.csv", tmp_path / "r2.csv"

@@ -96,6 +96,8 @@ def test_spectrum_validation():
         Spectrum(k=[[0, 0, 2.0], [0, np.inf, 1.0]], amplitude=[1.0, 1.0], weight=[0.5, 0.5])
     with pytest.raises(SpectrumNearOrigin, match="sample 0"):
         Spectrum(k=[[0, 0, 0.0], [0, 0, 2.0]], amplitude=[1.0, 1.0], weight=[0.5, 0.5])
+    with pytest.raises(ValueError, match="^spectrum arrays must have matching lengths, "):
+        Spectrum(k=[[0, 0, 2.0], [0, 0, 3.0]], amplitude=[1.0], weight=[0.5, 0.5])
 
 
 def test_a_wave_vector_whose_square_overflows_is_refused():
@@ -206,6 +208,19 @@ def test_collinear_plus_component_is_an_axis_eigenfunction():
 def test_eigen_component_rejects_bad_branch():
     with pytest.raises(ValueError, match="branch"):
         eigen_component(single_wave(), packet(), 0, [0, 0, 0], 0.0)
+
+
+def test_sample_spinors_rejects_bad_branch():
+    with pytest.raises(ValueError, match="^branch must be 0, \\+1 or -1, got 2$"):
+        sample_spinors(single_wave(), packet(), branch=2)
+
+
+def test_packet_batches_that_do_not_broadcast_are_refused():
+    cfg = packet(np.tile(X, (2, 1)), np.tile([1.0, 0.0], (3, 1)))
+    with pytest.raises(ValueError, match=(
+        r"^packet batch shapes do not broadcast: spectrum \(\), i_vec \(2,\), alpha \(3,\)$"
+    )):
+        sample_spinors(single_wave(), cfg)
 
 
 def test_local_spv_single_wave_fixtures():
